@@ -123,6 +123,13 @@ def _add_train_params(p):
     p.add_argument("--restarts", type=int, default=10)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_thresholds(p):
     p.add_argument("--r-min", type=float, default=0.99)
     p.add_argument("--divergence-max", type=float, default=10.0)
@@ -192,7 +199,8 @@ def _build_parser():
                    help="comma-separated neuron counts")
     p.add_argument("--exo-channels", default=None)
     p.add_argument("--target-channel", default="close")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (>= 1)")
     _add_train_params(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -248,15 +256,16 @@ def _prep_with_spec(frame, norm_spec, net, exo_channels, target_channel):
 
 
 def cmd_train(args) -> int:
+    params = _train_params_from(args)
     frame = _load_frame(args)
     d_u = parse_lag_range(args.input_delays)
     d_y = parse_lag_range(args.feedback_delays)
     exo = _exo_channels(args)
     prep = prepare(frame, d_u, d_y, exo, args.target_channel)
-    params = _train_params_from(args)
     report = fit(prep, args.neurons, params, args.seed)
     diag = evaluate_open(report.network, prep, xi=params.xi,
-                         thresholds=_thresholds_from(args))
+                         thresholds=_thresholds_from(args),
+                         penalize_biases=params.penalize_biases)
 
     out = args.out
     os.makedirs(out, exist_ok=True)

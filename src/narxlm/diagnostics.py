@@ -154,11 +154,14 @@ class DiagnosticsReport:
 
 def diagnose(outputs_price, targets_price, errors_norm, exo_channels_norm,
              weights=None, xi=1.0, max_lag=20,
-             thresholds: VerdictThresholds = VerdictThresholds()) -> DiagnosticsReport:
+             thresholds: VerdictThresholds = VerdictThresholds(),
+             bias_mask=None, penalize_biases=False) -> DiagnosticsReport:
     """Full report: metrics in price units, correlations on normalized errors.
 
     exo_channels_norm maps channel name -> normalized series aligned with
     errors_norm.  max_lag is clamped to the available series length.
+    msereg takes weights, xi, bias_mask and penalize_biases as the training
+    objective does, so it matches that objective on the same block.
     """
     outputs_price = np.asarray(outputs_price, dtype=float)
     targets_price = np.asarray(targets_price, dtype=float)
@@ -166,7 +169,7 @@ def diagnose(outputs_price, targets_price, errors_norm, exo_channels_norm,
     mse = float(np.mean(errors_norm ** 2))
     if weights is not None and xi < 1.0:
         from .training import msereg as _msereg
-        reg = _msereg(errors_norm, weights, xi)
+        reg = _msereg(errors_norm, weights, xi, bias_mask, penalize_biases)
     else:
         reg = mse
     r = regression_r(outputs_price, targets_price)

@@ -124,7 +124,8 @@ def _sweep_point(packed) -> SweepRow:
             pred_price, targ_price = pred, dataset.T
         diag = diagnose(pred_price, targ_price, err, exo,
                         weights=net.flatten(), xi=params.xi,
-                        max_lag=max_lag)
+                        max_lag=max_lag, bias_mask=net.bias_mask(),
+                        penalize_biases=params.penalize_biases)
         row.performance = report.records[report.best_epoch].train_objective
         row.mse = diag.mse
         row.r_value = diag.r_value

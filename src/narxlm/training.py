@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DivergedError, ValidationError
 from .network import NarxConfig, NarxNetwork, forward_open, init_weights, jacobian
@@ -41,6 +40,14 @@ class TrainParams:
             raise ValidationError("xi must lie in [0, 1]")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
+        if self.epochs < 1:
+            raise ValidationError("epochs must be >= 1")
+        if self.max_fail < 1:
+            raise ValidationError("max_fail must be >= 1")
+        if not (self.goal >= 0.0):
+            raise ValidationError("goal must be >= 0")
+        if not (self.min_grad >= 0.0):
+            raise ValidationError("min_grad must be >= 0")
 
     def to_dict(self) -> dict:
         return {
@@ -138,9 +145,12 @@ def lm_step(J, F, lam, weights=None, xi=1.0, bias_mask=None, penalize_biases=Fal
 
     (xi*J'J + alpha*M + lam*I) d = -(xi*J'F + alpha*M w), where M masks the
     penalized weights and alpha = (1 - xi) * n_residuals / n_penalized.  With
-    xi = 1 this is exactly (J'J + lam*I) d = -J'F.  Solved by Cholesky; a
-    non-positive-definite system raises StepFailure so the caller can retry
-    with larger damping.
+    xi = 1 this is exactly (J'J + lam*I) d = -J'F.
+
+    ``numpy.linalg.cholesky`` checks that the system is positive definite and
+    ``numpy.linalg.solve`` then solves it; both use numpy's own BLAS.  A
+    failed factorization or a non-finite step raises StepFailure so the
+    caller can retry with larger damping.
     """
     J = np.asarray(J, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -161,9 +171,11 @@ def lm_step(J, F, lam, weights=None, xi=1.0, bias_mask=None, penalize_biases=Fal
             b -= alpha * np.where(mask, w, 0.0)
     A[np.diag_indices_from(A)] += lam
     try:
-        c, low = scipy.linalg.cho_factor(A, check_finite=False)
-        d = scipy.linalg.cho_solve((c, low), b, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        # numpy has no triangular solve, and one solve on A costs less than
+        # two general solves on the Cholesky factor
+        np.linalg.cholesky(A)
+        d = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
         raise StepFailure(str(exc)) from exc
     if not np.all(np.isfinite(d)):
         raise StepFailure("non-finite step")

@@ -179,6 +179,23 @@ class TestUsage:
     def test_no_command(self):
         assert cli.main([]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_sweep_jobs_below_one(self, data_csv, tmp_path, jobs, capsys):
+        out = tmp_path / "sweep_jobs"
+        rc = cli.main(["sweep", "--csv", data_csv, "--out", str(out),
+                       "--jobs", jobs])
+        assert rc == cli.EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_epochs_is_validation_error(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "train_epochs0"
+        rc = cli.main(["train", "--csv", data_csv, "--out", str(out),
+                       "--epochs", "0"])
+        assert rc == cli.EXIT_VALIDATION
+        assert "epochs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag(self, data_csv, tmp_path):
         assert cli.main(["train", "--csv", data_csv, "--out", str(tmp_path),
                          "--bogus"]) == cli.EXIT_USAGE

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import narxlm
 from narxlm.data import DelayedDataset, split_indices
 from narxlm.errors import DivergedError, ValidationError
 from narxlm.network import NarxConfig, forward_open, init_weights, jacobian
-from narxlm.synth import make_supervised, teacher_dataset
+from narxlm.pipeline import evaluate_open, fit, prepare
+from narxlm.synth import make_supervised, synthetic_ohlcv_frame, teacher_dataset
 from narxlm.training import (
     StepFailure,
     TrainParams,
@@ -247,3 +254,49 @@ class TestParams:
             TrainParams(xi=1.5)
         with pytest.raises(ValidationError):
             TrainParams(restarts=0)
+        for bad in ({"epochs": 0}, {"epochs": -3}, {"max_fail": 0},
+                    {"goal": -1e-9}, {"goal": float("nan")},
+                    {"min_grad": -1e-9}, {"min_grad": float("nan")}):
+            with pytest.raises(ValidationError):
+                TrainParams(**bad)
+
+    def test_stopping_criteria_boundaries_accepted(self):
+        p = TrainParams(epochs=1, max_fail=1, goal=0.0, min_grad=0.0)
+        assert (p.epochs, p.max_fail, p.goal, p.min_grad) == (1, 1, 0.0, 0.0)
+
+
+def test_reported_msereg_is_training_objective():
+    # diagnosing the best network on the training block must reproduce the
+    # objective that training minimized there, bias exclusion included
+    frame, _ = synthetic_ohlcv_frame(160, seed=5, noise_std=0.02)
+    prep = prepare(frame, d_u=(0, 1), d_y=(1,))
+    params = TrainParams(xi=0.9, restarts=2, epochs=25)
+    report = fit(prep, n_hidden=4, params=params, seed=8)
+    diag = evaluate_open(report.network, prep, idx=prep.splits[0], xi=params.xi)
+    expected = report.records[report.best_epoch].train_objective
+    assert diag.msereg == pytest.approx(expected, rel=0, abs=1e-12)
+    assert diag.msereg != pytest.approx(diag.mse, rel=0, abs=1e-12)
+
+
+def test_training_loads_no_scipy():
+    # the LM step runs on numpy's BLAS alone; a second BLAS from scipy would
+    # contend with numpy's for the same cores
+    src = os.path.dirname(os.path.dirname(narxlm.__file__))
+    code = textwrap.dedent("""
+        import sys
+        import narxlm
+        from narxlm.data import split_indices
+        from narxlm.network import NarxConfig
+        from narxlm.synth import teacher_dataset
+        from narxlm.training import TrainParams, train_with_restarts
+        _, _, _, ds = teacher_dataset(60, seed=1)
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=2, n_exo=2)
+        train_with_restarts(config, ds, split_indices(ds.n_samples),
+                            TrainParams(restarts=2, epochs=5), seed=0)
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+    """)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
