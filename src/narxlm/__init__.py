@@ -33,11 +33,9 @@ from .network import (
     ClosedLoopNarx,
     NarxConfig,
     NarxNetwork,
-    close_loop,
     forward_open,
     init_weights,
     jacobian,
-    simulate_closed,
 )
 from .sweep import SweepGrid, SweepRow, run_sweep, select_best
 from .training import (

@@ -160,7 +160,13 @@ def _load_frame(args):
 
 
 def _exo_channels(args):
-    return tuple(args.exo_channels.split(",")) if args.exo_channels else DEFAULT_EXO_CHANNELS
+    """The exogenous channel names, after checking them and the target's."""
+    exo = tuple(args.exo_channels.split(",")) if args.exo_channels else DEFAULT_EXO_CHANNELS
+    for ch in exo + (args.target_channel,):
+        if ch not in CHANNELS:
+            raise ValidationError(
+                f"unknown channel {ch!r}; valid channels: {', '.join(CHANNELS)}")
+    return exo
 
 
 def _build_parser():
@@ -221,6 +227,9 @@ def _model_document(net: NarxNetwork, norm_spec, exo_channels, target_channel) -
     return json.dumps(doc, indent=2)
 
 
+MODEL_KEYS = ("config", "weights", "normalization", "exo_channels", "target_channel")
+
+
 def _load_model(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -229,13 +238,27 @@ def _load_model(path):
         raise DataFormatError(f"cannot read model: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"model is not valid JSON: {exc}") from exc
-    net = NarxNetwork.from_dict(doc)
-    norm_spec = NormalizationSpec.from_dict(doc["normalization"])
-    exo_channels = tuple(doc["exo_channels"])
+    if not isinstance(doc, dict):
+        raise DataFormatError("model document is not a JSON object")
+    for key in MODEL_KEYS:
+        if key not in doc:
+            raise DataFormatError(f"model document has no {key!r}")
+    try:
+        net = NarxNetwork.from_dict(doc)
+        norm_spec = NormalizationSpec.from_dict(doc["normalization"])
+        exo_channels = tuple(doc["exo_channels"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataFormatError(
+            f"malformed model document: {type(exc).__name__} {exc}") from exc
     target_channel = doc["target_channel"]
+    if not 0.0 < norm_spec.hi - norm_spec.lo < np.inf:
+        raise DataFormatError("model normalization has no usable [lo, hi]")
     for ch in exo_channels + (target_channel,):
         if ch not in CHANNELS:
             raise ConfigMismatchError(f"model channel {ch!r} not present in OHLCV data")
+        mn, mx = norm_spec.ranges.get(ch, (np.nan, np.nan))
+        if not 0.0 < mx - mn < np.inf:
+            raise DataFormatError(f"model normalization has no usable range for {ch!r}")
     if net.config.n_exo != len(exo_channels):
         raise ConfigMismatchError(
             f"model expects {net.config.n_exo} exogenous channels, "
@@ -257,10 +280,10 @@ def _prep_with_spec(frame, norm_spec, net, exo_channels, target_channel):
 
 def cmd_train(args) -> int:
     params = _train_params_from(args)
+    exo = _exo_channels(args)
     frame = _load_frame(args)
     d_u = parse_lag_range(args.input_delays)
     d_y = parse_lag_range(args.feedback_delays)
-    exo = _exo_channels(args)
     prep = prepare(frame, d_u, d_y, exo, args.target_channel)
     report = fit(prep, args.neurons, params, args.seed)
     diag = evaluate_open(report.network, prep, xi=params.xi,
@@ -320,8 +343,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    frame = _load_frame(args)
     exo = _exo_channels(args)
+    frame = _load_frame(args)
     target = args.target_channel
 
     def parse_axis(text):

@@ -152,35 +152,31 @@ def load_ohlcv(path) -> TimeSeriesFrame:
             if required not in colmap:
                 raise DataFormatError(f"{path}: missing column {required!r}")
 
-        rows = []
+        # frame_from_columns' argument order; adj_close falls back to close
+        names = ("open", "high", "low", "volume", "close", "adj_close")
+        cols = [colmap.get(ch, colmap["close"]) for ch in names]
+        dates, linenos, rows = [], [], []
         for lineno, cells in enumerate(reader, start=2):
             if not cells or all(not c.strip() for c in cells):
                 continue
             try:
-                date = parse_date(cells[colmap["date"]])
-                values = {}
-                for ch in ("open", "high", "low", "close", "volume"):
-                    values[ch] = float(cells[colmap[ch]])
-                if "adj_close" in colmap:
-                    values["adj_close"] = float(cells[colmap["adj_close"]])
-                else:
-                    values["adj_close"] = values["close"]
+                dates.append(parse_date(cells[colmap["date"]]))
+                rows.append([float(cells[pos]) for pos in cols])
             except (ValueError, IndexError) as exc:
                 raise DataFormatError(f"{path}: bad cell on row {lineno}: {exc}") from exc
-            rows.append((date, values))
+            linenos.append(lineno)
 
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    return frame_from_columns(
-        timesteps=[r[0] for r in rows],
-        open=[r[1]["open"] for r in rows],
-        high=[r[1]["high"] for r in rows],
-        low=[r[1]["low"] for r in rows],
-        volume=[r[1]["volume"] for r in rows],
-        close=[r[1]["close"] for r in rows],
-        adj_close=[r[1]["adj_close"] for r in rows],
-    ).validate_prices()
+    values = np.array(rows)
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise DataFormatError(
+            f"{path}: non-finite {names[col]} {values[row, col]} on row {linenos[row]}")
+    order = np.argsort(dates, kind="stable")
+    columns = np.ascontiguousarray(values[order].T)
+    return frame_from_columns(np.asarray(dates)[order], *columns).validate_prices()
 
 
 @dataclass(frozen=True)

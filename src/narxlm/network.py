@@ -255,8 +255,14 @@ class ClosedLoopNarx:
         primer_exo: trailing exogenous rows (width n_exo, channel order as in
             the training dataset), at least max(d_u) rows.
         exo_future: (H, n_exo) true exogenous rows for the horizon.
+
+        The exogenous taps of every step are known up front, so their hidden
+        drive X @ W_ih.T + b_h for the whole horizon is one (H, N) matmul over
+        a tap matrix built with one index; only the |d_y|-wide feedback
+        through W_yh runs step by step.
         """
         c = self.config
+        net = self.net
         primer_y = np.asarray(primer_y, dtype=float)
         primer_exo = np.atleast_2d(np.asarray(primer_exo, dtype=float))
         exo_future = np.asarray(exo_future, dtype=float).reshape(-1, c.n_exo) \
@@ -272,25 +278,21 @@ class ClosedLoopNarx:
         if primer_exo.shape[1] != c.n_exo:
             raise ShapeError(f"primer exo width {primer_exo.shape[1]} != {c.n_exo}")
 
-        y_hist = list(primer_y)
-        exo_hist = [row for row in primer_exo]
-        preds = np.empty(len(exo_future))
-        for t, exo_now in enumerate(exo_future):
-            exo_hist.append(exo_now)
-            # regressor row ordered (channel, lag) to match DelayedDataset.X
-            x_row = np.array([exo_hist[-1 - lag][ci]
-                              for ci in range(c.n_exo) for lag in c.d_u])
-            yh_row = np.array([y_hist[-lag] for lag in c.d_y])
-            a = np.tanh(x_row @ self.net.W_ih.T + yh_row @ self.net.W_yh.T + self.net.b_h)
-            y = float(a @ self.net.W_ho + self.net.b_o)
-            preds[t] = y
-            y_hist.append(y)
-        return preds
+        H = len(exo_future)
+        # row max_du + t of exo is step t's current input; the tap matrix
+        # has columns ordered (channel, lag) to match DelayedDataset.X
+        exo = np.concatenate([primer_exo[len(primer_exo) - max_du:], exo_future])
+        rows = (max_du + np.arange(H))[:, None] - np.asarray(c.d_u)
+        X = exo[rows].transpose(0, 2, 1).reshape(H, c.n_input_taps)
+        drive = X @ net.W_ih.T + net.b_h                     # (H, N)
 
-
-def close_loop(net: NarxNetwork) -> ClosedLoopNarx:
-    return ClosedLoopNarx(net)
-
-
-def simulate_closed(evaluator: ClosedLoopNarx, primer_y, primer_exo, exo_future) -> np.ndarray:
-    return evaluator.simulate(primer_y, primer_exo, exo_future)
+        # y[t:t + max_dy] is step t's feedback window, oldest first, so the
+        # feedback weights go in a (max_dy, N) matrix with row max_dy - lag
+        W_fb = np.zeros((max_dy, c.n_hidden))
+        W_fb[max_dy - np.asarray(c.d_y)] = net.W_yh.T
+        y = np.empty(max_dy + H)
+        y[:max_dy] = primer_y[len(primer_y) - max_dy:]
+        for t in range(H):
+            a = np.tanh(drive[t] + y[t:t + max_dy] @ W_fb)
+            y[max_dy + t] = a @ net.W_ho + net.b_o
+        return y[max_dy:]

@@ -22,7 +22,7 @@ from .data import (
 )
 from .diagnostics import DiagnosticsReport, VerdictThresholds, diagnose
 from .errors import InsufficientDataError
-from .network import NarxConfig, NarxNetwork, close_loop, forward_open
+from .network import ClosedLoopNarx, NarxConfig, NarxNetwork, forward_open
 from .training import TrainParams, TrainReport, train_with_restarts
 
 
@@ -103,12 +103,10 @@ def simulate(net: NarxNetwork, prep: PreparedData, start_row: int, horizon: int)
         raise InsufficientDataError(
             f"horizon {horizon} from row {start_row} exceeds frame length {len(frame)}")
     y = frame.channel(prep.target_channel)
-    exo_matrix = np.column_stack([frame.channel(ch) for ch in prep.exo_channels])
-    primer_y = y[start_row - max_dy:start_row]
-    primer_exo = exo_matrix[start_row - max_du:start_row] if max_du else \
-        np.zeros((0, len(prep.exo_channels)))
-    exo_future = exo_matrix[start_row:start_row + horizon]
-    preds = close_loop(net).simulate(primer_y, primer_exo, exo_future)
+    exo = np.column_stack([frame.channel(ch)[start_row - max_du:start_row + horizon]
+                           for ch in prep.exo_channels])
+    preds = ClosedLoopNarx(net).simulate(y[start_row - max_dy:start_row],
+                                         exo[:max_du], exo[max_du:])
     preds_price = prep.norm_spec.invert_values(preds, prep.target_channel)
     targs_price = prep.norm_spec.invert_values(
         y[start_row:start_row + horizon], prep.target_channel)

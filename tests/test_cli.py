@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narxlm import cli
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
@@ -199,3 +204,135 @@ class TestUsage:
     def test_unknown_flag(self, data_csv, tmp_path):
         assert cli.main(["train", "--csv", data_csv, "--out", str(tmp_path),
                          "--bogus"]) == cli.EXIT_USAGE
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("command,flags", [
+        ("train", ["--exo-channels", "open,foo"]),
+        ("train", ["--target-channel", "price"]),
+        ("sweep", ["--exo-channels", "open,,high"]),
+        ("sweep", ["--target-channel", "Close"]),
+    ])
+    def test_unknown_channel(self, data_csv, tmp_path, capsys, command, flags):
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", data_csv, "--out", str(out),
+                       *flags, *FAST_FLAGS])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "unknown channel" in err
+        assert "open, high, low, volume, close, adj_close" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    @pytest.mark.parametrize("key", cli.MODEL_KEYS)
+    def test_model_missing_key(self, trained_dir, data_csv, tmp_path, capsys,
+                               command, key):
+        with open(os.path.join(trained_dir, cli.MODEL_FILE)) as fh:
+            doc = json.load(fh)
+        del doc[key]
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", data_csv, "--model", str(broken),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_csv_cell(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("Date,Open,High,Low,Close,Volume\n"
+                       "1,1,2,0.5,1.5,100\n"
+                       f"2,1,2,0.5,{cell},100\n")
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--csv", str(bad), "--out", str(out), *FAST_FLAGS])
+        assert rc == cli.EXIT_VALIDATION
+        assert "non-finite close" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _run_quietly(argv):
+    """(exit code, stderr) of cli.main; an uncaught exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+GOOD_CSV_ROWS = [f"{day},20.5,21,20,20.{day % 10},{1000 + day}" for day in range(1, 41)]
+BAD_CELLS = ["", "nan", "inf", "-inf", "1e999", "abc", "--", "0x1"]
+MALFORMED_EXITS = {cli.EXIT_IO, cli.EXIT_VALIDATION, cli.EXIT_MISMATCH}
+
+
+@st.composite
+def malformed_csv(draw):
+    header = ["Date", "Open", "High", "Low", "Close", "Volume"]
+    rows = [r.split(",") for r in GOOD_CSV_ROWS]
+    kind = draw(st.sampled_from(["cell", "short-row", "drop-column",
+                                 "duplicate-date", "empty"]))
+    if kind == "empty":
+        return ""
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "cell":
+        rows[i][draw(st.integers(0, 5))] = draw(st.sampled_from(BAD_CELLS))
+    elif kind == "short-row":
+        rows[i] = rows[i][:draw(st.integers(1, 5))]
+    elif kind == "drop-column":
+        j = draw(st.integers(0, 5))
+        header.pop(j)
+        for row in rows:
+            row.pop(j)
+    else:
+        rows[i][0] = rows[(i + 1) % len(rows)][0]
+    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+
+
+JSON_JUNK = st.one_of(
+    st.none(), st.text(alphabet="xyz!", max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(alphabet="abc", max_size=3), st.integers(), max_size=2))
+
+
+class TestMalformedInputProperty:
+    @given(text=malformed_csv())
+    @settings(max_examples=40, deadline=None)
+    def test_malformed_csv(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path = os.path.join(tmp, "bad.csv")
+            with open(csv_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "out")
+            rc, err = _run_quietly(["train", "--csv", csv_path, "--out", out,
+                                    *FAST_FLAGS])
+            assert rc in MALFORMED_EXITS
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert not os.path.exists(out)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_malformed_model(self, trained_dir, data_csv, data):
+        with open(os.path.join(trained_dir, cli.MODEL_FILE), encoding="utf-8") as fh:
+            text = fh.read()
+        doc = json.loads(text)
+        kind = data.draw(st.sampled_from(["drop", "replace", "truncate"]))
+        key = data.draw(st.sampled_from(sorted(doc)))
+        if kind == "drop":
+            del doc[key]
+            text = json.dumps(doc)
+        elif kind == "replace":
+            doc[key] = data.draw(JSON_JUNK)
+            text = json.dumps(doc)
+        else:
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        command = data.draw(st.sampled_from(["simulate", "eval"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            model = os.path.join(tmp, "model.json")
+            with open(model, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "out")
+            rc, err = _run_quietly([command, "--csv", data_csv, "--model", model,
+                                    "--out", out])
+            assert rc in MALFORMED_EXITS
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert not os.path.exists(out)

@@ -67,6 +67,15 @@ class TestLoadOhlcv:
         with pytest.raises(DataFormatError, match="row 3"):
             load_ohlcv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_names_row(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(
+            "Date,Open,High,Low,Close,Volume\n"
+            f"2,1,2,0.5,1.5,100\n3,1,2,0.5,1.5,100\n1,1,2,0.5,1.5,{cell}\n")
+        with pytest.raises(DataFormatError, match="non-finite volume .* on row 4"):
+            load_ohlcv(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")

@@ -5,6 +5,7 @@ from narxlm.diagnostics import (
     VerdictThresholds,
     acceptance_verdict,
     confidence_bound,
+    diagnose,
     error_autocorrelation,
     input_error_crosscorrelation,
     max_divergence,
@@ -131,6 +132,70 @@ class TestCrossCorrelation:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             input_error_crosscorrelation(np.ones(50), np.ones(40), 5)
+
+
+def naive_autocorrelation(errors, max_lag):
+    """Reference: one dot product per lag."""
+    e = errors - errors.mean()
+    n = e.size
+    return np.array([1.0] + [(e[lag:] @ e[:n - lag]) / (e @ e)
+                             for lag in range(1, max_lag + 1)])
+
+
+def naive_crosscorrelation(x, errors, max_lag):
+    """Reference: one dot product per lag, error(k) against input(k - L)."""
+    xc = x - x.mean()
+    ec = errors - errors.mean()
+    n = ec.size
+    scale = np.sqrt(xc @ xc) * np.sqrt(ec @ ec)
+    rho = [(ec[lag:] @ xc[:n - lag] if lag >= 0 else ec[:n + lag] @ xc[-lag:]) / scale
+           for lag in range(-max_lag, max_lag + 1)]
+    return np.array(rho)
+
+
+class TestCorrelationReference:
+    @pytest.mark.parametrize("max_lag", [1, 7, 20])
+    @pytest.mark.parametrize("n", ["max_lag+1", 60, 5000])
+    def test_match_per_lag_loops(self, n, max_lag):
+        n = max_lag + 1 if n == "max_lag+1" else n
+        rng = np.random.default_rng(1000 * n + max_lag)
+        for _ in range(5):
+            e = rng.normal(size=n)
+            x = 3.0 * rng.normal(size=n) + 0.5 * e + 2.0
+            rho, bound = error_autocorrelation(e, max_lag)
+            assert rho.shape == (max_lag + 1,)
+            assert np.max(np.abs(rho - naive_autocorrelation(e, max_lag))) < 1e-12
+            assert bound == confidence_bound(n)
+            lags, rho, bound = input_error_crosscorrelation(x, e, max_lag)
+            assert np.array_equal(lags, np.arange(-max_lag, max_lag + 1))
+            assert np.max(np.abs(rho - naive_crosscorrelation(x, e, max_lag))) < 1e-12
+            assert bound == confidence_bound(n)
+
+    def test_diagnose_matches_per_channel_calls(self):
+        rng = np.random.default_rng(12)
+        n = 60
+        targets = 20.0 + rng.normal(size=n)
+        outputs = targets + 0.1 * rng.normal(size=n)
+        errors = rng.normal(size=n)
+        exo = {ch: rng.normal(size=n) for ch in ("open", "high", "low", "volume")}
+        report = diagnose(outputs, targets, errors, exo, max_lag=20)
+        assert list(report.xcorr) == list(exo)
+        for ch, series in exo.items():
+            lags, rho, bound = input_error_crosscorrelation(series, errors, 20)
+            assert np.array_equal(report.xcorr[ch][0], lags)
+            assert np.max(np.abs(report.xcorr[ch][1] - rho)) < 1e-12
+            assert report.xcorr_bound == bound
+        assert diagnose(outputs, targets, errors, {}).xcorr == {}
+
+    def test_diagnose_rejects_bad_channel(self):
+        rng = np.random.default_rng(13)
+        targets = 20.0 + rng.normal(size=40)
+        errors = rng.normal(size=40)
+        with pytest.raises(ValidationError):
+            diagnose(targets, targets, errors, {"open": rng.normal(size=39)})
+        with pytest.raises(UndefinedStatisticError):
+            diagnose(targets, targets, errors,
+                     {"open": rng.normal(size=40), "high": np.ones(40)})
 
 
 class TestVerdict:

@@ -3,15 +3,14 @@ import pytest
 
 from narxlm.errors import InsufficientDataError, ShapeError, ValidationError
 from narxlm.network import (
+    ClosedLoopNarx,
     NarxConfig,
     NarxNetwork,
-    close_loop,
     forward_open,
     init_weights,
     jacobian,
-    simulate_closed,
 )
-from narxlm.synth import make_supervised
+from narxlm.synth import drive_teacher, make_supervised
 
 
 def scalar_prediction(net, u_rows, y_hist, k):
@@ -204,7 +203,7 @@ class TestClosedLoop:
             c = net.config
             first = ds.first_usable_index
             open_pred = forward_open(net, ds)[0]
-            ev = close_loop(net)
+            ev = ClosedLoopNarx(net)
             preds = ev.simulate(
                 primer_y=y[first - max(c.d_y):first],
                 primer_exo=U[first - max(c.d_u):first] if max(c.d_u) else
@@ -217,7 +216,7 @@ class TestClosedLoop:
         theta = np.zeros(config.n_params)
         theta[-1] = 1.5
         net = NarxNetwork.from_flat(config, theta)
-        ev = close_loop(net)
+        ev = ClosedLoopNarx(net)
         rng = np.random.default_rng(0)
         preds = ev.simulate(primer_y=[0.0, 0.0],
                             primer_exo=rng.normal(size=(1, 2)),
@@ -231,26 +230,45 @@ class TestClosedLoop:
         net = NarxNetwork.from_flat(config, np.array([wi, wy, bh, wo, bo]))
         u = np.array([0.3, -0.8, 0.5])
         y0 = 0.2
-        ev = close_loop(net)
-        preds = simulate_closed(ev, [y0], np.zeros((0, 1)), u[:, None])
+        ev = ClosedLoopNarx(net)
+        preds = ev.simulate([y0], np.zeros((0, 1)), u[:, None])
         y_prev = y0
         for t in range(3):
             expected = wo * np.tanh(wi * u[t] + wy * y_prev + bh) + bo
             assert abs(preds[t] - expected) < 1e-12
             y_prev = expected
 
+    @pytest.mark.parametrize("horizon", [0, 1, 250])
+    def test_reproduces_noise_free_teacher(self, horizon):
+        # lag 0 plus a gap in d_u, two or more feedback lags, several channels
+        rng = np.random.default_rng(51 + horizon)
+        for _ in range(20):
+            d_u = (0,) + tuple(rng.choice(np.arange(2, 7), size=int(rng.integers(1, 3)),
+                                          replace=False))
+            d_y = tuple(rng.choice(np.arange(1, 5), size=int(rng.integers(2, 4)),
+                                   replace=False))
+            config = NarxConfig(d_u=d_u, d_y=d_y, n_hidden=int(rng.integers(1, 9)),
+                                n_exo=int(rng.integers(2, 5)))
+            teacher = init_weights(config, int(rng.integers(1 << 30)))
+            start = max(max(d_u), max(d_y)) + int(rng.integers(0, 10))
+            U = rng.uniform(-1.0, 1.0, size=(start + horizon, config.n_exo))
+            y = drive_teacher(teacher, U)
+            preds = ClosedLoopNarx(teacher).simulate(y[:start], U[:start], U[start:])
+            assert preds.shape == (horizon,)
+            assert np.all(np.abs(preds - y[start:]) < 1e-12)
+
     def test_empty_horizon(self):
         config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=1, n_exo=1)
         net = init_weights(config, 0)
-        preds = close_loop(net).simulate([0.1], np.zeros((0, 1)), [])
+        preds = ClosedLoopNarx(net).simulate([0.1], np.zeros((0, 1)), [])
         assert preds.shape == (0,)
 
     def test_primer_too_short(self):
         config = NarxConfig(d_u=(0,), d_y=(1, 2, 3), n_hidden=1, n_exo=1)
         net = init_weights(config, 0)
         with pytest.raises(InsufficientDataError):
-            close_loop(net).simulate([0.1], np.zeros((0, 1)),
-                                     np.zeros((2, 1)))
+            ClosedLoopNarx(net).simulate([0.1], np.zeros((0, 1)),
+                                         np.zeros((2, 1)))
 
 
 class TestSerialization:
