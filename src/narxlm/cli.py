@@ -166,6 +166,12 @@ def _exo_channels(args):
         if ch not in CHANNELS:
             raise ValidationError(
                 f"unknown channel {ch!r}; valid channels: {', '.join(CHANNELS)}")
+    if args.target_channel in exo:
+        # with input lag 0 the target y(k) would be a regressor of itself
+        raise ValidationError(
+            f"target channel {args.target_channel!r} cannot be an exogenous channel")
+    if len(set(exo)) != len(exo):
+        raise ValidationError(f"exogenous channels repeat a name: {','.join(exo)}")
     return exo
 
 

@@ -131,44 +131,112 @@ def frame_from_columns(timesteps, open, high, low, volume, close, adj_close=None
     )
 
 
+def _split_lines(text: str) -> list:
+    """The lines of ``text``; a line ends at LF, CRLF or a lone CR, as in csv."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _csv_rows(path, lines):
+    """(CSV row number, cells) for each line; a quoted cell may not span lines.
+
+    A line without quotes is split on commas, which is what ``csv`` does
+    with it, only faster.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        if '"' not in line:
+            yield lineno, line.split(",")
+            continue
+        # an empty second line is read only when the first ends inside quotes
+        reader = csv.reader((line, ""))
+        try:
+            cells = next(reader)
+            if reader.line_num != 1:
+                raise csv.Error("a quoted cell spans lines")
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: bad cell on row {lineno}: {exc}") from exc
+        yield lineno, cells
+
+
+def _parse_values(lines, cols) -> np.ndarray:
+    """The ``cols`` cells of every line as an (n, len(cols)) float array."""
+    return np.loadtxt(lines, delimiter=",", usecols=cols, comments=None,
+                      ndmin=2, quotechar='"')
+
+
+def _bad_cell(path, lines, date_pos, cols, exc) -> DataFormatError:
+    """The error for the first data row whose date or value cells do not parse.
+
+    Runs only after the bulk parse has failed, and returns no data.  A row
+    is bad when ``parse_date`` or ``float()`` rejects one of its cells, or
+    when ``_parse_values`` rejects it alone (``1_000``, which ``float()``
+    takes).
+    """
+    rows = _csv_rows(path, lines)
+    next(rows)
+    for lineno, cells in rows:
+        if not "".join(cells).strip():
+            continue
+        try:
+            parse_date(cells[date_pos])
+            for pos in cols:
+                float(cells[pos])
+            _parse_values(lines[lineno - 1:lineno], cols)
+        except (DataFormatError, ValueError, IndexError) as err:
+            return DataFormatError(f"{path}: bad cell on row {lineno}: {err}")
+    return DataFormatError(f"{path}: {exc}")
+
+
 def load_ohlcv(path) -> TimeSeriesFrame:
     """Read an OHLCV CSV into a frame sorted by ascending date.
 
     The header must name Date, Open, High, Low, Close, Volume
-    (case-insensitive); Adj Close is optional and defaults to Close.
+    (case-insensitive); Adj Close is optional and defaults to Close.  The
+    file is UTF-8 text with an optional byte-order mark.  Cells may be
+    quoted with ``"``, but a quoted cell may not span lines.  Rows whose
+    cells are all blank are skipped.  Every ``DataFormatError`` names the
+    file, and one in a row (a bad or non-finite cell, a byte that is not
+    UTF-8) names its CSV row, counting the header as row 1.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        colmap = {}
-        for pos, name in enumerate(header):
-            key = name.strip().lower().replace(" ", "").replace("_", "").replace("-", "")
-            if key in _COLUMN_ALIASES:
-                colmap[_COLUMN_ALIASES[key]] = pos
-        for required in _REQUIRED:
-            if required not in colmap:
-                raise DataFormatError(f"{path}: missing column {required!r}")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        row = len(_split_lines(raw[:exc.start].decode("utf-8-sig")))
+        raise DataFormatError(f"{path}: row {row} is not UTF-8 text: {exc}") from None
+    if not text:
+        raise DataFormatError(f"{path}: empty file")
+    lines = _split_lines(text)
 
-        # frame_from_columns' argument order; adj_close falls back to close
-        names = ("open", "high", "low", "volume", "close", "adj_close")
-        cols = [colmap.get(ch, colmap["close"]) for ch in names]
-        dates, linenos, rows = [], [], []
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells or all(not c.strip() for c in cells):
-                continue
-            try:
-                dates.append(parse_date(cells[colmap["date"]]))
-                rows.append([float(cells[pos]) for pos in cols])
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}: bad cell on row {lineno}: {exc}") from exc
-            linenos.append(lineno)
+    rows = _csv_rows(path, lines)
+    _, header = next(rows)
+    colmap = {}
+    for pos, name in enumerate(header):
+        key = name.strip().lower().replace(" ", "").replace("_", "").replace("-", "")
+        if key in _COLUMN_ALIASES:
+            colmap[_COLUMN_ALIASES[key]] = pos
+    for required in _REQUIRED:
+        if required not in colmap:
+            raise DataFormatError(f"{path}: missing column {required!r}")
 
-    if not rows:
+    # frame_from_columns' argument order; adj_close falls back to close
+    names = ("open", "high", "low", "volume", "close", "adj_close")
+    cols = [colmap.get(ch, colmap["close"]) for ch in names]
+    date_pos = colmap["date"]
+    dates, linenos = [], []
+    try:
+        for lineno, cells in rows:
+            if "".join(cells).strip():
+                dates.append(parse_date(cells[date_pos]))
+                linenos.append(lineno)
+    except (DataFormatError, IndexError) as exc:
+        raise _bad_cell(path, lines, date_pos, cols, exc) from exc
+    if not linenos:
         raise DataFormatError(f"{path}: no data rows")
-    values = np.array(rows)
+    try:
+        values = _parse_values([lines[i - 1] for i in linenos], cols)
+    except ValueError as exc:
+        raise _bad_cell(path, lines, date_pos, cols, exc) from exc
     finite = np.isfinite(values)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]

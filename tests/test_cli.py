@@ -223,6 +223,22 @@ class TestInputValidation:
         assert "open, high, low, volume, close, adj_close" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flags,message", [
+        ("train", ["--exo-channels", "open,close"], "target channel 'close'"),
+        ("sweep", ["--exo-channels", "high", "--target-channel", "high"],
+         "target channel 'high'"),
+        ("train", ["--exo-channels", "open,open"], "repeat a name: open,open"),
+        ("sweep", ["--exo-channels", "low,high,low"], "repeat a name: low,high,low"),
+    ])
+    def test_target_or_repeated_exo_channel(self, data_csv, tmp_path, capsys,
+                                            command, flags, message):
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", data_csv, "--out", str(out),
+                       *flags, *FAST_FLAGS])
+        assert rc == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "eval"])
     @pytest.mark.parametrize("key", cli.MODEL_KEYS)
     def test_model_missing_key(self, trained_dir, data_csv, tmp_path, capsys,
@@ -251,6 +267,34 @@ class TestInputValidation:
         assert "non-finite close" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_byte_order_mark(self, trained_dir, data_csv, tmp_path):
+        bom = tmp_path / "bom.csv"
+        with open(data_csv, "rb") as fh:
+            bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        docs = []
+        for csv_path, out in ((data_csv, tmp_path / "plain"), (bom, tmp_path / "bom")):
+            rc = cli.main(["eval", "--csv", str(csv_path), "--out", str(out),
+                           "--model", os.path.join(trained_dir, cli.MODEL_FILE)])
+            assert rc in (cli.EXIT_OK, cli.EXIT_REJECTED)
+            docs.append((out / cli.DIAGNOSTICS_FILE).read_text())
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("body,message", [
+        (b"1,1,2,0.5,1.5,100\n2,1,2,0.5,1.5,1\xff0\n", "row 3 is not UTF-8"),
+        (b"1,1,2,0.5,1.5,100\nJan 2,1,2,0.5,1.5,100\n",
+         "bad cell on row 3: unparseable date 'Jan 2'"),
+    ])
+    def test_undecodable_or_bad_date_names_path_and_row(self, tmp_path, capsys,
+                                                         body, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"Date,Open,High,Low,Close,Volume\n" + body)
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--csv", str(bad), "--out", str(out), *FAST_FLAGS])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{bad}: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 def _run_quietly(argv):
     """(exit code, stderr) of cli.main; an uncaught exception fails the test."""
@@ -262,6 +306,7 @@ def _run_quietly(argv):
 
 GOOD_CSV_ROWS = [f"{day},20.5,21,20,20.{day % 10},{1000 + day}" for day in range(1, 41)]
 BAD_CELLS = ["", "nan", "inf", "-inf", "1e999", "abc", "--", "0x1"]
+BAD_DATES = ["Jan 2", "2010-02-30", "2010/01/04", "1.5", " "]
 MALFORMED_EXITS = {cli.EXIT_IO, cli.EXIT_VALIDATION, cli.EXIT_MISMATCH}
 
 
@@ -270,9 +315,9 @@ def malformed_csv(draw):
     header = ["Date", "Open", "High", "Low", "Close", "Volume"]
     rows = [r.split(",") for r in GOOD_CSV_ROWS]
     kind = draw(st.sampled_from(["cell", "short-row", "drop-column",
-                                 "duplicate-date", "empty"]))
+                                 "duplicate-date", "bad-date", "non-utf8", "empty"]))
     if kind == "empty":
-        return ""
+        return b""
     i = draw(st.integers(0, len(rows) - 1))
     if kind == "cell":
         rows[i][draw(st.integers(0, 5))] = draw(st.sampled_from(BAD_CELLS))
@@ -283,9 +328,16 @@ def malformed_csv(draw):
         header.pop(j)
         for row in rows:
             row.pop(j)
-    else:
+    elif kind == "duplicate-date":
         rows[i][0] = rows[(i + 1) % len(rows)][0]
-    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+    elif kind == "bad-date":
+        rows[i][0] = draw(st.sampled_from(BAD_DATES))
+    text = "\n".join(",".join(r) for r in [header] + rows) + "\n"
+    data = text.encode("utf-8")
+    if kind == "non-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[at:]
+    return data
 
 
 JSON_JUNK = st.one_of(
@@ -295,17 +347,17 @@ JSON_JUNK = st.one_of(
 
 
 class TestMalformedInputProperty:
-    @given(text=malformed_csv())
-    @settings(max_examples=40, deadline=None)
-    def test_malformed_csv(self, text):
+    @given(data=malformed_csv())
+    @settings(max_examples=60, deadline=None)
+    def test_malformed_csv(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             csv_path = os.path.join(tmp, "bad.csv")
-            with open(csv_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(csv_path, "wb") as fh:
+                fh.write(data)
             out = os.path.join(tmp, "out")
             rc, err = _run_quietly(["train", "--csv", csv_path, "--out", out,
                                     *FAST_FLAGS])
-            assert rc in MALFORMED_EXITS
+            assert rc == cli.EXIT_VALIDATION
             assert err.startswith("error: ") and "Traceback" not in err
             assert not os.path.exists(out)
 

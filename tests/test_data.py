@@ -1,9 +1,15 @@
+import csv
+import datetime
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narxlm.data import (
+    CHANNELS,
     apply_normalization,
     fit_normalization,
     frame_from_columns,
@@ -13,6 +19,7 @@ from narxlm.data import (
     prepare_delayed,
     split_indices,
 )
+from narxlm.data import _COLUMN_ALIASES
 from narxlm.errors import DataFormatError, InsufficientDataError, ValidationError
 
 from conftest import random_frame
@@ -101,6 +108,163 @@ class TestLoadOhlcv:
         assert parse_date("2010-01-05") - parse_date("2010-01-04") == 1
         with pytest.raises(DataFormatError):
             parse_date("Jan 4 2010")
+
+    def test_bad_date_names_row(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text(
+            "Date,Open,High,Low,Close,Volume\n"
+            "1,1,2,0.5,1.5,100\n\nJan 2,1,2,0.5,1.5,100\n")
+        with pytest.raises(DataFormatError,
+                           match=r"bad\.csv: bad cell on row 4: unparseable date 'Jan 2'"):
+            load_ohlcv(p)
+
+    def test_first_bad_cell_wins(self, tmp_path):
+        # a bad value comes before a bad date; the value's row is named
+        p = tmp_path / "bad.csv"
+        p.write_text(
+            "Date,Open,High,Low,Close,Volume\n"
+            "1,1,2,0.5,1.5,100\n2,1,2,0.5,x,100\nJan 3,1,2,0.5,1.5,100\n")
+        with pytest.raises(DataFormatError, match="row 3: .*'x'"):
+            load_ohlcv(p)
+
+    @pytest.mark.parametrize("row", [
+        "3,1,2,0.5,1.5",            # short row
+        "3,1,2,0.5,1_5,100",        # float() takes it, numpy's parser does not
+        '3,1,2,0.5,"1.5,100',       # quote left open at the end of the file
+    ])
+    def test_row_errors_name_row(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text("Date,Open,High,Low,Close,Volume\n1,1,2,0.5,1.5,100\n"
+                     "2,1,2,0.5,1.5,100\n" + row + "\n")
+        with pytest.raises(DataFormatError, match="bad cell on row 4"):
+            load_ohlcv(p)
+
+    @pytest.mark.parametrize("row", [
+        '2,1,2,0.5,"1\n.5",100,x',      # in a value column
+        '2,1,2,0.5,1.5,100,"a\nnote"',  # in a column the loader does not use
+    ])
+    def test_quoted_cell_spanning_lines(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text("Date,Open,High,Low,Close,Volume,Note\n"
+                     f"1,1,2,0.5,1.5,100,x\n{row}\n3,1,2,0.5,1.5,100,x\n")
+        with pytest.raises(DataFormatError, match="row 3: .*spans lines"):
+            load_ohlcv(p)
+
+
+    def test_byte_order_mark(self, sample_csv, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + sample_csv.read_bytes())
+        a, b = load_ohlcv(sample_csv), load_ohlcv(p)
+        for ch in ("timesteps",) + CHANNELS:
+            assert np.array_equal(getattr(a, ch), getattr(b, ch))
+
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_non_utf8_names_path_and_row(self, tmp_path, row):
+        lines = [b"Date,Open,High,Low,Close,Volume", b"1,1,2,0.5,1.5,100",
+                 b"2,1,2,0.5,1.5,100", b"3,1,2,0.5,1.5,100"]
+        lines[row - 1] += b"\xff"  # Latin-1 for y-umlaut; never valid UTF-8
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        with pytest.raises(DataFormatError,
+                           match=rf"latin\.csv: row {row} is not UTF-8 .*0xff"):
+            load_ohlcv(p)
+
+
+def reference_load_ohlcv(path):
+    """The loader as it was before numpy's reader: csv.reader plus float()
+    per cell.  Kept as the reference that load_ohlcv must match."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        colmap = {}
+        for pos, name in enumerate(header):
+            key = name.strip().lower().replace(" ", "").replace("_", "").replace("-", "")
+            if key in _COLUMN_ALIASES:
+                colmap[_COLUMN_ALIASES[key]] = pos
+        names = ("open", "high", "low", "volume", "close", "adj_close")
+        cols = [colmap.get(ch, colmap["close"]) for ch in names]
+        dates, rows = [], []
+        for cells in reader:
+            if not cells or all(not c.strip() for c in cells):
+                continue
+            dates.append(parse_date(cells[colmap["date"]]))
+            rows.append([float(cells[pos]) for pos in cols])
+    values = np.array(rows)
+    order = np.argsort(dates, kind="stable")
+    columns = np.ascontiguousarray(values[order].T)
+    return frame_from_columns(np.asarray(dates)[order], *columns).validate_prices()
+
+
+FLOAT_FORMATS = [repr, "{:.6g}".format, "{:.4e}".format, "{:.2f}".format, "{:.17g}".format]
+BLANK_ROWS = ["", "   ", ",,,", " , ,\t", '"",""']
+HEADER_NAMES = {
+    "date": ["Date", "date", "Timestep"],
+    "open": ["Open", "OPEN"],
+    "high": ["High"],
+    "low": ["Low", " low "],
+    "close": ["Close"],
+    "volume": ["Volume"],
+    "adj_close": ["Adj Close", "adj_close", "Adjusted-Close"],
+}
+
+
+@st.composite
+def valid_ohlcv_csv(draw):
+    """A valid OHLCV CSV text in one of the layouts the loader accepts."""
+    n = draw(st.integers(1, 25))
+    price = st.floats(-1e4, 1e4, allow_nan=False)
+    ordinals = draw(st.lists(st.integers(700000, 740000), min_size=n, max_size=n,
+                             unique=True))
+    iso = draw(st.booleans())
+    fmt = draw(st.sampled_from(FLOAT_FORMATS))
+    columns = ["date", "open", "high", "low", "close", "volume"]
+    if draw(st.booleans()):
+        columns.append("adj_close")
+    columns += draw(st.lists(st.sampled_from(["ticker", "note"]), max_size=2))
+    columns = draw(st.permutations(columns))
+    rows = []
+    for day in ordinals:
+        low = draw(price)
+        cells = {
+            "date": datetime.date.fromordinal(day).isoformat() if iso else str(day),
+            "open": fmt(draw(price)),
+            "high": fmt(low + draw(st.floats(0, 100))),
+            "low": fmt(low),
+            "close": fmt(draw(price)),
+            "volume": fmt(draw(st.floats(0, 1e9))),
+            "adj_close": fmt(draw(price)),
+            "ticker": "INTC",
+            "note": draw(st.sampled_from(['"a, b"', "x", "", '"say ""hi"""'])),
+        }
+        row = []
+        for name in columns:
+            cell = cells[name]
+            if name not in ("ticker", "note") and draw(st.booleans()):
+                cell = f'"{cell}"' if draw(st.booleans()) else f" {cell} "
+            row.append(cell)
+        rows.append(",".join(row))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BLANK_ROWS)))
+    header = ",".join(draw(st.sampled_from(HEADER_NAMES.get(c, [c.title()])))
+                      for c in columns)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join([header] + rows) + draw(st.sampled_from(["", newline]))
+
+
+class TestReferenceLoader:
+    @given(text=valid_ohlcv_csv())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_loader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "prices.csv")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            got, want = load_ohlcv(path), reference_load_ohlcv(path)
+        for ch in ("timesteps",) + CHANNELS:
+            a, b = getattr(got, ch), getattr(want, ch)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), ch
+            assert a.flags.c_contiguous
 
 
 class TestNormalization:
