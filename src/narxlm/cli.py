@@ -1,8 +1,9 @@
 """Command-line front end: train, simulate, sweep, eval.
 
 Every run writes a manifest recording the resolved parameters, input digest,
-and output files; all output files are written atomically (temp + rename) so
-a failed run leaves no partial artifacts.
+output files and environment (Python, numpy, BLAS and its thread setting);
+all output files are written atomically (temp + rename) so a failed run
+leaves no partial artifacts.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 validation/format, 5 divergence,
 6 model/data mismatch, 7 verdict rejected.
@@ -15,12 +16,13 @@ import datetime
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREADS_DEFAULTED, __version__
 from .data import (
     CHANNELS,
     DEFAULT_EXO_CHANNELS,
@@ -87,6 +89,20 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _environment() -> dict:
+    """The Python, numpy and BLAS of this run, and its BLAS thread setting."""
+    env = {"python": platform.python_version(), "numpy": np.__version__}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        pass
+    else:
+        env["blas"] = {"name": blas.get("name"), "version": blas.get("version")}
+    env["openblas_num_threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
+    env["blas_threads_set_by_narxlm"] = BLAS_THREADS_DEFAULTED
+    return env
+
+
 def _write_manifest(out_dir, command, params: dict, input_path, outputs):
     manifest = {
         "command": command,
@@ -96,6 +112,7 @@ def _write_manifest(out_dir, command, params: dict, input_path, outputs):
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": sorted(outputs),
+        "environment": _environment(),
     }
     _atomic_write(os.path.join(out_dir, MANIFEST_FILE), json.dumps(manifest, indent=2))
 

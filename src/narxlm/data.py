@@ -57,6 +57,14 @@ def parse_date(token: str) -> int:
         raise DataFormatError(f"unparseable date {token!r}") from exc
 
 
+def _broken_price_invariant(high, low, volume):
+    """(what, first row) of the first raw-price invariant broken, or None."""
+    for bad, what in ((volume < 0, "negative volume"), (high < low, "high < low")):
+        if bad.any():
+            return what, int(np.argmax(bad))
+    return None
+
+
 @dataclass(frozen=True)
 class TimeSeriesFrame:
     """Daily OHLCV rows, column-major as float arrays keyed by channel name."""
@@ -81,13 +89,9 @@ class TimeSeriesFrame:
 
     def validate_prices(self) -> "TimeSeriesFrame":
         """Check raw-price invariants; normalized frames need not satisfy them."""
-        if np.any(self.volume < 0):
-            row = int(np.argmax(self.volume < 0))
-            raise ValidationError(f"negative volume at row {row}")
-        bad = self.high < self.low
-        if np.any(bad):
-            row = int(np.argmax(bad))
-            raise ValidationError(f"high < low at row {row}")
+        broken = _broken_price_invariant(self.high, self.low, self.volume)
+        if broken:
+            raise ValidationError(f"{broken[0]} at row {broken[1]}")
         return self
 
     def __len__(self) -> int:
@@ -195,7 +199,8 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     quoted with ``"``, but a quoted cell may not span lines.  Rows whose
     cells are all blank are skipped.  Every ``DataFormatError`` names the
     file, and one in a row (a bad or non-finite cell, a byte that is not
-    UTF-8) names its CSV row, counting the header as row 1.
+    UTF-8) names its CSV row, counting the header as row 1.  So does the
+    ``ValidationError`` for a negative volume or a high below the low.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -242,9 +247,13 @@ def load_ohlcv(path) -> TimeSeriesFrame:
         row, col = np.argwhere(~finite)[0]
         raise DataFormatError(
             f"{path}: non-finite {names[col]} {values[row, col]} on row {linenos[row]}")
+    # checked before the sort, so that the error names the CSV row
+    broken = _broken_price_invariant(values[:, 1], values[:, 2], values[:, 3])
+    if broken:
+        raise ValidationError(f"{path}: {broken[0]} on row {linenos[broken[1]]}")
     order = np.argsort(dates, kind="stable")
     columns = np.ascontiguousarray(values[order].T)
-    return frame_from_columns(np.asarray(dates)[order], *columns).validate_prices()
+    return frame_from_columns(np.asarray(dates)[order], *columns)
 
 
 @dataclass(frozen=True)

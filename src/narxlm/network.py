@@ -222,18 +222,21 @@ def jacobian(net: NarxNetwork, dataset):
     F = yhat - dataset.T
 
     S = X.shape[0]
-    n = net.config.n_hidden
+    c = net.config
+    n, ni, ny = c.n_hidden, c.n_input_taps, len(c.d_y)
     # back-prop through the linear output and tanh hidden layer
     da = (1.0 - a * a) * net.W_ho                        # (S, N): dyhat/dz_h
-    J_Wih = da[:, :, None] * X[:, None, :]               # (S, N, ni)
-    J_Wyh = da[:, :, None] * Y_hist[:, None, :]          # (S, N, ny)
-    J = np.concatenate([
-        J_Wih.reshape(S, -1),
-        J_Wyh.reshape(S, -1),
-        da,                                              # hidden biases
-        a,                                               # output weights
-        np.ones((S, 1)),                                 # output bias
-    ], axis=1)
+    # one (S, P) array filled block by block; the weight blocks are written
+    # through (S, N, taps) views of their columns
+    J = np.empty((S, c.n_params))
+    w = n * ni
+    np.multiply(da[:, :, None], X[:, None, :], out=J[:, :w].reshape(S, n, ni))
+    np.multiply(da[:, :, None], Y_hist[:, None, :],
+                out=J[:, w:w + n * ny].reshape(S, n, ny))
+    w += n * ny
+    J[:, w:w + n] = da                                   # hidden biases
+    J[:, w + n:w + 2 * n] = a                            # output weights
+    J[:, -1] = 1.0                                       # output bias
     return J, F
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import tempfile
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import narxlm
 from narxlm import cli
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
 
@@ -145,6 +147,38 @@ class TestEval:
         with open(os.path.join(out, cli.DIAGNOSTICS_FILE)) as fh:
             diag = json.load(fh)
         assert diag["reasons"]
+
+
+MANIFEST_KEYS = {"command", "parameters", "input_file", "input_sha256",
+                 "tool_version", "timestamp", "outputs", "environment"}
+
+
+class TestManifestEnvironment:
+    @pytest.fixture(scope="class")
+    def eval_dir(self, trained_dir, data_csv, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("eval_env"))
+        rc = cli.main(["eval", "--csv", data_csv,
+                       "--model", os.path.join(trained_dir, cli.MODEL_FILE),
+                       "--out", out])
+        assert rc in (cli.EXIT_OK, cli.EXIT_REJECTED)
+        return out
+
+    @pytest.mark.parametrize("run", ["trained_dir", "eval_dir"])
+    def test_block(self, run, request):
+        with open(os.path.join(request.getfixturevalue(run),
+                               cli.MANIFEST_FILE)) as fh:
+            manifest = json.load(fh)
+        assert set(manifest) == MANIFEST_KEYS
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        if np.lib.NumpyVersion(np.__version__) >= "1.26.0":
+            assert set(env["blas"]) == {"name", "version"}
+            assert isinstance(env["blas"]["name"], str)
+        else:
+            assert "blas" not in env
+        assert env["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+        assert env["blas_threads_set_by_narxlm"] is narxlm.BLAS_THREADS_DEFAULTED
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 import csv
 import datetime
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -94,7 +95,30 @@ class TestLoadOhlcv:
         p.write_text(
             "Date,Open,High,Low,Close,Volume\n"
             "1,1,2,0.5,1.5,100\n2,1,0.4,0.5,1.5,100\n")
-        with pytest.raises(ValidationError, match="row 1"):
+        with pytest.raises(ValidationError, match="high < low on row 3$"):
+            load_ohlcv(p)
+
+    @pytest.mark.parametrize("bad_row, match", [
+        ("3,1,0.4,0.5,1.5,100", "high < low on row 4$"),
+        ("3,1,2,0.5,1.5,-1", "negative volume on row 4$"),
+    ], ids=["high-below-low", "negative-volume"])
+    def test_price_check_names_csv_row_of_shuffled_file(self, tmp_path,
+                                                        bad_row, match):
+        # the bad row sorts first by date, but it is row 4 of the file
+        p = tmp_path / "bad.csv"
+        p.write_text(
+            "Date,Open,High,Low,Close,Volume\n"
+            f"9,1,2,0.5,1.5,100\n\n{bad_row}\n5,1,2,0.5,1.5,100\n")
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{p}: ") + match):
+            load_ohlcv(p)
+
+    def test_negative_volume_names_row(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text(
+            "Date,Open,High,Low,Close,Volume\n"
+            "2,1,2,0.5,1.5,100\n1,1,2,0.5,1.5,100\n3,1,2,0.5,1.5,-5\n")
+        with pytest.raises(ValidationError, match="negative volume on row 4$"):
             load_ohlcv(p)
 
     def test_determinism(self, sample_csv):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,23 @@ def random_setup(rng, n_samples=5):
     y = rng.normal(size=n)
     ds = make_supervised(U, y, d_u, d_y)
     return net, U, y, ds
+
+
+def reference_jacobian(net, dataset):
+    """The Jacobian built from 3-D temporaries and one concatenate."""
+    X, Y_hist = dataset.X, dataset.Y_hist
+    a = np.tanh(X @ net.W_ih.T + Y_hist @ net.W_yh.T + net.b_h)
+    F = a @ net.W_ho + net.b_o - dataset.T
+    S = X.shape[0]
+    da = (1.0 - a * a) * net.W_ho
+    J = np.concatenate([
+        (da[:, :, None] * X[:, None, :]).reshape(S, -1),
+        (da[:, :, None] * Y_hist[:, None, :]).reshape(S, -1),
+        da,
+        a,
+        np.ones((S, 1)),
+    ], axis=1)
+    return J, F
 
 
 class TestInit:
@@ -169,6 +188,41 @@ class TestJacobian:
                 J_fd[:, p] = (fp - fm) / (2 * h)
             rel = np.max(np.abs(J - J_fd) / (1 + np.abs(J_fd)))
             assert rel < 1e-6
+
+    @pytest.mark.parametrize("n_exo", [1, 2, 3, 4, 5])
+    def test_matches_reference_builder(self, n_exo):
+        rng = np.random.default_rng(100 + n_exo)
+        for d_u, d_y in (((0, 2), (1, 2)), ((1, 4, 5), (1, 3, 4)),
+                         ((0,), (2, 5))):
+            config = NarxConfig(d_u=d_u, d_y=d_y, n_exo=n_exo,
+                                n_hidden=int(rng.integers(1, 8)))
+            net = init_weights(config, int(rng.integers(1 << 30)))
+            n = int(rng.integers(1, 40)) + max(max(d_u), max(d_y))
+            ds = make_supervised(rng.normal(size=(n, n_exo)),
+                                 rng.normal(size=n), d_u, d_y)
+            J, F = jacobian(net, ds)
+            J_ref, F_ref = reference_jacobian(net, ds)
+            assert J.shape == (ds.n_samples, config.n_params)
+            assert np.array_equal(J, J_ref)
+            assert np.array_equal(F, F_ref)
+
+    def test_peak_allocation_near_jacobian_size(self):
+        # the paper's size: 745 rows, N = 22, P = 243; the (S, P) result
+        # should be nearly all that one call allocates
+        rng = np.random.default_rng(5)
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=22, n_exo=4)
+        net = init_weights(config, 1)
+        ds = make_supervised(rng.normal(size=(746, 4)), rng.normal(size=746),
+                             (0, 1), (1,))
+        jacobian(net, ds)
+        tracemalloc.start()
+        try:
+            J, _ = jacobian(net, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert config.n_params == 243
+        assert peak < 1.5 * J.nbytes
 
     def test_output_bias_column(self):
         config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=3, n_exo=1)

@@ -5,6 +5,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import narxlm
 from narxlm.data import DelayedDataset, split_indices
@@ -276,6 +278,28 @@ def test_reported_msereg_is_training_objective():
     expected = report.records[report.best_epoch].train_objective
     assert diag.msereg == pytest.approx(expected, rel=0, abs=1e-12)
     assert diag.msereg != pytest.approx(diag.mse, rel=0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(90, 200), frame_seed=st.integers(0, 50),
+       d_u=st.sampled_from([(0,), (0, 1), (0, 2), (1, 3)]),
+       d_y=st.sampled_from([(1,), (1, 2), (2, 4)]),
+       n_hidden=st.integers(1, 5),
+       xi=st.sampled_from([0.5, 0.8, 0.9, 1.0]),
+       penalize_biases=st.booleans(),
+       restarts=st.integers(1, 3), seed=st.integers(0, 1000))
+def test_reported_msereg_is_training_objective_property(
+        rows, frame_seed, d_u, d_y, n_hidden, xi, penalize_biases, restarts,
+        seed):
+    frame, _ = synthetic_ohlcv_frame(rows, seed=frame_seed, noise_std=0.02)
+    prep = prepare(frame, d_u=d_u, d_y=d_y)
+    params = TrainParams(xi=xi, restarts=restarts, epochs=12,
+                         penalize_biases=penalize_biases)
+    report = fit(prep, n_hidden=n_hidden, params=params, seed=seed)
+    diag = evaluate_open(report.network, prep, idx=prep.splits[0], xi=xi,
+                         penalize_biases=penalize_biases)
+    expected = report.records[report.best_epoch].train_objective
+    assert diag.msereg == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_training_loads_no_scipy():
