@@ -124,7 +124,7 @@ def _add_common(p):
     p.add_argument("--to", dest="date_to", default=None,
                    help="last date, inclusive")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_int_at_least(0), default=42)
 
 
 def _add_train_params(p):
@@ -140,11 +140,14 @@ def _add_train_params(p):
     p.add_argument("--restarts", type=int, default=10)
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse says "invalid int value" on a non-integer
+    return parse
 
 
 def _add_thresholds(p):
@@ -162,9 +165,7 @@ def _train_params_from(args) -> TrainParams:
 
 
 def _thresholds_from(args) -> VerdictThresholds:
-    return VerdictThresholds(r_min=args.r_min,
-                             divergence_max_pct=args.divergence_max,
-                             mse_max=args.mse_max)
+    return VerdictThresholds(args.r_min, args.divergence_max, args.mse_max)
 
 
 def _load_frame(args):
@@ -228,7 +229,7 @@ def _build_parser():
                    help="comma-separated neuron counts")
     p.add_argument("--exo-channels", default=None)
     p.add_argument("--target-channel", default="close")
-    p.add_argument("--jobs", type=_positive_int, default=1,
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes (>= 1)")
     _add_train_params(p)
     p.set_defaults(func=cmd_sweep)
@@ -303,14 +304,14 @@ def _prep_with_spec(frame, norm_spec, net, exo_channels, target_channel):
 
 def cmd_train(args) -> int:
     params = _train_params_from(args)
+    thresholds = _thresholds_from(args)
     exo = _exo_channels(args)
     frame = _load_frame(args)
     d_u = parse_lag_range(args.input_delays)
     d_y = parse_lag_range(args.feedback_delays)
     prep = prepare(frame, d_u, d_y, exo, args.target_channel)
     report = fit(prep, args.neurons, params, args.seed)
-    diag = evaluate_open(report.network, prep, xi=params.xi,
-                         thresholds=_thresholds_from(args),
+    diag = evaluate_open(report.network, prep, xi=params.xi, thresholds=thresholds,
                          penalize_biases=params.penalize_biases)
 
     out = args.out
@@ -337,6 +338,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    thresholds = _thresholds_from(args)
     net, norm_spec, exo_channels, target_channel = _load_model(args.model)
     frame = _load_frame(args)
     prep = _prep_with_spec(frame, norm_spec, net, exo_channels, target_channel)
@@ -353,7 +355,7 @@ def cmd_simulate(args) -> int:
             err = p - y
             lines.append(f"{t},{y!r},{p!r},{err!r}")
         diag = simulate_diagnostics(preds, targs, prep, start_row,
-                                    thresholds=_thresholds_from(args))
+                                    thresholds=thresholds)
         diag_doc = diag.to_dict()
     else:
         diag_doc = {"note": "empty horizon", "accepted": True}
@@ -378,7 +380,10 @@ def cmd_sweep(args) -> int:
 
     d_u_axis = parse_axis(args.input_delays)
     d_y_axis = parse_axis(args.feedback_delays)
-    neurons = tuple(int(t) for t in args.neurons.split(",") if t.strip())
+    try:
+        neurons = tuple(int(t) for t in args.neurons.split(",") if t.strip())
+    except ValueError:
+        raise ValidationError(f"bad neuron axis {args.neurons!r}: want integers") from None
     if not neurons:
         raise ValidationError("empty neuron axis")
 

@@ -125,6 +125,11 @@ class VerdictThresholds:
     divergence_max_pct: float = 10.0
     mse_max: float = np.inf
 
+    def __post_init__(self):
+        # a NaN bound compares False both ways, so it would accept anything
+        if np.isnan(self.r_min) or not (self.divergence_max_pct >= 0 and self.mse_max >= 0):
+            raise ValidationError(f"need a number r_min and bounds >= 0, got {self}")
+
 
 def acceptance_verdict(r_value: float, max_divergence_pct: float, mse: float,
                        thresholds: VerdictThresholds = VerdictThresholds()):

@@ -230,9 +230,8 @@ def jacobian(net: NarxNetwork, dataset):
     # through (S, N, taps) views of their columns
     J = np.empty((S, c.n_params))
     w = n * ni
-    np.multiply(da[:, :, None], X[:, None, :], out=J[:, :w].reshape(S, n, ni))
-    np.multiply(da[:, :, None], Y_hist[:, None, :],
-                out=J[:, w:w + n * ny].reshape(S, n, ny))
+    np.einsum("si,sp->sip", da, X, out=J[:, :w].reshape(S, n, ni))
+    np.einsum("si,sp->sip", da, Y_hist, out=J[:, w:w + n * ny].reshape(S, n, ny))
     w += n * ny
     J[:, w:w + n] = da                                   # hidden biases
     J[:, w + n:w + 2 * n] = a                            # output weights

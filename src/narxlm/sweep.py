@@ -69,14 +69,14 @@ class SweepRow:
 
 def parse_lag_range(token: str) -> tuple:
     """"a:b" -> (a, ..., b) inclusive; a bare integer is a singleton set."""
-    token = token.strip()
-    if ":" in token:
-        a, b = token.split(":", 1)
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise ValidationError(f"bad lag range {token!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(token),)
+    a, sep, b = token.strip().partition(":")
+    try:
+        lo, hi = int(a), int(b if sep else a)
+    except ValueError:
+        raise ValidationError(f"bad lag range {token!r}: want an integer or a:b") from None
+    if hi < lo:
+        raise ValidationError(f"bad lag range {token!r}")
+    return tuple(range(lo, hi + 1))
 
 
 def run_sweep(grid: SweepGrid, frame, exo_channels, target_channel,

@@ -9,7 +9,7 @@ best-weights restoration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,7 +137,7 @@ def msereg(errors, weights, xi, bias_mask=None, penalize_biases=False):
 
 
 class StepFailure(Exception):
-    """Normal-equation factorization failed; caller should raise the damping."""
+    """The damped system is singular or gave a non-finite step; raise the damping."""
 
 
 def lm_step(J, F, lam, weights=None, xi=1.0, bias_mask=None, penalize_biases=False):
@@ -147,10 +147,10 @@ def lm_step(J, F, lam, weights=None, xi=1.0, bias_mask=None, penalize_biases=Fal
     penalized weights and alpha = (1 - xi) * n_residuals / n_penalized.  With
     xi = 1 this is exactly (J'J + lam*I) d = -J'F.
 
-    ``numpy.linalg.cholesky`` checks that the system is positive definite and
-    ``numpy.linalg.solve`` then solves it; both use numpy's own BLAS.  A
-    failed factorization or a non-finite step raises StepFailure so the
-    caller can retry with larger damping.
+    ``numpy.linalg.solve`` (LU on numpy's own BLAS) is the one factorization.
+    An exactly singular system or a non-finite step raises StepFailure so the
+    caller can retry with larger damping; a finite step from a nearly
+    singular system is left to the caller's objective-decrease test.
     """
     J = np.asarray(J, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -171,9 +171,8 @@ def lm_step(J, F, lam, weights=None, xi=1.0, bias_mask=None, penalize_biases=Fal
             b -= alpha * np.where(mask, w, 0.0)
     A[np.diag_indices_from(A)] += lam
     try:
-        # numpy has no triangular solve, and one solve on A costs less than
-        # two general solves on the Cholesky factor
-        np.linalg.cholesky(A)
+        # A is SPD in exact arithmetic (lam > 0), but no definiteness test is
+        # made: a Cholesky factor would cost as much as the solve and go unused
         d = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise StepFailure(str(exc)) from exc
@@ -182,29 +181,22 @@ def lm_step(J, F, lam, weights=None, xi=1.0, bias_mask=None, penalize_biases=Fal
     return d
 
 
-def _block_mse(net, dataset, idx):
-    if len(idx) == 0:
+def _block_mse(net, block):
+    if block.n_samples == 0:
         return 0.0
-    sub = _subset(dataset, idx)
-    pred = forward_open(net, sub)
-    return float(np.mean((pred - sub.T) ** 2))
+    return float(np.mean((forward_open(net, block) - block.T) ** 2))
 
 
 def _subset(dataset, idx):
-    from .data import DelayedDataset
-    return DelayedDataset(
-        X=dataset.X[idx], Y_hist=dataset.Y_hist[idx], T=dataset.T[idx],
-        d_u=dataset.d_u, d_y=dataset.d_y, exo_channels=dataset.exo_channels,
-        target_channel=dataset.target_channel,
-        first_usable_index=dataset.first_usable_index,
-        timesteps=None if dataset.timesteps is None else dataset.timesteps[idx],
-    )
+    ts = dataset.timesteps
+    return replace(dataset, X=dataset.X[idx], Y_hist=dataset.Y_hist[idx], T=dataset.T[idx],
+                   timesteps=None if ts is None else ts[idx])
 
 
 def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -> TrainReport:
     """One LM run from a seeded random init, with early stopping."""
     train_idx, val_idx, test_idx = splits
-    train_set = _subset(dataset, train_idx)
+    train_set, val_set, test_set = (_subset(dataset, idx) for idx in splits)
     n_train = train_set.n_samples
 
     net = init_weights(config, seed)
@@ -215,9 +207,8 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
 
     def objective(th):
         candidate = NarxNetwork.from_flat(config, th)
-        pred = forward_open(candidate, train_set)
-        err = pred - train_set.T
-        return msereg(err, th, xi, bias_mask, params.penalize_biases), candidate
+        err = forward_open(candidate, train_set) - train_set.T
+        return msereg(err, th, xi, bias_mask, params.penalize_biases), candidate, err
 
     records = []
     best_epoch = -1
@@ -225,7 +216,7 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
     best_theta = theta.copy()
     fails = 0
     stop_reason = "epochs-exhausted"
-    obj, net = objective(theta)
+    obj, net, err = objective(theta)
 
     for epoch in range(params.epochs):
         if not np.isfinite(obj):
@@ -248,18 +239,18 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
             except StepFailure:
                 lam *= params.mu_inc
                 continue
-            cand_obj, cand_net = objective(theta + d)
+            cand_obj, cand_net, cand_err = objective(theta + d)
             if np.isfinite(cand_obj) and cand_obj < obj:
                 theta = theta + d
-                obj, net = cand_obj, cand_net
+                obj, net, err = cand_obj, cand_net, cand_err
                 lam *= params.mu_dec
                 accepted = True
                 break
             lam *= params.mu_inc
 
-        train_mse = _block_mse(net, dataset, train_idx)
-        val_mse = _block_mse(net, dataset, val_idx)
-        test_mse = _block_mse(net, dataset, test_idx)
+        train_mse = float(np.mean(err ** 2))  # err: net's train-block residual
+        val_mse = _block_mse(net, val_set)
+        test_mse = _block_mse(net, test_set)
         records.append(EpochRecord(epoch, obj, train_mse, val_mse, test_mse, grad_norm, lam))
 
         if val_mse < best_val:

@@ -153,6 +153,25 @@ MANIFEST_KEYS = {"command", "parameters", "input_file", "input_sha256",
                  "tool_version", "timestamp", "outputs", "environment"}
 
 
+class TestVerdictThresholds:
+    @pytest.mark.parametrize("flags", [
+        ["--r-min", "nan"], ["--divergence-max", "nan"], ["--mse-max", "NaN"],
+        ["--divergence-max", "-1"], ["--mse-max", "-0.5"],
+    ])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_nan_or_negative_bound_rejected(self, trained_dir, data_csv, tmp_path,
+                                            capsys, command, flags):
+        # a NaN bound used to pass every comparison, so R = 0.94 read "accept"
+        model = ["--model", os.path.join(trained_dir, cli.MODEL_FILE)] \
+            if command == "eval" else FAST_FLAGS
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", data_csv, "--out", str(out), *model, *flags])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "need a number r_min and bounds >= 0" in err
+        assert not out.exists()
+
+
 class TestManifestEnvironment:
     @pytest.fixture(scope="class")
     def eval_dir(self, trained_dir, data_csv, tmp_path_factory):
@@ -233,6 +252,24 @@ class TestUsage:
                        "--epochs", "0"])
         assert rc == cli.EXIT_VALIDATION
         assert "epochs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags,code,message", [
+        ("train", ["--input-delays", "a"], cli.EXIT_VALIDATION, "bad lag range 'a'"),
+        ("train", ["--feedback-delays", "x"], cli.EXIT_VALIDATION, "bad lag range 'x'"),
+        ("sweep", ["--input-delays", "0:1,1:"], cli.EXIT_VALIDATION,
+         "bad lag range '1:'"),
+        ("sweep", ["--neurons", "x"], cli.EXIT_VALIDATION, "bad neuron axis 'x'"),
+        ("train", ["--seed", "-1"], cli.EXIT_USAGE, "--seed: must be >= 0, got -1"),
+        ("sweep", ["--seed=-3"], cli.EXIT_USAGE, "--seed: must be >= 0, got -3"),
+    ])
+    def test_malformed_argument_message(self, data_csv, tmp_path, capsys,
+                                        command, flags, code, message):
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", data_csv, "--out", str(out), *flags])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not out.exists()
 
     def test_unknown_flag(self, data_csv, tmp_path):
@@ -374,6 +411,28 @@ def malformed_csv(draw):
     return data
 
 
+# Option values that no parser may accept: an integer or lag option given a
+# letter, a negative seed, a NaN or negative verdict bound, a NaN LM setting.
+LETTERED = st.builds(lambda a, c, b: a + c + b, st.text("0123456789:,-", max_size=3),
+                     st.sampled_from("aeEx"), st.text("0123456789:,-", max_size=3))
+NEGATIVE_INT = st.integers(max_value=-1).map(str)
+NAN = st.sampled_from(["nan", "NaN", "-nan"])
+NAN_OR_NEGATIVE = st.one_of(NAN, st.floats(max_value=-1e-9).map(repr))
+THRESHOLD_ARGUMENTS = [("--seed", NEGATIVE_INT), ("--r-min", NAN),
+                       ("--divergence-max", NAN_OR_NEGATIVE),
+                       ("--mse-max", NAN_OR_NEGATIVE)]
+FIT_ARGUMENTS = [("--seed", NEGATIVE_INT), ("--input-delays", LETTERED),
+                 ("--feedback-delays", LETTERED), ("--neurons", LETTERED),
+                 ("--epochs", LETTERED), ("--restarts", LETTERED),
+                 ("--mu", NAN), ("--xi", NAN), ("--goal", NAN)]
+MALFORMED_ARGUMENTS = {
+    "train": FIT_ARGUMENTS + THRESHOLD_ARGUMENTS,
+    "sweep": FIT_ARGUMENTS + [("--jobs", LETTERED)],
+    "eval": THRESHOLD_ARGUMENTS,
+    "simulate": THRESHOLD_ARGUMENTS + [("--horizon", LETTERED)],
+}
+
+
 JSON_JUNK = st.one_of(
     st.none(), st.text(alphabet="xyz!", max_size=4),
     st.lists(st.integers(-3, 3), max_size=3),
@@ -421,4 +480,21 @@ class TestMalformedInputProperty:
                                     "--out", out])
             assert rc in MALFORMED_EXITS
             assert err.startswith("error: ") and "Traceback" not in err
+            assert not os.path.exists(out)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_malformed_argument(self, trained_dir, data_csv, data):
+        command = data.draw(st.sampled_from(sorted(MALFORMED_ARGUMENTS)))
+        option, values = data.draw(st.sampled_from(MALFORMED_ARGUMENTS[command]))
+        value = data.draw(values, label=option)
+        # the drawn option comes last, so it overrides a fast flag
+        extra = FAST_FLAGS if command in ("train", "sweep") else \
+            ["--model", os.path.join(trained_dir, cli.MODEL_FILE)]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            rc, err = _run_quietly([command, "--csv", data_csv, "--out", out,
+                                    *extra, f"{option}={value}"])
+            assert rc in {cli.EXIT_USAGE, cli.EXIT_VALIDATION}
+            assert "error: " in err and "Traceback" not in err
             assert not os.path.exists(out)

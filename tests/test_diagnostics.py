@@ -218,6 +218,18 @@ class TestVerdict:
                                          VerdictThresholds(mse_max=1.0))
         assert not ok and len(reasons) == 3
 
+    @pytest.mark.parametrize("bad", [
+        {"r_min": np.nan}, {"divergence_max_pct": np.nan}, {"mse_max": np.nan},
+        {"divergence_max_pct": -1.0}, {"mse_max": -1e-9}, {"mse_max": -np.inf},
+    ])
+    def test_thresholds_reject_nan_and_negative_bounds(self, bad):
+        with pytest.raises(ValidationError):
+            VerdictThresholds(**bad)
+
+    def test_thresholds_boundaries_accepted(self):
+        th = VerdictThresholds(r_min=-np.inf, divergence_max_pct=0.0, mse_max=0.0)
+        assert acceptance_verdict(1.0, 0.0, 0.0, th) == (True, [])
+
     def test_monotone(self):
         rng = np.random.default_rng(7)
         th = VerdictThresholds(mse_max=1.0)

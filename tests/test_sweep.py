@@ -33,6 +33,11 @@ class TestParseLagRange:
         with pytest.raises(ValidationError):
             parse_lag_range("5:2")
 
+    @pytest.mark.parametrize("token", ["a", "", "3:", ":2", "1:2:3", "1.5", "0:x"])
+    def test_not_integers(self, token):
+        with pytest.raises(ValidationError, match="want an integer or a:b"):
+            parse_lag_range(token)
+
 
 class TestRunSweep:
     def test_singleton_grid_matches_direct_run(self, norm_frame):

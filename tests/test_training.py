@@ -11,10 +11,17 @@ from hypothesis import strategies as st
 import narxlm
 from narxlm.data import DelayedDataset, split_indices
 from narxlm.errors import DivergedError, ValidationError
-from narxlm.network import NarxConfig, forward_open, init_weights, jacobian
+from narxlm.network import (
+    NarxConfig,
+    NarxNetwork,
+    forward_open,
+    init_weights,
+    jacobian,
+)
 from narxlm.pipeline import evaluate_open, fit, prepare
 from narxlm.synth import make_supervised, synthetic_ohlcv_frame, teacher_dataset
 from narxlm.training import (
+    EpochRecord,
     StepFailure,
     TrainParams,
     lm_step,
@@ -106,7 +113,6 @@ class TestLmStep:
 
 def _mse_gradient_fd(config, theta, ds, h=1e-6):
     grad = np.empty_like(theta)
-    from narxlm.network import NarxNetwork
     for p in range(theta.size):
         tp, tm = theta.copy(), theta.copy()
         tp[p] += h
@@ -199,6 +205,25 @@ class TestTrain:
         for r in report.records[:-1]:
             assert r.lam <= params.mu_max * params.mu_inc
 
+    @pytest.mark.parametrize("mu0", [1e-300, 1e-100])
+    def test_rank_deficient_tiny_damping_never_raises(self, mu0):
+        # two equal exogenous columns make J'J singular, and at this damping
+        # lam*I does not lift it: a singular solve, a non-finite step or a
+        # step that does not lower the objective must each raise the damping
+        rng = np.random.default_rng(0)
+        u = rng.normal(size=200)
+        y = np.tanh(0.8 * u + 0.1 * rng.normal(size=200))
+        ds = make_supervised(np.column_stack([u, u]), y, (0,), (1,))
+        assert np.array_equal(ds.X[:, 0], ds.X[:, 1])
+        splits = split_indices(ds.n_samples)
+        config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=4, n_exo=2)
+        params = TrainParams(xi=1.0, mu0=mu0, epochs=30)
+        for seed in range(20):
+            report = train(config, ds, splits, params, seed)
+            assert report.stop_reason in {"goal-met", "min-grad", "max-fail",
+                                          "epochs-exhausted", "mu-max"}
+            assert np.all(np.isfinite(report.network.flatten()))
+
     def test_non_finite_target_diverges(self):
         _, _, _, ds = teacher_dataset(50, seed=9)
         bad = DelayedDataset(
@@ -210,6 +235,137 @@ class TestTrain:
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=2, n_exo=2)
         with pytest.raises(DivergedError):
             train(config, bad, splits, TrainParams(xi=1.0), seed=0)
+
+
+def reference_lm_step(J, F, lam, weights, xi, bias_mask, penalize_biases):
+    """The LM step with a Cholesky definiteness test before the solve."""
+    n_params = J.shape[1]
+    A = xi * (J.T @ J)
+    b = -xi * (J.T @ F)
+    if xi < 1.0:
+        mask = np.ones(n_params, dtype=bool)
+        if not penalize_biases:
+            mask = ~np.asarray(bias_mask)
+        n_pen = int(mask.sum())
+        if n_pen:
+            alpha = (1.0 - xi) * J.shape[0] / n_pen
+            A[np.flatnonzero(mask), np.flatnonzero(mask)] += alpha
+            b -= alpha * np.where(mask, weights, 0.0)
+    A[np.diag_indices_from(A)] += lam
+    try:
+        np.linalg.cholesky(A)
+        d = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise StepFailure(str(exc)) from exc
+    if not np.all(np.isfinite(d)):
+        raise StepFailure("non-finite step")
+    return d
+
+
+def reference_subset(ds, idx):
+    return DelayedDataset(
+        X=ds.X[idx], Y_hist=ds.Y_hist[idx], T=ds.T[idx], d_u=ds.d_u,
+        d_y=ds.d_y, exo_channels=ds.exo_channels,
+        target_channel=ds.target_channel,
+        first_usable_index=ds.first_usable_index,
+        timesteps=None if ds.timesteps is None else ds.timesteps[idx])
+
+
+def reference_block_mse(net, ds, idx):
+    sub = reference_subset(ds, idx)
+    return float(np.mean((forward_open(net, sub) - sub.T) ** 2))
+
+
+def reference_train(config, dataset, splits, params, seed):
+    """The LM epoch loop with a Cholesky test in every damping try and a
+    fresh forward pass over each of the three blocks after every epoch.
+
+    Returns (best theta, records, stop_reason, best_epoch).
+    """
+    train_idx, val_idx, test_idx = splits
+    train_set = reference_subset(dataset, train_idx)
+    n_train = train_set.n_samples
+    net = init_weights(config, seed)
+    theta = net.flatten()
+    bias_mask = net.bias_mask()
+    lam, xi, pb = params.mu0, params.xi, params.penalize_biases
+
+    def objective(th):
+        candidate = NarxNetwork.from_flat(config, th)
+        err = forward_open(candidate, train_set) - train_set.T
+        return msereg(err, th, xi, bias_mask, pb), candidate
+
+    records = []
+    best_epoch, best_val, best_theta = -1, np.inf, theta.copy()
+    fails = 0
+    stop_reason = "epochs-exhausted"
+    obj, net = objective(theta)
+    for epoch in range(params.epochs):
+        J, F = jacobian(net, train_set)
+        grad = xi * (2.0 / n_train) * (J.T @ F)
+        if xi < 1.0:
+            mask = np.ones_like(bias_mask) if pb else ~bias_mask
+            grad = grad + (1.0 - xi) * (2.0 / int(mask.sum())) * np.where(mask, theta, 0.0)
+        grad_norm = float(np.max(np.abs(grad)))
+        accepted = False
+        while lam <= params.mu_max:
+            try:
+                d = reference_lm_step(J, F, lam, theta, xi, bias_mask, pb)
+            except StepFailure:
+                lam *= params.mu_inc
+                continue
+            cand_obj, cand_net = objective(theta + d)
+            if np.isfinite(cand_obj) and cand_obj < obj:
+                theta = theta + d
+                obj, net = cand_obj, cand_net
+                lam *= params.mu_dec
+                accepted = True
+                break
+            lam *= params.mu_inc
+        val_mse = reference_block_mse(net, dataset, val_idx)
+        records.append(EpochRecord(
+            epoch, obj, reference_block_mse(net, dataset, train_idx), val_mse,
+            reference_block_mse(net, dataset, test_idx), grad_norm, lam))
+        if val_mse < best_val:
+            best_val, best_epoch, best_theta = val_mse, epoch, theta.copy()
+            fails = 0
+        else:
+            fails += 1
+        if not accepted:
+            stop_reason = "mu-max"
+            break
+        if obj <= params.goal:
+            stop_reason = "goal-met"
+            break
+        if grad_norm <= params.min_grad:
+            stop_reason = "min-grad"
+            break
+        if fails >= params.max_fail:
+            stop_reason = "max-fail"
+            break
+    if best_epoch < 0:
+        best_epoch, best_theta = len(records) - 1, theta.copy()
+    return best_theta, records, stop_reason, best_epoch
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize("xi", [0.9, 1.0])
+    @pytest.mark.parametrize("penalize_biases", [False, True])
+    def test_bit_identical(self, xi, penalize_biases):
+        frame, _ = synthetic_ohlcv_frame(200, seed=21, noise_std=0.02)
+        prep = prepare(frame, d_u=(0, 1), d_y=(1, 2))
+        # 60 epochs without early stopping; each run raises the damping
+        # after a rejected step at least once
+        params = TrainParams(xi=xi, epochs=60, goal=1e-12, min_grad=1e-12,
+                             max_fail=60, penalize_biases=penalize_biases)
+        for seed, n_hidden in ((0, 4), (1, 5), (2, 6)):
+            config = NarxConfig(d_u=(0, 1), d_y=(1, 2), n_hidden=n_hidden, n_exo=4)
+            report = train(config, prep.dataset, prep.splits, params, seed)
+            theta, records, stop_reason, best_epoch = reference_train(
+                config, prep.dataset, prep.splits, params, seed)
+            assert np.array_equal(report.network.flatten(), theta)
+            assert report.records == records
+            assert (report.stop_reason, report.best_epoch) == (stop_reason, best_epoch)
 
 
 class TestRestarts:
