@@ -5,7 +5,6 @@ in the residuals, which shows up as input-error correlations outside the 95%
 confidence band.  Selection filters on that band before maximizing R.
 """
 
-from narxlm.data import apply_normalization, fit_normalization
 from narxlm.sweep import SweepGrid, run_sweep, select_best
 from narxlm.synth import synthetic_ohlcv_frame
 from narxlm.training import TrainParams
@@ -13,9 +12,6 @@ from narxlm.training import TrainParams
 EXO = ("open", "high", "low", "volume")
 
 frame, _teacher = synthetic_ohlcv_frame(800, seed=17, noise_std=0.005)
-spec = fit_normalization(frame, sorted(set(EXO) | {"close"}),
-                         fit_rows=int(0.7 * len(frame)))
-norm_frame = apply_normalization(frame, spec)
 
 grid = SweepGrid(
     d_u_candidates=((0, 1), (2, 3, 4, 5)),
@@ -26,7 +22,8 @@ grid = SweepGrid(
     seed=3,
 )
 
-rows = run_sweep(grid, norm_frame, EXO, "close", norm_spec=spec)
+# each point is normalized, trained and scored as `narxlm train` would do it
+rows = run_sweep(grid, frame, EXO, "close")
 
 print(f"{'d_u':>10} {'d_y':>5} {'N':>3} {'performance':>12} "
       f"{'R':>8} {'in-bounds':>9}")

@@ -28,7 +28,6 @@ from .data import (
     TimeSeriesFrame,
     apply_normalization,
     fit_normalization,
-    invert_normalization,
     load_ohlcv,
     prepare_delayed,
     split_indices,

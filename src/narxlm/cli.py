@@ -27,11 +27,8 @@ from .data import (
     CHANNELS,
     DEFAULT_EXO_CHANNELS,
     NormalizationSpec,
-    apply_normalization,
-    fit_normalization,
     load_ohlcv,
     parse_date,
-    prepare_delayed,
 )
 from .diagnostics import VerdictThresholds
 from .errors import (
@@ -290,25 +287,13 @@ def _load_model(path):
     return net, norm_spec, exo_channels, target_channel
 
 
-def _prep_with_spec(frame, norm_spec, net, exo_channels, target_channel):
-    """PreparedData reusing a saved normalization spec (no refit)."""
-    from .pipeline import PreparedData
-    from .data import split_indices
-    norm_frame = apply_normalization(frame, norm_spec)
-    dataset = prepare_delayed(norm_frame, net.config.d_u, net.config.d_y,
-                              exo_channels, target_channel)
-    splits = split_indices(dataset.n_samples)
-    return PreparedData(frame, norm_frame, norm_spec, dataset, splits,
-                        exo_channels, target_channel)
-
-
 def cmd_train(args) -> int:
     params = _train_params_from(args)
     thresholds = _thresholds_from(args)
     exo = _exo_channels(args)
     frame = _load_frame(args)
-    d_u = parse_lag_range(args.input_delays)
-    d_y = parse_lag_range(args.feedback_delays)
+    d_u = parse_lag_range(args.input_delays, len(frame))
+    d_y = parse_lag_range(args.feedback_delays, len(frame))
     prep = prepare(frame, d_u, d_y, exo, args.target_channel)
     report = fit(prep, args.neurons, params, args.seed)
     diag = evaluate_open(report.network, prep, xi=params.xi, thresholds=thresholds,
@@ -341,10 +326,16 @@ def cmd_simulate(args) -> int:
     thresholds = _thresholds_from(args)
     net, norm_spec, exo_channels, target_channel = _load_model(args.model)
     frame = _load_frame(args)
-    prep = _prep_with_spec(frame, norm_spec, net, exo_channels, target_channel)
+    prep = prepare(frame, net.config.d_u, net.config.d_y, exo_channels, target_channel,
+                   norm_spec=norm_spec)
     H = args.horizon
     if H < 0:
         raise ValidationError("horizon must be >= 0")
+    priming = prep.dataset.first_usable_index
+    if H > len(frame) - priming:
+        raise InsufficientDataError(
+            f"horizon {H} exceeds the {len(frame) - priming} rows after "
+            f"{priming} priming row{'s' if priming > 1 else ''}")
     start_row = len(frame) - H
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -376,7 +367,7 @@ def cmd_sweep(args) -> int:
         tokens = [t for t in text.split(",") if t.strip()]
         if not tokens:
             raise ValidationError("empty grid axis")
-        return tuple(parse_lag_range(t) for t in tokens)
+        return tuple(parse_lag_range(t, len(frame)) for t in tokens)
 
     d_u_axis = parse_axis(args.input_delays)
     d_y_axis = parse_axis(args.feedback_delays)
@@ -387,15 +378,9 @@ def cmd_sweep(args) -> int:
     if not neurons:
         raise ValidationError("empty neuron axis")
 
-    fit_rows = max(3, int(round(0.70 * len(frame))))
-    channels = sorted(set(exo) | {target})
-    norm_spec = fit_normalization(frame, channels, fit_rows=fit_rows)
-    norm_frame = apply_normalization(frame, norm_spec)
-
     grid = SweepGrid(d_u_axis, d_y_axis, neurons,
                      _train_params_from(args), args.seed)
-    rows = run_sweep(grid, norm_frame, exo, target,
-                     norm_spec=norm_spec, jobs=args.jobs)
+    rows = run_sweep(grid, frame, exo, target, jobs=args.jobs)
     best = select_best(rows)
 
     out = args.out
@@ -433,7 +418,8 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     net, norm_spec, exo_channels, target_channel = _load_model(args.model)
     frame = _load_frame(args)
-    prep = _prep_with_spec(frame, norm_spec, net, exo_channels, target_channel)
+    prep = prepare(frame, net.config.d_u, net.config.d_y, exo_channels, target_channel,
+                   norm_spec=norm_spec)
     diag = evaluate_open(net, prep, thresholds=_thresholds_from(args))
     out = args.out
     os.makedirs(out, exist_ok=True)

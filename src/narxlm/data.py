@@ -323,10 +323,6 @@ def apply_normalization(frame: TimeSeriesFrame, spec: NormalizationSpec) -> Time
     return TimeSeriesFrame(timesteps=frame.timesteps.copy(), **cols)
 
 
-def invert_normalization(values, spec: NormalizationSpec, channel: str) -> np.ndarray:
-    return spec.invert_values(values, channel)
-
-
 @dataclass(frozen=True)
 class DelayedDataset:
     """Supervised matrices built from tapped delay lines.
@@ -352,6 +348,7 @@ class DelayedDataset:
 
 
 def _check_lags(d_u, d_y):
+    """(d_u, d_y) as sorted int tuples, after checking the NARX lag rules."""
     d_u = tuple(sorted(int(i) for i in d_u))
     d_y = tuple(sorted(int(j) for j in d_y))
     if not d_u or not d_y:
@@ -363,6 +360,33 @@ def _check_lags(d_u, d_y):
     return d_u, d_y
 
 
+def _delayed(exo_cols, y, d_u, d_y, exo_channels, target_channel,
+             timesteps=None) -> DelayedDataset:
+    """Tapped delay lines over the exogenous columns and the target ``y``.
+
+    X columns are ordered (channel, lag), with lags in sorted d_u order.
+    """
+    d_u, d_y = _check_lags(d_u, d_y)
+    max_lag = max(max(d_u), max(d_y))
+    n = len(y)
+    if n <= max_lag:
+        raise InsufficientDataError(
+            f"frame has {n} rows but max lag {max_lag} needs at least {max_lag + 1}"
+        )
+    ks = np.arange(max_lag, n)
+    return DelayedDataset(
+        X=np.column_stack([u[ks - lag] for u in exo_cols for lag in d_u]),
+        Y_hist=np.column_stack([y[ks - lag] for lag in d_y]),
+        T=y[ks].copy(),
+        d_u=d_u,
+        d_y=d_y,
+        exo_channels=tuple(exo_channels),
+        target_channel=target_channel,
+        first_usable_index=max_lag,
+        timesteps=None if timesteps is None else timesteps[ks].copy(),
+    )
+
+
 def prepare_delayed(frame: TimeSeriesFrame, d_u, d_y,
                     exo_channels=DEFAULT_EXO_CHANNELS,
                     target_channel=DEFAULT_TARGET_CHANNEL) -> DelayedDataset:
@@ -371,36 +395,9 @@ def prepare_delayed(frame: TimeSeriesFrame, d_u, d_y,
     Sample k (k >= first_usable_index) has regressors u_c(k-i) for i in d_u,
     c in exo_channels and y(k-j) for j in d_y, with target y(k).
     """
-    d_u, d_y = _check_lags(d_u, d_y)
-    exo_channels = tuple(exo_channels)
-    max_lag = max(max(d_u), max(d_y))
-    n = len(frame)
-    if n <= max_lag:
-        raise InsufficientDataError(
-            f"frame has {n} rows but max lag {max_lag} needs at least {max_lag + 1}"
-        )
-    first = max_lag
-    ks = np.arange(first, n)
-    y = frame.channel(target_channel)
-
-    x_cols = []
-    for ch in exo_channels:
-        u = frame.channel(ch)
-        for lag in d_u:
-            x_cols.append(u[ks - lag])
-    X = np.column_stack(x_cols)
-    Y_hist = np.column_stack([y[ks - lag] for lag in d_y])
-    return DelayedDataset(
-        X=X,
-        Y_hist=Y_hist,
-        T=y[ks].copy(),
-        d_u=d_u,
-        d_y=d_y,
-        exo_channels=exo_channels,
-        target_channel=target_channel,
-        first_usable_index=first,
-        timesteps=frame.timesteps[ks].copy(),
-    )
+    return _delayed([frame.channel(ch) for ch in exo_channels],
+                    frame.channel(target_channel), d_u, d_y, exo_channels,
+                    target_channel, frame.timesteps)
 
 
 def split_indices(n_samples: int, ratios=(0.70, 0.15, 0.15)):

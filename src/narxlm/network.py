@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_lags
 from .errors import InsufficientDataError, ShapeError, ValidationError
 
 FORMAT_VERSION = 1
@@ -29,16 +30,13 @@ class NarxConfig:
     output_transfer: str = "linear"
 
     def __post_init__(self):
-        object.__setattr__(self, "d_u", tuple(sorted(int(i) for i in self.d_u)))
-        object.__setattr__(self, "d_y", tuple(sorted(int(j) for j in self.d_y)))
+        d_u, d_y = _check_lags(self.d_u, self.d_y)
+        object.__setattr__(self, "d_u", d_u)
+        object.__setattr__(self, "d_y", d_y)
         if self.n_hidden < 1:
             raise ValidationError("n_hidden must be >= 1")
         if self.n_exo < 1:
             raise ValidationError("n_exo must be >= 1")
-        if not self.d_u or any(i < 0 for i in self.d_u):
-            raise ValidationError("d_u must be a non-empty set of lags >= 0")
-        if not self.d_y or any(j < 1 for j in self.d_y):
-            raise ValidationError("d_y must be a non-empty set of lags >= 1")
         if self.hidden_transfer != "tanh":
             raise ValidationError(f"unsupported hidden transfer {self.hidden_transfer!r}")
         if self.output_transfer != "linear":

@@ -14,6 +14,8 @@ import numpy as np
 from .data import (
     DEFAULT_EXO_CHANNELS,
     DEFAULT_TARGET_CHANNEL,
+    DelayedDataset,
+    NormalizationSpec,
     TimeSeriesFrame,
     apply_normalization,
     fit_normalization,
@@ -28,10 +30,9 @@ from .training import TrainParams, TrainReport, train_with_restarts
 
 @dataclass
 class PreparedData:
-    raw_frame: TimeSeriesFrame
     frame: TimeSeriesFrame          # normalized
-    norm_spec: object
-    dataset: object
+    norm_spec: NormalizationSpec
+    dataset: DelayedDataset
     splits: tuple
     exo_channels: tuple
     target_channel: str
@@ -40,22 +41,25 @@ class PreparedData:
 def prepare(raw_frame: TimeSeriesFrame, d_u, d_y,
             exo_channels=DEFAULT_EXO_CHANNELS,
             target_channel=DEFAULT_TARGET_CHANNEL,
-            ratios=(0.70, 0.15, 0.15)) -> PreparedData:
-    """Split, fit normalization on the training portion, build the dataset."""
+            norm_spec: NormalizationSpec | None = None) -> PreparedData:
+    """Normalize, build the delayed dataset and split it 70/15/15 in time.
+
+    Without ``norm_spec`` the normalization is fitted on the rows that feed
+    the training block; a given spec (a saved model's) is applied as is.
+    """
     exo_channels = tuple(exo_channels)
     max_lag = max(max(d_u), max(d_y))
     n_samples = len(raw_frame) - max_lag
     if n_samples < 3:
         raise InsufficientDataError("too few rows for the requested lags")
-    splits = split_indices(n_samples, ratios)
-    # rows feeding the training samples: everything up to the last train target
-    fit_rows = max_lag + len(splits[0])
-    channels = set(exo_channels) | {target_channel}
-    spec = fit_normalization(raw_frame, sorted(channels), fit_rows=fit_rows)
-    frame = apply_normalization(raw_frame, spec)
+    splits = split_indices(n_samples)
+    if norm_spec is None:
+        # rows feeding the training samples: everything up to the last train target
+        norm_spec = fit_normalization(raw_frame, sorted(set(exo_channels) | {target_channel}),
+                                      fit_rows=max_lag + len(splits[0]))
+    frame = apply_normalization(raw_frame, norm_spec)
     dataset = prepare_delayed(frame, d_u, d_y, exo_channels, target_channel)
-    return PreparedData(raw_frame, frame, spec, dataset, splits,
-                        exo_channels, target_channel)
+    return PreparedData(frame, norm_spec, dataset, splits, exo_channels, target_channel)
 
 
 def fit(prep: PreparedData, n_hidden: int, params: TrainParams, seed: int) -> TrainReport:

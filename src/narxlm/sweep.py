@@ -9,16 +9,14 @@ filters on that band first, then maximizes R.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .data import prepare_delayed, split_indices
-from .diagnostics import diagnose
-from .errors import DivergedError, ValidationError
-from .network import NarxConfig, forward_open
-from .training import TrainParams, train_with_restarts
+from .errors import DivergedError, InsufficientDataError, ValidationError
+from .pipeline import evaluate_open, fit, prepare
+from .training import TrainParams
 
 
 @dataclass(frozen=True)
@@ -67,8 +65,12 @@ class SweepRow:
         }
 
 
-def parse_lag_range(token: str) -> tuple:
-    """"a:b" -> (a, ..., b) inclusive; a bare integer is a singleton set."""
+def parse_lag_range(token: str, n_rows: int) -> tuple:
+    """"a:b" -> (a, ..., b) inclusive; a bare integer is a singleton set.
+
+    A lag of ``n_rows`` or more leaves no sample, so it is rejected before
+    the tuple is built.
+    """
     a, sep, b = token.strip().partition(":")
     try:
         lo, hi = int(a), int(b if sep else a)
@@ -76,20 +78,21 @@ def parse_lag_range(token: str) -> tuple:
         raise ValidationError(f"bad lag range {token!r}: want an integer or a:b") from None
     if hi < lo:
         raise ValidationError(f"bad lag range {token!r}")
+    if hi >= n_rows:
+        raise InsufficientDataError(
+            f"lag {hi} in {token!r} needs more than the {n_rows} rows of data")
     return tuple(range(lo, hi + 1))
 
 
-def run_sweep(grid: SweepGrid, frame, exo_channels, target_channel,
-              ratios=(0.70, 0.15, 0.15), max_lag=20, norm_spec=None,
-              jobs=1) -> list:
+def run_sweep(grid: SweepGrid, frame, exo_channels, target_channel, jobs=1) -> list:
     """Train and diagnose every grid point; rows come back in grid order.
 
-    The frame must already be normalized; norm_spec, when given, de-normalizes
-    predictions for the price-unit metrics (R, divergence).  Diverged runs are
-    kept as flagged rows so the table stays rectangular.
+    ``frame`` holds raw prices.  Each point is prepared, fitted and scored
+    as ``pipeline.prepare``, ``fit`` and ``evaluate_open`` do for ``train``,
+    so its mse and R are the ones ``train`` reports.  Diverged runs are kept
+    as flagged rows so the table stays rectangular.
     """
-    args = [(point, grid.params, grid.seed, frame, tuple(exo_channels),
-             target_channel, ratios, max_lag, norm_spec)
+    args = [(point, grid.params, grid.seed, frame, tuple(exo_channels), target_channel)
             for point in grid.points()]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -101,31 +104,15 @@ def run_sweep(grid: SweepGrid, frame, exo_channels, target_channel,
 
 
 def _sweep_point(packed) -> SweepRow:
-    (point, params, seed, frame, exo_channels, target_channel,
-     ratios, max_lag, norm_spec) = packed
+    point, params, seed, frame, exo_channels, target_channel = packed
     d_u, d_y, n = point
     t0 = time.perf_counter()
     row = SweepRow(d_u=d_u, d_y=d_y, n_hidden=n)
     try:
-        dataset = prepare_delayed(frame, d_u, d_y, exo_channels, target_channel)
-        splits = split_indices(dataset.n_samples, ratios)
-        config = NarxConfig(d_u=d_u, d_y=d_y, n_hidden=n,
-                            n_exo=len(exo_channels))
-        report = train_with_restarts(config, dataset, splits, params, seed)
-        net = report.network
-        pred = forward_open(net, dataset)
-        err = pred - dataset.T
-        exo = {ch: frame.channel(ch)[dataset.first_usable_index:]
-               for ch in exo_channels}
-        if norm_spec is not None:
-            pred_price = norm_spec.invert_values(pred, target_channel)
-            targ_price = norm_spec.invert_values(dataset.T, target_channel)
-        else:
-            pred_price, targ_price = pred, dataset.T
-        diag = diagnose(pred_price, targ_price, err, exo,
-                        weights=net.flatten(), xi=params.xi,
-                        max_lag=max_lag, bias_mask=net.bias_mask(),
-                        penalize_biases=params.penalize_biases)
+        prep = prepare(frame, d_u, d_y, exo_channels, target_channel)
+        report = fit(prep, n, params, seed)
+        diag = evaluate_open(report.network, prep, xi=params.xi,
+                             penalize_biases=params.penalize_biases)
         row.performance = report.records[report.best_epoch].train_objective
         row.mse = diag.mse
         row.r_value = diag.r_value

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DelayedDataset, TimeSeriesFrame, fit_normalization, frame_from_columns
+from .data import (
+    DelayedDataset,
+    TimeSeriesFrame,
+    _delayed,
+    fit_normalization,
+    frame_from_columns,
+)
 from .errors import ValidationError
 from .network import NarxConfig, NarxNetwork, init_weights
 
@@ -22,17 +28,7 @@ def make_supervised(U: np.ndarray, y: np.ndarray, d_u, d_y) -> DelayedDataset:
     y = np.asarray(y, dtype=float)
     if U.shape[0] != y.shape[0]:
         raise ValidationError("U and y must have equal length")
-    d_u = tuple(sorted(d_u))
-    d_y = tuple(sorted(d_y))
-    max_lag = max(max(d_u), max(d_y))
-    ks = np.arange(max_lag, len(y))
-    X = np.column_stack([U[ks - lag, c] for c in range(U.shape[1]) for lag in d_u])
-    Y_hist = np.column_stack([y[ks - lag] for lag in d_y])
-    return DelayedDataset(
-        X=X, Y_hist=Y_hist, T=y[ks].copy(), d_u=d_u, d_y=d_y,
-        exo_channels=tuple(f"u{c}" for c in range(U.shape[1])),
-        target_channel="y", first_usable_index=max_lag,
-    )
+    return _delayed(U.T, y, d_u, d_y, tuple(f"u{c}" for c in range(U.shape[1])), "y")
 
 
 def drive_teacher(net: NarxNetwork, U: np.ndarray, seed: int | None = None,

@@ -12,8 +12,6 @@ import pytest
 
 from narxlm import cli
 from narxlm.data import (
-    fit_normalization,
-    apply_normalization,
     frame_from_columns,
     split_indices,
 )
@@ -166,13 +164,10 @@ def test_confidence_band_calibration():
 
 def test_sweep_structure():
     frame = _noisy_analogue()
-    spec = fit_normalization(frame, sorted(set(EXO) | {"close"}),
-                             fit_rows=int(0.7 * len(frame)))
-    norm_frame = apply_normalization(frame, spec)
     params = TrainParams(xi=1.0, epochs=60, restarts=2,
                          goal=1e-12, min_grad=1e-10)
     grid = SweepGrid(((0, 1), (5,)), ((1,),), (1, 5), params, seed=3)
-    rows = run_sweep(grid, norm_frame, EXO, "close", norm_spec=spec)
+    rows = run_sweep(grid, frame, EXO, "close")
     best = select_best(rows)
     n_fail = sum(1 for r in rows if not r.xcorr_within_bounds)
     ok = best.xcorr_within_bounds and n_fail >= 1

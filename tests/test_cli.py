@@ -125,6 +125,26 @@ class TestSimulate:
                        "--horizon", "5", "--out", str(tmp_path / "simx")])
         assert rc == cli.EXIT_MISMATCH
 
+    @pytest.mark.parametrize("horizon", ["500", "220"])
+    def test_horizon_beyond_rows(self, trained_dir, data_csv, tmp_path, capsys,
+                                 horizon):
+        out = tmp_path / "sim_long"
+        rc = cli.main(["simulate", "--csv", data_csv,
+                       "--model", os.path.join(trained_dir, cli.MODEL_FILE),
+                       "--horizon", horizon, "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"horizon {horizon} exceeds the 219 rows after 1 priming row\n" in err
+        assert not out.exists()
+
+    def test_horizon_of_every_row_after_priming(self, trained_dir, data_csv, tmp_path):
+        out = tmp_path / "sim_all"
+        rc = cli.main(["simulate", "--csv", data_csv,
+                       "--model", os.path.join(trained_dir, cli.MODEL_FILE),
+                       "--horizon", "219", "--out", str(out)])
+        assert rc == 0
+        assert len((out / cli.PREDICTIONS_FILE).read_text().splitlines()) == 220
+
 
 class TestEval:
     def test_accepted_model_exit_zero(self, trained_dir, data_csv, tmp_path):
@@ -226,6 +246,18 @@ class TestSweep:
             rows = json.load(fh)
         assert [r["d_u"] for r in rows] == [[0, 1], [2, 3]]
 
+    def test_row_equals_train(self, tmp_path):
+        # a sweep point is normalized, fitted and scored as `train` does it
+        csv = tmp_path / "series.csv"
+        frame_to_csv(synthetic_ohlcv_frame(160, seed=1234, noise_std=0.02)[0], csv)
+        flags = ["--csv", str(csv), "--input-delays", "0:4", "--feedback-delays", "1",
+                 "--neurons", "3", "--epochs", "30", "--restarts", "2", "--seed", "7"]
+        assert cli.main(["sweep", "--out", str(tmp_path / "sweep"), *flags]) == 0
+        assert cli.main(["train", "--out", str(tmp_path / "train"), *flags]) == 0
+        (row,) = json.loads((tmp_path / "sweep" / cli.SWEEP_JSON_FILE).read_text())
+        diag = json.loads((tmp_path / "train" / cli.DIAGNOSTICS_FILE).read_text())
+        assert (row["mse"], row["r_value"]) == (diag["mse"], diag["r_value"])
+
     def test_empty_axis_usage_error(self, data_csv, tmp_path):
         rc = cli.main(["sweep", "--csv", data_csv,
                        "--out", str(tmp_path / "sweep3"),
@@ -262,6 +294,10 @@ class TestUsage:
         ("sweep", ["--neurons", "x"], cli.EXIT_VALIDATION, "bad neuron axis 'x'"),
         ("train", ["--seed", "-1"], cli.EXIT_USAGE, "--seed: must be >= 0, got -1"),
         ("sweep", ["--seed=-3"], cli.EXIT_USAGE, "--seed: must be >= 0, got -3"),
+        ("train", ["--input-delays", "0:100000000"], cli.EXIT_VALIDATION,
+         "lag 100000000 in '0:100000000' needs more than the 220 rows"),
+        ("sweep", ["--feedback-delays", "1,1:220"], cli.EXIT_VALIDATION,
+         "lag 220 in '1:220' needs more than the 220 rows"),
     ])
     def test_malformed_argument_message(self, data_csv, tmp_path, capsys,
                                         command, flags, code, message):

@@ -14,7 +14,6 @@ from narxlm.data import (
     apply_normalization,
     fit_normalization,
     frame_from_columns,
-    invert_normalization,
     load_ohlcv,
     parse_date,
     prepare_delayed,
@@ -328,7 +327,7 @@ class TestNormalization:
     def test_round_trip_on_sample(self, sample_frame):
         spec = fit_normalization(sample_frame, ["close", "volume"])
         norm = apply_normalization(sample_frame, spec)
-        back = invert_normalization(norm.close, spec, "close")
+        back = spec.invert_values(norm.close, "close")
         assert np.allclose(back, sample_frame.close, rtol=1e-12)
 
     def test_constant_channel_error(self):
@@ -343,7 +342,7 @@ class TestNormalization:
         with pytest.raises(KeyError):
             spec.apply_values([1.0], "open")
         with pytest.raises(KeyError):
-            invert_normalization([0.0], spec, "volume")
+            spec.invert_values([0.0], "volume")
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50).filter(
         lambda v: max(v) - min(v) > 1e-6))

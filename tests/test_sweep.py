@@ -1,9 +1,10 @@
-import numpy as np
+import tracemalloc
+
 import pytest
 
 from narxlm.data import fit_normalization, apply_normalization, prepare_delayed, split_indices
 from narxlm.diagnostics import diagnose
-from narxlm.errors import ValidationError
+from narxlm.errors import InsufficientDataError, ValidationError
 from narxlm.network import NarxConfig, forward_open
 from narxlm.sweep import SweepGrid, SweepRow, parse_lag_range, run_sweep, select_best
 from narxlm.synth import synthetic_ohlcv_frame
@@ -14,70 +15,85 @@ FAST = TrainParams(xi=1.0, epochs=30, restarts=2, goal=1e-10, min_grad=1e-10)
 
 
 @pytest.fixture(scope="module")
-def norm_frame():
-    frame, _ = synthetic_ohlcv_frame(160, seed=1234, noise_std=0.02)
-    spec = fit_normalization(frame, sorted(set(EXO) | {"close"}),
-                             fit_rows=int(0.7 * len(frame)))
-    return apply_normalization(frame, spec), spec
+def frame():
+    return synthetic_ohlcv_frame(160, seed=1234, noise_std=0.02)[0]
 
 
 class TestParseLagRange:
     def test_range(self):
-        assert parse_lag_range("0:1") == (0, 1)
-        assert parse_lag_range("2:5") == (2, 3, 4, 5)
+        assert parse_lag_range("0:1", 10) == (0, 1)
+        assert parse_lag_range("2:5", 10) == (2, 3, 4, 5)
 
     def test_singleton(self):
-        assert parse_lag_range("1") == (1,)
+        assert parse_lag_range("1", 10) == (1,)
 
     def test_bad_range(self):
         with pytest.raises(ValidationError):
-            parse_lag_range("5:2")
+            parse_lag_range("5:2", 10)
 
     @pytest.mark.parametrize("token", ["a", "", "3:", ":2", "1:2:3", "1.5", "0:x"])
     def test_not_integers(self, token):
         with pytest.raises(ValidationError, match="want an integer or a:b"):
-            parse_lag_range(token)
+            parse_lag_range(token, 10)
+
+    def test_upper_lag_bounded_by_rows(self):
+        assert parse_lag_range("0:9", 10)[-1] == 9
+        with pytest.raises(InsufficientDataError, match="10 rows"):
+            parse_lag_range("10", 10)
+
+    def test_huge_range_rejected_before_it_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InsufficientDataError, match="220 rows"):
+                parse_lag_range("0:100000000", 220)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRunSweep:
-    def test_singleton_grid_matches_direct_run(self, norm_frame):
-        frame, spec = norm_frame
+    def test_singleton_grid_matches_direct_run(self, frame):
         grid = SweepGrid(((0, 1),), ((1,),), (3,), FAST, seed=5)
-        rows = run_sweep(grid, frame, EXO, "close", norm_spec=spec)
+        rows = run_sweep(grid, frame, EXO, "close")
         assert len(rows) == 1
         row = rows[0]
 
-        ds = prepare_delayed(frame, (0, 1), (1,), EXO, "close")
-        splits = split_indices(ds.n_samples)
+        # normalization fitted on the rows up to the last training target
+        max_lag = 1
+        splits = split_indices(len(frame) - max_lag)
+        spec = fit_normalization(frame, sorted(set(EXO) | {"close"}),
+                                 fit_rows=max_lag + len(splits[0]))
+        norm = apply_normalization(frame, spec)
+        ds = prepare_delayed(norm, (0, 1), (1,), EXO, "close")
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=4)
         report = train_with_restarts(config, ds, splits, FAST, 5)
         pred = forward_open(report.network, ds)
-        exo = {ch: frame.channel(ch)[ds.first_usable_index:] for ch in EXO}
+        exo = {ch: norm.channel(ch)[ds.first_usable_index:] for ch in EXO}
         diag = diagnose(spec.invert_values(pred, "close"),
                         spec.invert_values(ds.T, "close"),
                         pred - ds.T, exo, weights=report.network.flatten(),
-                        xi=FAST.xi)
+                        xi=FAST.xi, bias_mask=report.network.bias_mask())
         assert row.performance == report.records[report.best_epoch].train_objective
-        assert row.r_value == pytest.approx(diag.r_value, rel=1e-12)
+        assert row.mse == diag.mse
+        assert row.r_value == diag.r_value
         assert row.xcorr_within_bounds == diag.xcorr_within_bounds
         assert not row.diverged
 
-    def test_deterministic_and_complete(self, norm_frame):
-        frame, spec = norm_frame
+    def test_deterministic_and_complete(self, frame):
         grid = SweepGrid(((0, 1), (1,)), ((1,),), (2, 3), FAST, seed=6)
-        a = run_sweep(grid, frame, EXO, "close", norm_spec=spec)
-        b = run_sweep(grid, frame, EXO, "close", norm_spec=spec)
+        a = run_sweep(grid, frame, EXO, "close")
+        b = run_sweep(grid, frame, EXO, "close")
         assert len(a) == len(grid.points()) == 4
         for ra, rb in zip(a, b):
             assert (ra.d_u, ra.d_y, ra.n_hidden) == (rb.d_u, rb.d_y, rb.n_hidden)
             assert ra.performance == rb.performance
             assert ra.r_value == rb.r_value
 
-    def test_parallel_jobs_match_serial(self, norm_frame):
-        frame, spec = norm_frame
+    def test_parallel_jobs_match_serial(self, frame):
         grid = SweepGrid(((0, 1),), ((1,),), (2, 3), FAST, seed=7)
-        serial = run_sweep(grid, frame, EXO, "close", norm_spec=spec, jobs=1)
-        parallel = run_sweep(grid, frame, EXO, "close", norm_spec=spec, jobs=2)
+        serial = run_sweep(grid, frame, EXO, "close", jobs=1)
+        parallel = run_sweep(grid, frame, EXO, "close", jobs=2)
         for rs, rp in zip(serial, parallel):
             assert rs.performance == rp.performance
             assert rs.r_value == rp.r_value
