@@ -39,18 +39,25 @@ _COLUMN_ALIASES = {
 
 _REQUIRED = ("date", "open", "high", "low", "close", "volume")
 
+_INT64_RANGE = range(-2**63, 2**63)
+
 
 def parse_date(token: str) -> int:
     """Parse a date cell to an integer day index.
 
-    Plain integers pass through; ISO-8601 dates map to their proleptic
-    Gregorian ordinal so consecutive calendar days are consecutive integers.
+    Plain integers pass through if they fit in int64; ISO-8601 dates map to
+    their proleptic Gregorian ordinal so consecutive calendar days are
+    consecutive integers.
     """
     token = token.strip()
     try:
-        return int(token)
+        day = int(token)
     except ValueError:
         pass
+    else:
+        if day not in _INT64_RANGE:
+            raise DataFormatError(f"date {token!r} out of range")
+        return day
     try:
         return _dt.date.fromisoformat(token).toordinal()
     except ValueError as exc:
@@ -84,7 +91,8 @@ class TimeSeriesFrame:
         for name in CHANNELS:
             if len(getattr(self, name)) != n:
                 raise ValidationError(f"channel {name!r} length mismatch")
-        if n > 1 and not np.all(np.diff(self.timesteps) > 0):
+        # compared, not subtracted: a difference of int64 days can overflow
+        if n > 1 and not np.all(self.timesteps[1:] > self.timesteps[:-1]):
             raise ValidationError("timesteps must be strictly increasing")
 
     def validate_prices(self) -> "TimeSeriesFrame":
@@ -137,7 +145,9 @@ def frame_from_columns(timesteps, open, high, low, volume, close, adj_close=None
 
 def _split_lines(text: str) -> list:
     """The lines of ``text``; a line ends at LF, CRLF or a lone CR, as in csv."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def _csv_rows(path, lines):
@@ -190,6 +200,34 @@ def _bad_cell(path, lines, date_pos, cols, exc) -> DataFormatError:
     return DataFormatError(f"{path}: {exc}")
 
 
+def _bulk_dates(lines, date_pos):
+    """The date cell of every unquoted line as int64, or None if one is not.
+
+    A cell that ``int()`` rejects (an ISO date, a bad date) or that does not
+    fit in int64 gives None, and so does a blank row, which has no date.
+    """
+    try:
+        tokens = [line.split(",", date_pos + 1)[date_pos] for line in lines]
+        return np.fromiter(map(int, tokens), np.int64, count=len(tokens))
+    except (IndexError, ValueError, OverflowError):
+        return None
+
+
+def _row_dates(path, lines, date_pos, cols):
+    """(dates, CSV row numbers) of the rows that are not blank, row by row."""
+    rows = _csv_rows(path, lines)
+    next(rows)
+    dates, linenos = [], []
+    try:
+        for lineno, cells in rows:
+            if "".join(cells).strip():
+                dates.append(parse_date(cells[date_pos]))
+                linenos.append(lineno)
+    except (DataFormatError, IndexError) as exc:
+        raise _bad_cell(path, lines, date_pos, cols, exc) from exc
+    return np.array(dates, dtype=np.int64), linenos
+
+
 def load_ohlcv(path) -> TimeSeriesFrame:
     """Read an OHLCV CSV into a frame sorted by ascending date.
 
@@ -199,8 +237,13 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     quoted with ``"``, but a quoted cell may not span lines.  Rows whose
     cells are all blank are skipped.  Every ``DataFormatError`` names the
     file, and one in a row (a bad or non-finite cell, a byte that is not
-    UTF-8) names its CSV row, counting the header as row 1.  So does the
-    ``ValidationError`` for a negative volume or a high below the low.
+    UTF-8, an integer date outside int64) names its CSV row, counting the
+    header as row 1.  So does the ``ValidationError`` for a negative volume
+    or a high below the low, and the one for a repeated date names both rows.
+
+    A file with no ``"``, no blank row and only integer dates that fit in
+    int64 is read in one pass, its dates converted in bulk.  Any other file
+    (a quote, a blank row, an ISO or bad date) is read row by row.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -212,9 +255,10 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     if not text:
         raise DataFormatError(f"{path}: empty file")
     lines = _split_lines(text)
+    if len(lines) > 1 and not lines[-1]:
+        del lines[-1]  # the line break that ends the last row
 
-    rows = _csv_rows(path, lines)
-    _, header = next(rows)
+    _, header = next(_csv_rows(path, lines[:1]))
     colmap = {}
     for pos, name in enumerate(header):
         key = name.strip().lower().replace(" ", "").replace("_", "").replace("-", "")
@@ -228,18 +272,15 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     names = ("open", "high", "low", "volume", "close", "adj_close")
     cols = [colmap.get(ch, colmap["close"]) for ch in names]
     date_pos = colmap["date"]
-    dates, linenos = [], []
-    try:
-        for lineno, cells in rows:
-            if "".join(cells).strip():
-                dates.append(parse_date(cells[date_pos]))
-                linenos.append(lineno)
-    except (DataFormatError, IndexError) as exc:
-        raise _bad_cell(path, lines, date_pos, cols, exc) from exc
+    body, linenos = lines[1:], range(2, len(lines) + 1)
+    dates = None if '"' in text else _bulk_dates(body, date_pos)
+    if dates is None:
+        dates, linenos = _row_dates(path, lines, date_pos, cols)
+        body = [lines[i - 1] for i in linenos]
     if not linenos:
         raise DataFormatError(f"{path}: no data rows")
     try:
-        values = _parse_values([lines[i - 1] for i in linenos], cols)
+        values = _parse_values(body, cols)
     except ValueError as exc:
         raise _bad_cell(path, lines, date_pos, cols, exc) from exc
     finite = np.isfinite(values)
@@ -252,8 +293,16 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     if broken:
         raise ValidationError(f"{path}: {broken[0]} on row {linenos[broken[1]]}")
     order = np.argsort(dates, kind="stable")
+    dates = dates[order]
+    repeats = np.flatnonzero(dates[1:] == dates[:-1])
+    if repeats.size:
+        k = repeats[0]  # the stable sort keeps the earlier row first
+        row = linenos[order[k + 1]]
+        _, cells = next(_csv_rows(path, lines[row - 1:row]))
+        raise ValidationError(f"{path}: date {cells[date_pos].strip()} on row {row}"
+                              f" repeats row {linenos[order[k]]}")
     columns = np.ascontiguousarray(values[order].T)
-    return frame_from_columns(np.asarray(dates)[order], *columns)
+    return frame_from_columns(dates, *columns)
 
 
 @dataclass(frozen=True)

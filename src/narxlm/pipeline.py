@@ -17,6 +17,7 @@ from .data import (
     DelayedDataset,
     NormalizationSpec,
     TimeSeriesFrame,
+    _check_lags,
     apply_normalization,
     fit_normalization,
     prepare_delayed,
@@ -48,7 +49,8 @@ def prepare(raw_frame: TimeSeriesFrame, d_u, d_y,
     the training block; a given spec (a saved model's) is applied as is.
     """
     exo_channels = tuple(exo_channels)
-    max_lag = max(max(d_u), max(d_y))
+    d_u, d_y = _check_lags(d_u, d_y)
+    max_lag = max(d_u[-1], d_y[-1])
     n_samples = len(raw_frame) - max_lag
     if n_samples < 3:
         raise InsufficientDataError("too few rows for the requested lags")

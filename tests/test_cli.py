@@ -413,7 +413,8 @@ def _run_quietly(argv):
 
 GOOD_CSV_ROWS = [f"{day},20.5,21,20,20.{day % 10},{1000 + day}" for day in range(1, 41)]
 BAD_CELLS = ["", "nan", "inf", "-inf", "1e999", "abc", "--", "0x1"]
-BAD_DATES = ["Jan 2", "2010-02-30", "2010/01/04", "1.5", " "]
+BAD_DATES = ["Jan 2", "2010-02-30", "2010/01/04", "1.5", " ",
+             "99999999999999999999", "-9223372036854775809"]
 MALFORMED_EXITS = {cli.EXIT_IO, cli.EXIT_VALIDATION, cli.EXIT_MISMATCH}
 
 

@@ -3,12 +3,14 @@ import datetime
 import os
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from narxlm import data
 from narxlm.data import (
     CHANNELS,
     apply_normalization,
@@ -21,6 +23,7 @@ from narxlm.data import (
 )
 from narxlm.data import _COLUMN_ALIASES
 from narxlm.errors import DataFormatError, InsufficientDataError, ValidationError
+from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
 
 from conftest import random_frame
 
@@ -128,9 +131,14 @@ class TestLoadOhlcv:
 
     def test_parse_date_forms(self):
         assert parse_date("734506") == 734506
+        assert parse_date(" -5 ") == -5
         assert parse_date("2010-01-05") - parse_date("2010-01-04") == 1
         with pytest.raises(DataFormatError):
             parse_date("Jan 4 2010")
+        with pytest.raises(DataFormatError, match="unparseable date '5-'"):
+            parse_date("5-")
+        with pytest.raises(DataFormatError, match="out of range"):
+            parse_date(str(2**63))
 
     def test_bad_date_names_row(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -148,6 +156,41 @@ class TestLoadOhlcv:
             "Date,Open,High,Low,Close,Volume\n"
             "1,1,2,0.5,1.5,100\n2,1,2,0.5,x,100\nJan 3,1,2,0.5,1.5,100\n")
         with pytest.raises(DataFormatError, match="row 3: .*'x'"):
+            load_ohlcv(p)
+
+    @pytest.mark.parametrize("date", ["99999999999999999999", "-9223372036854775809"])
+    def test_date_beyond_int64_names_row(self, tmp_path, date):
+        p = tmp_path / "bad.csv"
+        p.write_text("Date,Open,High,Low,Close,Volume\n"
+                     f"1,1,2,0.5,1.5,100\n{date},1,2,0.5,1.5,100\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{p}: bad cell on row 3: date '{date}' out of range")):
+            load_ohlcv(p)
+
+    def test_int64_extreme_dates_load(self, tmp_path):
+        p = tmp_path / "wide.csv"
+        p.write_text("Date,Open,High,Low,Close,Volume\n"
+                     "9223372036854775807,1,2,0.5,1.5,100\n"
+                     "-9223372036854775808,1,2,0.5,1.5,100\n")
+        assert list(load_ohlcv(p).timesteps) == [-2**63, 2**63 - 1]
+
+    @pytest.mark.parametrize("dates", [
+        ["9", "5", "7", "5", "5"],
+        ["1970-01-09", "1970-01-05", "1970-01-07", "1970-01-05", "1970-01-05"],
+    ], ids=["integer", "iso"])
+    def test_repeated_date_names_both_rows(self, tmp_path, dates):
+        p = tmp_path / "dup.csv"
+        p.write_text("Date,Open,High,Low,Close,Volume\n"
+                     + "".join(f"{d},1,2,0.5,1.5,100\n" for d in dates))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{p}: date {dates[1]} on row 5 repeats row 3") + "$"):
+            load_ohlcv(p)
+
+    def test_repeated_date_after_blank_row_names_csv_rows(self, tmp_path):
+        p = tmp_path / "dup.csv"
+        p.write_text("Date,Open,High,Low,Close,Volume\n"
+                     '4,1,2,0.5,1.5,100\n\n"2",1,2,0.5,1.5,100\n" 4",1,2,0.5,1.5,100\n')
+        with pytest.raises(ValidationError, match=r"date 4 on row 5 repeats row 2$"):
             load_ohlcv(p)
 
     @pytest.mark.parametrize("row", [
@@ -218,8 +261,11 @@ def reference_load_ohlcv(path):
     return frame_from_columns(np.asarray(dates)[order], *columns).validate_prices()
 
 
-FLOAT_FORMATS = [repr, "{:.6g}".format, "{:.4e}".format, "{:.2f}".format, "{:.17g}".format]
+FLOAT_FORMATS = [repr, "{:.6g}".format, "{:.4e}".format, "{:.2f}".format, "{:.17g}".format,
+                 "{:.0f}".format]
 BLANK_ROWS = ["", "   ", ",,,", " , ,\t", '"",""']
+QUOTED_NOTES = ['"a, b"', '"say ""hi"""']
+PLAIN_NOTES = ["x", ""]
 HEADER_NAMES = {
     "date": ["Date", "date", "Timestep"],
     "open": ["Open", "OPEN"],
@@ -239,6 +285,8 @@ def valid_ohlcv_csv(draw):
     ordinals = draw(st.lists(st.integers(700000, 740000), min_size=n, max_size=n,
                              unique=True))
     iso = draw(st.booleans())
+    # no quote and no blank row: the layout load_ohlcv reads in one pass
+    plain = draw(st.booleans())
     fmt = draw(st.sampled_from(FLOAT_FORMATS))
     columns = ["date", "open", "high", "low", "close", "volume"]
     if draw(st.booleans()):
@@ -257,16 +305,16 @@ def valid_ohlcv_csv(draw):
             "volume": fmt(draw(st.floats(0, 1e9))),
             "adj_close": fmt(draw(price)),
             "ticker": "INTC",
-            "note": draw(st.sampled_from(['"a, b"', "x", "", '"say ""hi"""'])),
+            "note": draw(st.sampled_from(PLAIN_NOTES if plain else QUOTED_NOTES + PLAIN_NOTES)),
         }
         row = []
         for name in columns:
             cell = cells[name]
             if name not in ("ticker", "note") and draw(st.booleans()):
-                cell = f'"{cell}"' if draw(st.booleans()) else f" {cell} "
+                cell = f" {cell} " if plain or draw(st.booleans()) else f'"{cell}"'
             row.append(cell)
         rows.append(",".join(row))
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(0 if plain else draw(st.integers(0, 3))):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BLANK_ROWS)))
     header = ",".join(draw(st.sampled_from(HEADER_NAMES.get(c, [c.title()])))
                       for c in columns)
@@ -274,20 +322,57 @@ def valid_ohlcv_csv(draw):
     return newline.join([header] + rows) + draw(st.sampled_from(["", newline]))
 
 
+def _load_watching_route(path):
+    """load_ohlcv(path), and whether it read the file row by row."""
+    with mock.patch.object(data, "_row_dates", wraps=data._row_dates) as row_dates:
+        frame = load_ohlcv(path)
+    return frame, row_dates.called
+
+
+def _assert_same_frame(got, want):
+    for ch in ("timesteps",) + CHANNELS:
+        a, b = getattr(got, ch), getattr(want, ch)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), ch
+        assert a.flags.c_contiguous
+
+
 class TestReferenceLoader:
     @given(text=valid_ohlcv_csv())
-    @settings(max_examples=100, deadline=None)
+    # about half the examples are plain, so twice the parent's 100 keeps the
+    # quoted and blank-row layouts at about as many examples as before
+    @settings(max_examples=200, deadline=None)
     def test_matches_reference_loader(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "prices.csv")
             with open(path, "wb") as fh:
                 fh.write(text.encode("utf-8"))
-            got, want = load_ohlcv(path), reference_load_ohlcv(path)
-        for ch in ("timesteps",) + CHANNELS:
-            a, b = getattr(got, ch), getattr(want, ch)
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes(), ch
-            assert a.flags.c_contiguous
+            frame, row_by_row = _load_watching_route(path)
+            event("route: row by row" if row_by_row else "route: one pass")
+            _assert_same_frame(frame, reference_load_ohlcv(path))
+
+    def test_date_after_integer_cells_matches_reference_loader(self, tmp_path):
+        # an integer cell before the date must not be read as the date
+        path = tmp_path / "prices.csv"
+        path.write_text("Volume,Open,Date,High,Low,Close\n"
+                        "300,21,9,22,20,21\n100,20,3,21,19,20\n200,22,6,23,21,22\n")
+        frame, row_by_row = _load_watching_route(path)
+        assert not row_by_row
+        assert list(frame.timesteps) == [3, 6, 9]
+        _assert_same_frame(frame, reference_load_ohlcv(path))
+
+    @pytest.mark.parametrize("iso", [False, True], ids=["integer", "iso"])
+    def test_benchmark_sized_file_matches_reference_loader(self, tmp_path, iso):
+        path = tmp_path / "prices.csv"
+        frame_to_csv(synthetic_ohlcv_frame(5000, seed=16, noise_std=0.01)[0], path)
+        if iso:
+            rows = [line.split(",", 1) for line in path.read_text().splitlines()]
+            path.write_text("\n".join([",".join(rows[0])] + [
+                datetime.date.fromordinal(int(day)).isoformat() + "," + rest
+                for day, rest in rows[1:]]) + "\n")
+        frame, row_by_row = _load_watching_route(path)
+        assert row_by_row == iso  # ISO dates are parsed one row at a time
+        _assert_same_frame(frame, reference_load_ohlcv(path))
 
 
 class TestNormalization:

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from narxlm.data import apply_normalization, fit_normalization, prepare_delayed, split_indices
+from narxlm.errors import ValidationError
 from narxlm.pipeline import prepare
 from narxlm.synth import synthetic_ohlcv_frame
 
@@ -22,3 +24,10 @@ def test_prepare_applies_a_given_spec_without_refitting():
         (ds.d_u, ds.d_y, ds.first_usable_index)
     for got, want in zip(prep.splits, split_indices(ds.n_samples), strict=True):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d_u, d_y", [((), (1,)), ((0,), ())])
+def test_prepare_rejects_an_empty_lag_set(d_u, d_y):
+    frame, _ = synthetic_ohlcv_frame(40, seed=1234, noise_std=0.02)
+    with pytest.raises(ValidationError, match="lag sets must be non-empty"):
+        prepare(frame, d_u, d_y)
