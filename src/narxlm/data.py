@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,21 +41,19 @@ _COLUMN_ALIASES = {
 _REQUIRED = ("date", "open", "high", "low", "close", "volume")
 
 _INT64_RANGE = range(-2**63, 2**63)
+_INTEGER_DATE = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_date(token: str) -> int:
     """Parse a date cell to an integer day index.
 
-    Plain integers pass through if they fit in int64; ISO-8601 dates map to
-    their proleptic Gregorian ordinal so consecutive calendar days are
-    consecutive integers.
+    Plain integers (``[+-]?[0-9]+``, no ``_`` and no non-ASCII digit) pass
+    through if they fit in int64; ISO-8601 dates map to their proleptic
+    Gregorian ordinal so consecutive calendar days are consecutive integers.
     """
     token = token.strip()
-    try:
+    if _INTEGER_DATE.fullmatch(token):
         day = int(token)
-    except ValueError:
-        pass
-    else:
         if day not in _INT64_RANGE:
             raise DataFormatError(f"date {token!r} out of range")
         return day
@@ -204,12 +203,20 @@ def _bulk_dates(lines, date_pos):
     """The date cell of every unquoted line as int64, or None if one is not.
 
     A cell that ``int()`` rejects (an ISO date, a bad date) or that does not
-    fit in int64 gives None, and so does a blank row, which has no date.
+    fit in int64 gives None, and so does a blank row, which has no date.  So
+    does any date cell with a ``_`` or a non-ASCII character, which ``int()``
+    takes (``1_0``, Arabic-Indic digits) and ``parse_date`` does not.
     """
     try:
         tokens = [line.split(",", date_pos + 1)[date_pos] for line in lines]
+    except IndexError:
+        return None
+    joined = "".join(tokens)
+    if not joined.isascii() or "_" in joined:
+        return None
+    try:
         return np.fromiter(map(int, tokens), np.int64, count=len(tokens))
-    except (IndexError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         return None
 
 
@@ -241,9 +248,10 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     header as row 1.  So does the ``ValidationError`` for a negative volume
     or a high below the low, and the one for a repeated date names both rows.
 
-    A file with no ``"``, no blank row and only integer dates that fit in
-    int64 is read in one pass, its dates converted in bulk.  Any other file
-    (a quote, a blank row, an ISO or bad date) is read row by row.
+    A file with no ``"`` below its header, no blank row and only integer
+    dates that fit in int64 is read in one pass, its dates converted in
+    bulk.  Any other file (a quoted cell, a blank row, an ISO or bad date)
+    is read row by row.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -273,7 +281,8 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     cols = [colmap.get(ch, colmap["close"]) for ch in names]
     date_pos = colmap["date"]
     body, linenos = lines[1:], range(2, len(lines) + 1)
-    dates = None if '"' in text else _bulk_dates(body, date_pos)
+    # a quoted header (as some exporters write) keeps the body on one pass
+    dates = None if text.find('"', len(lines[0])) >= 0 else _bulk_dates(body, date_pos)
     if dates is None:
         dates, linenos = _row_dates(path, lines, date_pos, cols)
         body = [lines[i - 1] for i in linenos]

@@ -251,22 +251,33 @@ class ClosedLoopNarx:
     def simulate(self, primer_y, primer_exo, exo_future) -> np.ndarray:
         """Roll the network forward for H = len(exo_future) steps.
 
-        primer_y: trailing true targets, at least max(d_y) values.
+        primer_y: 1-D trailing true targets, at least max(d_y) values.
         primer_exo: trailing exogenous rows (width n_exo, channel order as in
             the training dataset), at least max(d_u) rows.
-        exo_future: (H, n_exo) true exogenous rows for the horizon.
+        exo_future: (H, n_exo) true exogenous rows for the horizon; a 1-D
+            (H,) array when n_exo == 1, or an empty sequence for H = 0.
 
         The exogenous taps of every step are known up front, so their hidden
         drive X @ W_ih.T + b_h for the whole horizon is one (H, N) matmul over
         a tap matrix built with one index; only the |d_y|-wide feedback
-        through W_yh runs step by step.
+        through W_yh runs step by step.  Step t adds the feedback product of
+        the last max(d_y) outputs to drive[t] in one (N,) hidden buffer,
+        applies tanh there in place and writes the output unit's dot product
+        into the output history.  The buffer is allocated once per call; the
+        one array a step creates is the (N,) feedback product that ``dot``
+        returns (a ``dot(..., out=)`` into a second buffer measured slower).
         """
         c = self.config
         net = self.net
         primer_y = np.asarray(primer_y, dtype=float)
+        if primer_y.ndim != 1:
+            raise ShapeError(f"primer_y shape {primer_y.shape} is not 1-D")
         primer_exo = np.atleast_2d(np.asarray(primer_exo, dtype=float))
-        exo_future = np.asarray(exo_future, dtype=float).reshape(-1, c.n_exo) \
-            if np.size(exo_future) else np.zeros((0, c.n_exo))
+        exo_future = np.asarray(exo_future, dtype=float)
+        if exo_future.ndim == 1 and (c.n_exo == 1 or not exo_future.size):
+            exo_future = exo_future.reshape(-1, c.n_exo)
+        if exo_future.ndim != 2 or exo_future.shape[1] != c.n_exo:
+            raise ShapeError(f"exo_future shape {exo_future.shape} != (H, {c.n_exo})")
         max_dy = max(c.d_y)
         max_du = max(c.d_u)
         if len(primer_y) < max_dy:
@@ -292,7 +303,12 @@ class ClosedLoopNarx:
         W_fb[max_dy - np.asarray(c.d_y)] = net.W_yh.T
         y = np.empty(max_dy + H)
         y[:max_dy] = primer_y[len(primer_y) - max_dy:]
+        # locals and ndarray.dot: on (N,) arrays a step is mostly call
+        # overhead, which `@` and attribute lookups add to
+        W_ho, b_o, add, tanh = net.W_ho, net.b_o, np.add, np.tanh
+        a = np.empty(c.n_hidden)
         for t in range(H):
-            a = np.tanh(drive[t] + y[t:t + max_dy] @ W_fb)
-            y[max_dy + t] = a @ net.W_ho + net.b_o
+            add(drive[t], y[t:t + max_dy].dot(W_fb), out=a)
+            tanh(a, out=a)
+            y[max_dy + t] = a.dot(W_ho) + b_o
         return y[max_dy:]

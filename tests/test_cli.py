@@ -390,6 +390,10 @@ class TestInputValidation:
         (b"1,1,2,0.5,1.5,100\n2,1,2,0.5,1.5,1\xff0\n", "row 3 is not UTF-8"),
         (b"1,1,2,0.5,1.5,100\nJan 2,1,2,0.5,1.5,100\n",
          "bad cell on row 3: unparseable date 'Jan 2'"),
+        (b"1,1,2,0.5,1.5,100\n1_0,1,2,0.5,1.5,100\n",
+         "bad cell on row 3: unparseable date '1_0'"),
+        ("1,1,2,0.5,1.5,100\n\u0661\u0662,1,2,0.5,1.5,100\n".encode(),
+         "bad cell on row 3: unparseable date '\u0661\u0662'"),
     ])
     def test_undecodable_or_bad_date_names_path_and_row(self, tmp_path, capsys,
                                                          body, message):

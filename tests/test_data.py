@@ -132,6 +132,7 @@ class TestLoadOhlcv:
     def test_parse_date_forms(self):
         assert parse_date("734506") == 734506
         assert parse_date(" -5 ") == -5
+        assert parse_date("+5") == 5
         assert parse_date("2010-01-05") - parse_date("2010-01-04") == 1
         with pytest.raises(DataFormatError):
             parse_date("Jan 4 2010")
@@ -139,6 +140,10 @@ class TestLoadOhlcv:
             parse_date("5-")
         with pytest.raises(DataFormatError, match="out of range"):
             parse_date(str(2**63))
+        # int() takes both; a date cell is [+-]?[0-9]+ or ISO-8601
+        for token in ("1_0", "\u0661\u0662"):
+            with pytest.raises(DataFormatError, match=f"unparseable date '{token}'"):
+                parse_date(token)
 
     def test_bad_date_names_row(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -148,6 +153,24 @@ class TestLoadOhlcv:
         with pytest.raises(DataFormatError,
                            match=r"bad\.csv: bad cell on row 4: unparseable date 'Jan 2'"):
             load_ohlcv(p)
+
+    @pytest.mark.parametrize("date", ["1_0", "\u0661\u0662"], ids=["underscore", "arabic-indic"])
+    def test_non_standard_integer_date_names_row(self, tmp_path, date):
+        # int() takes both, on the one-pass route as on the row-by-row one
+        p = tmp_path / "bad.csv"
+        p.write_text("Date,Open,High,Low,Close,Volume\n"
+                     f"1,1,2,0.5,1.5,100\n{date},1,2,0.5,1.5,100\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{p}: bad cell on row 3: unparseable date '{date}'")):
+            load_ohlcv(p)
+
+    @pytest.mark.parametrize("dates", [[" -5 ", "+5"], ["2010-01-04", " 2010-01-05 "]],
+                             ids=["integer", "iso"])
+    def test_signed_padded_and_iso_dates_load(self, tmp_path, dates):
+        p = tmp_path / "dates.csv"
+        p.write_text("Date,Open,High,Low,Close,Volume\n"
+                     + "".join(f"{d},1,2,0.5,1.5,100\n" for d in dates))
+        assert list(load_ohlcv(p).timesteps) == [parse_date(d) for d in dates]
 
     def test_first_bad_cell_wins(self, tmp_path):
         # a bad value comes before a bad date; the value's row is named
@@ -293,6 +316,7 @@ def valid_ohlcv_csv(draw):
         columns.append("adj_close")
     columns += draw(st.lists(st.sampled_from(["ticker", "note"]), max_size=2))
     columns = draw(st.permutations(columns))
+    quoted_header = draw(st.booleans())
     rows = []
     for day in ordinals:
         low = draw(price)
@@ -316,8 +340,8 @@ def valid_ohlcv_csv(draw):
         rows.append(",".join(row))
     for _ in range(0 if plain else draw(st.integers(0, 3))):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BLANK_ROWS)))
-    header = ",".join(draw(st.sampled_from(HEADER_NAMES.get(c, [c.title()])))
-                      for c in columns)
+    header = [draw(st.sampled_from(HEADER_NAMES.get(c, [c.title()]))) for c in columns]
+    header = ",".join(f'"{name}"' if quoted_header else name for name in header)
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join([header] + rows) + draw(st.sampled_from(["", newline]))
 
@@ -359,6 +383,23 @@ class TestReferenceLoader:
         frame, row_by_row = _load_watching_route(path)
         assert not row_by_row
         assert list(frame.timesteps) == [3, 6, 9]
+        _assert_same_frame(frame, reference_load_ohlcv(path))
+
+    def test_quoted_header_keeps_one_pass(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        frame_to_csv(synthetic_ohlcv_frame(300, seed=16, noise_std=0.01)[0], path)
+        header, body = path.read_text().split("\n", 1)
+        quoted = ",".join(f'"{name}"' for name in header.split(","))
+        path.write_text(quoted + "\n" + body)
+        frame, row_by_row = _load_watching_route(path)
+        assert not row_by_row
+        _assert_same_frame(frame, reference_load_ohlcv(path))
+
+        # a quote in the body still sends the file row by row
+        first, rest = body.split(",", 1)
+        path.write_text(quoted + "\n" + f'"{first}",' + rest)
+        frame, row_by_row = _load_watching_route(path)
+        assert row_by_row
         _assert_same_frame(frame, reference_load_ohlcv(path))
 
     @pytest.mark.parametrize("iso", [False, True], ids=["integer", "iso"])

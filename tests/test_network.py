@@ -1,8 +1,11 @@
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from narxlm import pipeline
 from narxlm.errors import InsufficientDataError, ShapeError, ValidationError
 from narxlm.network import (
     ClosedLoopNarx,
@@ -12,7 +15,7 @@ from narxlm.network import (
     init_weights,
     jacobian,
 )
-from narxlm.synth import drive_teacher, make_supervised
+from narxlm.synth import drive_teacher, make_supervised, synthetic_ohlcv_frame
 
 
 def scalar_prediction(net, u_rows, y_hist, k):
@@ -67,6 +70,40 @@ def reference_jacobian(net, dataset):
         np.ones((S, 1)),
     ], axis=1)
     return J, F
+
+
+def reference_simulate(evaluator, primer_y, primer_exo, exo_future):
+    """ClosedLoopNarx.simulate as it was with one fresh hidden array per step.
+
+    Kept as the reference that the rewritten feedback loop must match bit for
+    bit; it takes the evaluator as its first argument so that it can also
+    stand in for the method.
+    """
+    c, net = evaluator.config, evaluator.net
+    primer_y = np.asarray(primer_y, dtype=float)
+    primer_exo = np.atleast_2d(np.asarray(primer_exo, dtype=float))
+    exo_future = np.asarray(exo_future, dtype=float).reshape(-1, c.n_exo) \
+        if np.size(exo_future) else np.zeros((0, c.n_exo))
+    max_dy, max_du = max(c.d_y), max(c.d_u)
+    H = len(exo_future)
+    exo = np.concatenate([primer_exo[len(primer_exo) - max_du:], exo_future])
+    rows = (max_du + np.arange(H))[:, None] - np.asarray(c.d_u)
+    X = exo[rows].transpose(0, 2, 1).reshape(H, c.n_input_taps)
+    drive = X @ net.W_ih.T + net.b_h
+    W_fb = np.zeros((max_dy, c.n_hidden))
+    W_fb[max_dy - np.asarray(c.d_y)] = net.W_yh.T
+    y = np.empty(max_dy + H)
+    y[:max_dy] = primer_y[len(primer_y) - max_dy:]
+    for t in range(H):
+        a = np.tanh(drive[t] + y[t:t + max_dy] @ W_fb)
+        y[max_dy + t] = a @ net.W_ho + net.b_o
+    return y[max_dy:]
+
+
+def _lags(rng, first, n):
+    """n sorted distinct lags from first upward, gaps likely."""
+    return tuple(sorted(int(v) for v in
+                        rng.choice(np.arange(first, first + 6), size=n, replace=False)))
 
 
 class TestInit:
@@ -323,6 +360,68 @@ class TestClosedLoop:
         with pytest.raises(InsufficientDataError):
             ClosedLoopNarx(net).simulate([0.1], np.zeros((0, 1)),
                                          np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("horizon", [0, 1, 60, 250])
+    def test_matches_reference_loop(self, horizon):
+        rng = np.random.default_rng(70 + horizon)
+        for _ in range(30):
+            config = NarxConfig(d_u=_lags(rng, 0, int(rng.integers(1, 4))),
+                                d_y=_lags(rng, 1, int(rng.integers(1, 4))),
+                                n_hidden=int(rng.integers(1, 23)),
+                                n_exo=int(rng.integers(1, 6)))
+            ev = ClosedLoopNarx(init_weights(config, int(rng.integers(1 << 30))))
+            primer_y = rng.uniform(-1.0, 1.0, size=max(config.d_y) + 2)
+            primer_exo = rng.uniform(-1.0, 1.0, size=(max(config.d_u) + 1, config.n_exo))
+            exo_future = rng.uniform(-1.0, 1.0, size=(horizon, config.n_exo))
+            got = ev.simulate(primer_y, primer_exo, exo_future)
+            assert np.array_equal(got, reference_simulate(ev, primer_y, primer_exo,
+                                                          exo_future)), config
+
+    def test_pipeline_matches_reference_loop_on_every_origin(self):
+        frame, _ = synthetic_ohlcv_frame(400, seed=29, noise_std=0.01)
+        prep = pipeline.prepare(frame, (0, 1), (1,))
+        net = init_weights(NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=22, n_exo=4), 3)
+        first = prep.dataset.first_usable_index
+        origins = [first + int(k) for k in np.concatenate(prep.splits[1:])
+                   if first + k + 60 <= len(frame)]
+        assert len(origins) > 50
+        for origin in origins:
+            _, got, _ = pipeline.simulate(net, prep, origin, 60)
+            with mock.patch.object(ClosedLoopNarx, "simulate", reference_simulate):
+                _, want, _ = pipeline.simulate(net, prep, origin, 60)
+            assert np.array_equal(got, want), origin
+
+    def test_one_dimensional_future_for_one_channel(self):
+        config = NarxConfig(d_u=(0, 2), d_y=(1, 3), n_hidden=4, n_exo=1)
+        ev = ClosedLoopNarx(init_weights(config, 5))
+        u = np.linspace(-1.0, 1.0, 9)
+        primer = [0.1, -0.2, 0.3]
+        assert np.array_equal(ev.simulate(primer, u[:2, None], u[2:]),
+                              ev.simulate(primer, u[:2, None], u[2:, None]))
+
+    @pytest.mark.parametrize("exo_future", [[], np.zeros(0), np.zeros((0, 4))],
+                             ids=["list", "1-D", "2-D"])
+    def test_empty_future_of_any_form(self, exo_future):
+        config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=2, n_exo=4)
+        preds = ClosedLoopNarx(init_weights(config, 0)).simulate(
+            [0.1], np.zeros((0, 4)), exo_future)
+        assert preds.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(60, 3), (7, 3), (60, 5), (60,), (2, 60, 4),
+                                       (0, 3)])
+    def test_future_of_wrong_width(self, shape):
+        # reshaped to (-1, 4), a (60, 3) array is a 45-step forecast on scrambled rows
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=4)
+        ev = ClosedLoopNarx(init_weights(config, 0))
+        with pytest.raises(ShapeError, match=re.escape(
+                f"exo_future shape {shape} != (H, 4)")):
+            ev.simulate([0.1], np.zeros((1, 4)), np.ones(shape))
+
+    def test_two_dimensional_primer_y(self):
+        config = NarxConfig(d_u=(0,), d_y=(1, 2), n_hidden=3, n_exo=1)
+        ev = ClosedLoopNarx(init_weights(config, 0))
+        with pytest.raises(ShapeError, match=r"primer_y shape \(2, 1\) is not 1-D"):
+            ev.simulate(np.zeros((2, 1)), np.zeros((0, 1)), np.zeros((5, 1)))
 
 
 class TestSerialization:
