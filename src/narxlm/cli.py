@@ -190,15 +190,7 @@ def _exo_channels(args):
     return exo
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="narxlm",
-        description="NARX forecaster: Levenberg-Marquardt training, "
-                    "closed-loop simulation, diagnostics, and delay/neuron sweeps.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train a model on an OHLCV CSV")
+def _add_train_options(p):
     _add_common(p)
     p.add_argument("--input-delays", default="0:1", help='lag set, e.g. "0:1"')
     p.add_argument("--feedback-delays", default="1", help='lag set, e.g. "1" or "1:2"')
@@ -208,16 +200,16 @@ def _build_parser():
     p.add_argument("--target-channel", default="close")
     _add_train_params(p)
     _add_thresholds(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("simulate", help="closed-loop multi-step simulation")
+
+def _add_simulate_options(p):
     _add_common(p)
     p.add_argument("--model", required=True, help="model.json from a train run")
     p.add_argument("--horizon", type=int, default=100)
     _add_thresholds(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="grid search over delays and neuron counts")
+
+def _add_sweep_options(p):
     _add_common(p)
     p.add_argument("--input-delays", default="0:1",
                    help='comma-separated lag ranges, e.g. "0:1,2:5"')
@@ -229,15 +221,12 @@ def _build_parser():
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes (>= 1)")
     _add_train_params(p)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("eval", help="open-loop diagnostics for a trained model")
+
+def _add_eval_options(p):
     _add_common(p)
     p.add_argument("--model", required=True)
     _add_thresholds(p)
-    p.set_defaults(func=cmd_eval)
-
-    return parser
 
 
 def _model_document(net: NarxNetwork, norm_spec, exo_channels, target_channel) -> str:
@@ -342,9 +331,9 @@ def cmd_simulate(args) -> int:
     lines = ["timestep,target,prediction,error"]
     if H > 0:
         ts, preds, targs = simulate(net, prep, start_row, H)
-        for t, p, y in zip(ts, preds, targs):
-            err = p - y
-            lines.append(f"{t},{y!r},{p!r},{err!r}")
+        # Python floats: numpy 2 writes np.float64(...) for a numpy scalar's repr
+        for t, p, y in zip(ts.tolist(), preds.tolist(), targs.tolist()):
+            lines.append(f"{t},{y!r},{p!r},{p - y!r}")
         diag = simulate_diagnostics(preds, targs, prep, start_row,
                                     thresholds=thresholds)
         diag_doc = diag.to_dict()
@@ -438,8 +427,40 @@ def _manifest_params(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+# (name, help, add-options function, handler) of every subcommand
+COMMANDS = (
+    ("train", "train a model on an OHLCV CSV", _add_train_options, cmd_train),
+    ("simulate", "closed-loop multi-step simulation", _add_simulate_options, cmd_simulate),
+    ("sweep", "grid search over delays and neuron counts", _add_sweep_options, cmd_sweep),
+    ("eval", "open-loop diagnostics for a trained model", _add_eval_options, cmd_eval),
+)
+
+
+def _build_parser(argv=()):
+    """The parser for ``argv``, with options only for the command that runs.
+
+    The other commands keep an empty subparser, so usage still lists all
+    four; ``--help``, ``--version`` or an unknown name get the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="narxlm",
+        description="NARX forecaster: Levenberg-Marquardt training, "
+                    "closed-loop simulation, diagnostics, and delay/neuron sweeps.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    running = argv[0] if argv and argv[0] in {c[0] for c in COMMANDS} else None
+    for name, summary, add_options, handler in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        if running in (None, name):
+            add_options(p)
+            p.set_defaults(func=handler)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,8 +180,8 @@ def _parse_values(lines, cols) -> np.ndarray:
 def _bad_cell(path, lines, date_pos, cols, exc) -> DataFormatError:
     """The error for the first data row whose date or value cells do not parse.
 
-    Runs only after the bulk parse has failed, and returns no data.  A row
-    is bad when ``parse_date`` or ``float()`` rejects one of its cells, or
+    Runs only after the row-by-row read has failed, and returns no data.  A
+    row is bad when ``parse_date`` or ``float()`` rejects one of its cells, or
     when ``_parse_values`` rejects it alone (``1_000``, which ``float()``
     takes).
     """
@@ -199,25 +200,28 @@ def _bad_cell(path, lines, date_pos, cols, exc) -> DataFormatError:
     return DataFormatError(f"{path}: {exc}")
 
 
-def _bulk_dates(lines, date_pos):
-    """The date cell of every unquoted line as int64, or None if one is not.
+def _one_pass(body, date_pos, cols):
+    """(int64 dates, float values) of unquoted lines in one parse, or None.
 
-    A cell that ``int()`` rejects (an ISO date, a bad date) or that does not
-    fit in int64 gives None, and so does a blank row, which has no date.  So
-    does any date cell with a ``_`` or a non-ASCII character, which ``int()``
-    takes (``1_0``, Arabic-Indic digits) and ``parse_date`` does not.
+    None when a cell does not parse (an ISO or bad date, a bad value, a date
+    outside int64, ``1_0``, non-ASCII digits) or when a line is empty or
+    skipped: ``np.loadtxt`` skips empty lines without a word.  Warnings are
+    errors: numpy < 2 reads ``7.0`` as an int64 via a float with a
+    ``DeprecationWarning``, and a body with no data row gives a ``UserWarning``.
     """
+    if "" in body:
+        return None
+    dtype = np.dtype([("date", np.int64), ("values", np.float64, len(cols))])
     try:
-        tokens = [line.split(",", date_pos + 1)[date_pos] for line in lines]
-    except IndexError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None,
+                                 usecols=[date_pos, *cols], ndmin=1)
+    except (ValueError, Warning):
         return None
-    joined = "".join(tokens)
-    if not joined.isascii() or "_" in joined:
+    if len(records) != len(body):
         return None
-    try:
-        return np.fromiter(map(int, tokens), np.int64, count=len(tokens))
-    except (ValueError, OverflowError):
-        return None
+    return records["date"], records["values"]
 
 
 def _row_dates(path, lines, date_pos, cols):
@@ -249,9 +253,9 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     or a high below the low, and the one for a repeated date names both rows.
 
     A file with no ``"`` below its header, no blank row and only integer
-    dates that fit in int64 is read in one pass, its dates converted in
-    bulk.  Any other file (a quoted cell, a blank row, an ISO or bad date)
-    is read row by row.
+    dates that fit in int64 is read in one pass: one ``np.loadtxt`` call
+    parses its date and value cells.  Any other file (a quoted cell, a
+    blank row, an ISO or bad date, a bad value) is read row by row.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -282,16 +286,17 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     date_pos = colmap["date"]
     body, linenos = lines[1:], range(2, len(lines) + 1)
     # a quoted header (as some exporters write) keeps the body on one pass
-    dates = None if text.find('"', len(lines[0])) >= 0 else _bulk_dates(body, date_pos)
-    if dates is None:
+    parsed = None if text.find('"', len(lines[0])) >= 0 else _one_pass(body, date_pos, cols)
+    if parsed is None:
         dates, linenos = _row_dates(path, lines, date_pos, cols)
-        body = [lines[i - 1] for i in linenos]
-    if not linenos:
-        raise DataFormatError(f"{path}: no data rows")
-    try:
-        values = _parse_values(body, cols)
-    except ValueError as exc:
-        raise _bad_cell(path, lines, date_pos, cols, exc) from exc
+        if not linenos:
+            raise DataFormatError(f"{path}: no data rows")
+        try:
+            values = _parse_values([lines[i - 1] for i in linenos], cols)
+        except ValueError as exc:
+            raise _bad_cell(path, lines, date_pos, cols, exc) from exc
+    else:
+        dates, values = parsed
     finite = np.isfinite(values)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]

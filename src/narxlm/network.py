@@ -237,6 +237,16 @@ def jacobian(net: NarxNetwork, dataset):
     return J, F
 
 
+def _exo_rows(values, n_exo: int, name: str, rows: str) -> np.ndarray:
+    """``values`` as a (rows, n_exo) float array; 1-D only if n_exo == 1 or empty."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1 and (n_exo == 1 or not values.size):
+        values = values.reshape(-1, n_exo)
+    if values.ndim != 2 or values.shape[1] != n_exo:
+        raise ShapeError(f"{name} shape {values.shape} != ({rows}, {n_exo})")
+    return values
+
+
 class ClosedLoopNarx:
     """Closed-loop (parallel) evaluator sharing the trained weights.
 
@@ -253,7 +263,8 @@ class ClosedLoopNarx:
 
         primer_y: 1-D trailing true targets, at least max(d_y) values.
         primer_exo: trailing exogenous rows (width n_exo, channel order as in
-            the training dataset), at least max(d_u) rows.
+            the training dataset), at least max(d_u) rows, in the form
+            exo_future takes.
         exo_future: (H, n_exo) true exogenous rows for the horizon; a 1-D
             (H,) array when n_exo == 1, or an empty sequence for H = 0.
 
@@ -272,12 +283,8 @@ class ClosedLoopNarx:
         primer_y = np.asarray(primer_y, dtype=float)
         if primer_y.ndim != 1:
             raise ShapeError(f"primer_y shape {primer_y.shape} is not 1-D")
-        primer_exo = np.atleast_2d(np.asarray(primer_exo, dtype=float))
-        exo_future = np.asarray(exo_future, dtype=float)
-        if exo_future.ndim == 1 and (c.n_exo == 1 or not exo_future.size):
-            exo_future = exo_future.reshape(-1, c.n_exo)
-        if exo_future.ndim != 2 or exo_future.shape[1] != c.n_exo:
-            raise ShapeError(f"exo_future shape {exo_future.shape} != (H, {c.n_exo})")
+        primer_exo = _exo_rows(primer_exo, c.n_exo, "primer_exo", "rows")
+        exo_future = _exo_rows(exo_future, c.n_exo, "exo_future", "H")
         max_dy = max(c.d_y)
         max_du = max(c.d_u)
         if len(primer_y) < max_dy:
@@ -286,8 +293,6 @@ class ClosedLoopNarx:
         if len(primer_exo) < max_du:
             raise InsufficientDataError(
                 f"primer supplies {len(primer_exo)} exogenous rows, need {max_du}")
-        if primer_exo.shape[1] != c.n_exo:
-            raise ShapeError(f"primer exo width {primer_exo.shape[1]} != {c.n_exo}")
 
         H = len(exo_future)
         # row max_du + t of exo is step t's current input; the tap matrix

@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import platform
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import narxlm
-from narxlm import cli
+from narxlm import cli, pipeline
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
 
 FAST_FLAGS = ["--epochs", "40", "--restarts", "2", "--xi", "1.0",
@@ -105,6 +107,25 @@ class TestSimulate:
         with open(os.path.join(out, cli.DIAGNOSTICS_FILE)) as fh:
             diag = json.load(fh)
         assert "mse" in diag and "r_value" in diag
+
+    def test_prediction_cells_round_trip(self, trained_dir, data_csv, tmp_path):
+        # every cell is a plain decimal; numpy 2 would write np.float64(...) for a scalar
+        model = os.path.join(trained_dir, cli.MODEL_FILE)
+        out = tmp_path / "sim"
+        rc = cli.main(["simulate", "--csv", data_csv, "--model", model,
+                       "--horizon", "60", "--out", str(out)])
+        assert rc == 0
+        header, *rows = (out / cli.PREDICTIONS_FILE).read_text().splitlines()
+        cells = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+
+        net, norm_spec, exo, target = cli._load_model(model)
+        frame = cli.load_ohlcv(data_csv)
+        prep = pipeline.prepare(frame, net.config.d_u, net.config.d_y, exo, target,
+                                norm_spec=norm_spec)
+        ts, preds, targs = pipeline.simulate(net, prep, len(frame) - 60, 60)
+        assert np.array_equal(cells[:, 0], ts)
+        for col, want in ((1, targs), (2, preds), (3, preds - targs)):
+            assert cells[:, col].tobytes() == want.tobytes()
 
     def test_empty_horizon(self, trained_dir, data_csv, tmp_path):
         out = str(tmp_path / "sim0")
@@ -313,7 +334,61 @@ class TestUsage:
                          "--bogus"]) == cli.EXIT_USAGE
 
 
+def _subparser(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+class TestParser:
+    ARGV = {
+        "train": ["--neurons", "5", "--exo-channels", "open,high", "--mu", "0.5"],
+        "simulate": ["--model", "m.json", "--horizon", "7", "--r-min", "0.9"],
+        "sweep": ["--neurons", "4,8", "--jobs", "2", "--restarts", "3"],
+        "eval": ["--model", "m.json", "--mse-max", "2"],
+    }
+
+    @pytest.mark.parametrize("name", ["train", "simulate", "sweep", "eval"])
+    def test_command_parser_matches_full_parser(self, name):
+        argv = [name, "--csv", "p.csv", "--out", "o", "--seed", "3", *self.ARGV[name]]
+        full, only = cli._build_parser(), cli._build_parser(argv)
+        assert only.format_help() == full.format_help()
+        assert _subparser(only, name).format_help() == _subparser(full, name).format_help()
+        assert only.parse_args(argv) == full.parse_args(argv)
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--help"], 0), (["--version"], 0), (["bogus"], 2),
+        (["eval", "--csv", "p.csv", "--out", "o", "--model", "m", "--version"], 2),
+    ], ids=["help", "version", "bogus", "eval-version"])
+    def test_usage_output_matches_full_parser(self, capsys, argv, code):
+        assert cli.main(argv) == code
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as stop:
+            cli._build_parser().parse_args(argv)
+        assert stop.value.code == code
+        assert got == capsys.readouterr()
+        if argv == ["--version"]:
+            assert got.out == f"{narxlm.__version__}\n"
+        elif code:
+            # the usage of a per-command parser still lists every command
+            assert got.err.startswith(
+                "usage: narxlm [-h] [--version] {train,simulate,sweep,eval} ...\n")
+        else:
+            rows = [line.split() for line in got.out.splitlines()]
+            for name, summary, _, _ in cli.COMMANDS:
+                assert [name, *summary.split()] in rows
+
+
 class TestInputValidation:
+    def test_header_only_csv(self, tmp_path, capsys):
+        bad = tmp_path / "empty.csv"
+        bad.write_text("Date,Open,High,Low,Close,Volume\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["train", "--csv", str(bad), "--out", str(tmp_path / "out")])
+        assert not caught
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {bad}: no data rows\n"
+
     @pytest.mark.parametrize("command,flags", [
         ("train", ["--exo-channels", "open,foo"]),
         ("train", ["--target-channel", "price"]),
@@ -394,6 +469,11 @@ class TestInputValidation:
          "bad cell on row 3: unparseable date '1_0'"),
         ("1,1,2,0.5,1.5,100\n\u0661\u0662,1,2,0.5,1.5,100\n".encode(),
          "bad cell on row 3: unparseable date '\u0661\u0662'"),
+        # numpy < 2 reads both as an int64 via a float, with a DeprecationWarning
+        (b"1,1,2,0.5,1.5,100\n7.0,1,2,0.5,1.5,100\n",
+         "bad cell on row 3: unparseable date '7.0'"),
+        (b"1,1,2,0.5,1.5,100\n2,1,2,0.5,1.5,100\n1e3,1,2,0.5,1.5,100\n",
+         "bad cell on row 4: unparseable date '1e3'"),
     ])
     def test_undecodable_or_bad_date_names_path_and_row(self, tmp_path, capsys,
                                                          body, message):

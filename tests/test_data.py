@@ -3,6 +3,7 @@ import datetime
 import os
 import re
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -240,6 +241,20 @@ class TestLoadOhlcv:
             load_ohlcv(p)
 
 
+    @pytest.mark.parametrize("text", ["Date,Open,High,Low,Close,Volume",
+                                      "Date,Open,High,Low,Close,Volume\n",
+                                      "Date,Open,High,Low,Close,Volume\n\n \n"],
+                             ids=["no-newline", "newline", "blank-rows"])
+    def test_header_only_has_no_data_rows(self, tmp_path, text):
+        # np.loadtxt warns on a file with no data; that must not reach the caller
+        p = tmp_path / "empty.csv"
+        p.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataFormatError, match=re.escape(f"{p}: no data rows")):
+                load_ohlcv(p)
+        assert not caught
+
     def test_byte_order_mark(self, sample_csv, tmp_path):
         p = tmp_path / "bom.csv"
         p.write_bytes(b"\xef\xbb\xbf" + sample_csv.read_bytes())
@@ -383,6 +398,15 @@ class TestReferenceLoader:
         frame, row_by_row = _load_watching_route(path)
         assert not row_by_row
         assert list(frame.timesteps) == [3, 6, 9]
+        _assert_same_frame(frame, reference_load_ohlcv(path))
+
+    def test_signed_zero_and_tab_padded_dates_take_one_pass(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text("Date,Open,High,Low,Close,Volume\n"
+                        "+7,1,2,0.5,1.5,100\n008,1,2,0.5,1.5,100\n\t6\t,1,2,0.5,1.5,100\n")
+        frame, row_by_row = _load_watching_route(path)
+        assert not row_by_row
+        assert list(frame.timesteps) == [6, 7, 8]
         _assert_same_frame(frame, reference_load_ohlcv(path))
 
     def test_quoted_header_keeps_one_pass(self, tmp_path):

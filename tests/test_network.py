@@ -417,6 +417,22 @@ class TestClosedLoop:
                 f"exo_future shape {shape} != (H, 4)")):
             ev.simulate([0.1], np.zeros((1, 4)), np.ones(shape))
 
+    def test_one_dimensional_primer_with_one_channel(self):
+        # (2,) holds the two rows that d_u (0, 1, 2) asks for, as exo_future's rule reads it
+        config = NarxConfig(d_u=(0, 1, 2), d_y=(1,), n_hidden=3, n_exo=1)
+        ev = ClosedLoopNarx(init_weights(config, 0))
+        for primer, future in ((np.zeros(2), np.zeros(3)),
+                               (np.array([0.3, -0.2]), np.array([0.1, 0.5, -0.4]))):
+            got = ev.simulate([0.1], primer, future)
+            assert got.shape == (3,)
+            assert np.array_equal(got, ev.simulate([0.1], primer[:, None], future))
+
+    def test_one_dimensional_primer_with_three_channels(self):
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=3)
+        ev = ClosedLoopNarx(init_weights(config, 0))
+        with pytest.raises(ShapeError, match=re.escape("primer_exo shape (3,) != (rows, 3)")):
+            ev.simulate([0.1], np.zeros(3), np.zeros((5, 3)))
+
     def test_two_dimensional_primer_y(self):
         config = NarxConfig(d_u=(0,), d_y=(1, 2), n_hidden=3, n_exo=1)
         ev = ClosedLoopNarx(init_weights(config, 0))
