@@ -57,6 +57,7 @@ from .training import (
     TrainReport,
     lm_step,
     msereg,
+    normal_equations,
     train,
     train_with_restarts,
 )

@@ -229,14 +229,6 @@ def _add_eval_options(p):
     _add_thresholds(p)
 
 
-def _model_document(net: NarxNetwork, norm_spec, exo_channels, target_channel) -> str:
-    doc = net.to_dict()
-    doc["normalization"] = norm_spec.to_dict()
-    doc["exo_channels"] = list(exo_channels)
-    doc["target_channel"] = target_channel
-    return json.dumps(doc, indent=2)
-
-
 MODEL_KEYS = ("config", "weights", "normalization", "exo_channels", "target_channel")
 
 
@@ -285,14 +277,15 @@ def cmd_train(args) -> int:
     d_y = parse_lag_range(args.feedback_delays, len(frame))
     prep = prepare(frame, d_u, d_y, exo, args.target_channel)
     report = fit(prep, args.neurons, params, args.seed)
-    diag = evaluate_open(report.network, prep, xi=params.xi, thresholds=thresholds,
-                         penalize_biases=params.penalize_biases)
+    diag = evaluate_open(report.network, prep, xi=params.xi, thresholds=thresholds)
 
     out = args.out
     os.makedirs(out, exist_ok=True)
     _atomic_write(os.path.join(out, MODEL_FILE),
-                  _model_document(report.network, prep.norm_spec, exo,
-                                  args.target_channel))
+                  report.network.to_json({
+                      "normalization": prep.norm_spec.to_dict(),
+                      "exo_channels": list(exo),
+                      "target_channel": args.target_channel}))
     _atomic_write(os.path.join(out, TRAIN_REPORT_FILE),
                   json.dumps(report.to_dict(), indent=2))
     lines = ["epoch,train_objective,train_mse,val_mse,test_mse,grad_norm,lambda"]

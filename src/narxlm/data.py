@@ -252,10 +252,11 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     header as row 1.  So does the ``ValidationError`` for a negative volume
     or a high below the low, and the one for a repeated date names both rows.
 
-    A file with no ``"`` below its header, no blank row and only integer
-    dates that fit in int64 is read in one pass: one ``np.loadtxt`` call
-    parses its date and value cells.  Any other file (a quoted cell, a
-    blank row, an ISO or bad date, a bad value) is read row by row.
+    A file with no ``"`` below its header, no blank row (empty lines at its
+    end do not count) and only integer dates that fit in int64 is read in
+    one pass: one ``np.loadtxt`` call parses its date and value cells.  Any
+    other file (a quoted cell, a blank row, an ISO or bad date, a bad value)
+    is read row by row.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -267,8 +268,8 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     if not text:
         raise DataFormatError(f"{path}: empty file")
     lines = _split_lines(text)
-    if len(lines) > 1 and not lines[-1]:
-        del lines[-1]  # the line break that ends the last row
+    while len(lines) > 1 and not lines[-1]:
+        del lines[-1]  # the line breaks after the last row
 
     _, header = next(_csv_rows(path, lines[:1]))
     colmap = {}

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UndefinedStatisticError, ValidationError
+from .training import msereg
 
 Z_95 = 1.96
 
@@ -183,21 +184,20 @@ class DiagnosticsReport:
 def diagnose(outputs_price, targets_price, errors_norm, exo_channels_norm,
              weights=None, xi=1.0, max_lag=20,
              thresholds: VerdictThresholds = VerdictThresholds(),
-             bias_mask=None, penalize_biases=False) -> DiagnosticsReport:
+             bias_mask=None) -> DiagnosticsReport:
     """Full report: metrics in price units, correlations on normalized errors.
 
     exo_channels_norm maps channel name -> normalized series aligned with
     errors_norm.  max_lag is clamped to the available series length.
-    msereg takes weights, xi, bias_mask and penalize_biases as the training
-    objective does, so it matches that objective on the same block.
+    msereg takes weights, xi and bias_mask as the training objective does,
+    so it matches that objective on the same block.
     """
     outputs_price = np.asarray(outputs_price, dtype=float)
     targets_price = np.asarray(targets_price, dtype=float)
     errors_norm = np.asarray(errors_norm, dtype=float)
     mse = float(np.mean(errors_norm ** 2))
     if weights is not None and xi < 1.0:
-        from .training import msereg as _msereg
-        reg = _msereg(errors_norm, weights, xi, bias_mask, penalize_biases)
+        reg = msereg(errors_norm, weights, xi, bias_mask)
     else:
         reg = mse
     r = regression_r(outputs_price, targets_price)

@@ -162,10 +162,6 @@ class NarxNetwork:
             doc.update(extra)
         return json.dumps(doc, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "NarxNetwork":
-        return cls.from_dict(json.loads(text))
-
 
 def init_weights(config: NarxConfig, seed: int) -> NarxNetwork:
     """Uniform [-r, +r] init with r = 1/sqrt(fan-in), deterministic in seed."""

@@ -72,8 +72,7 @@ def fit(prep: PreparedData, n_hidden: int, params: TrainParams, seed: int) -> Tr
 
 def evaluate_open(net: NarxNetwork, prep: PreparedData, idx=None,
                   xi: float = 1.0, max_lag: int = 20,
-                  thresholds: VerdictThresholds = VerdictThresholds(),
-                  penalize_biases: bool = False) -> DiagnosticsReport:
+                  thresholds: VerdictThresholds = VerdictThresholds()) -> DiagnosticsReport:
     """Open-loop one-step diagnostics on a sample block (all samples if None)."""
     dataset = prep.dataset
     if idx is None:
@@ -88,8 +87,7 @@ def evaluate_open(net: NarxNetwork, prep: PreparedData, idx=None,
            for ch in prep.exo_channels}
     return diagnose(pred_price, targ_price, err, exo,
                     weights=net.flatten(), xi=xi, max_lag=max_lag,
-                    thresholds=thresholds, bias_mask=net.bias_mask(),
-                    penalize_biases=penalize_biases)
+                    thresholds=thresholds, bias_mask=net.bias_mask())
 
 
 def simulate(net: NarxNetwork, prep: PreparedData, start_row: int, horizon: int):

@@ -111,8 +111,7 @@ def _sweep_point(packed) -> SweepRow:
     try:
         prep = prepare(frame, d_u, d_y, exo_channels, target_channel)
         report = fit(prep, n, params, seed)
-        diag = evaluate_open(report.network, prep, xi=params.xi,
-                             penalize_biases=params.penalize_biases)
+        diag = evaluate_open(report.network, prep, xi=params.xi)
         row.performance = report.records[report.best_epoch].train_objective
         row.mse = diag.mse
         row.r_value = diag.r_value

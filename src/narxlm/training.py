@@ -1,10 +1,11 @@
 """Levenberg-Marquardt training with regularized mean-square objective.
 
 The objective blends the mean squared residual with the mean squared weight,
-obj = xi * MSE + (1 - xi) * MSW, with biases excluded from MSW by default.
-Each epoch proposes damped Gauss-Newton steps, raising the damping until a
-step lowers the objective; validation MSE drives early stopping with
-best-weights restoration.
+obj = xi * MSE + (1 - xi) * MSW, with biases always excluded from MSW.
+Each epoch builds the regularized normal equations once (``normal_equations``)
+and proposes damped Gauss-Newton steps from them (``lm_step``), raising the
+damping until a step lowers the objective; validation MSE drives early
+stopping with best-weights restoration.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ class TrainParams:
     max_fail: int = 6
     xi: float = 0.9
     restarts: int = 10
-    penalize_biases: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.mu_dec < 1.0 < self.mu_inc):
             raise ValidationError("need 0 < mu_dec < 1 < mu_inc")
-        if not (0.0 < self.mu0 < self.mu_max):
-            raise ValidationError("need 0 < mu0 < mu_max")
+        if not (0.0 < self.mu0 < self.mu_max < np.inf):
+            raise ValidationError("need 0 < mu0 < mu_max < inf")
         if not (0.0 <= self.xi <= 1.0):
             raise ValidationError("xi must lie in [0, 1]")
         if self.restarts < 1:
@@ -48,26 +48,6 @@ class TrainParams:
             raise ValidationError("goal must be >= 0")
         if not (self.min_grad >= 0.0):
             raise ValidationError("min_grad must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu0, "mu_dec": self.mu_dec, "mu_inc": self.mu_inc,
-            "mu_max": self.mu_max, "epochs": self.epochs, "goal": self.goal,
-            "min_grad": self.min_grad, "max_fail": self.max_fail,
-            "xi": self.xi, "restarts": self.restarts,
-            "penalize_biases": self.penalize_biases,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainParams":
-        known = {
-            "mu": "mu0", "mu_dec": "mu_dec", "mu_inc": "mu_inc",
-            "mu_max": "mu_max", "epochs": "epochs", "goal": "goal",
-            "min_grad": "min_grad", "max_fail": "max_fail", "xi": "xi",
-            "restarts": "restarts", "penalize_biases": "penalize_biases",
-        }
-        kwargs = {field: d[key] for key, field in known.items() if key in d}
-        return cls(**kwargs)
 
 
 @dataclass
@@ -117,11 +97,10 @@ class TrainReport:
         }
 
 
-def msereg(errors, weights, xi, bias_mask=None, penalize_biases=False):
+def msereg(errors, weights, xi, bias_mask=None):
     """xi * mean(errors^2) + (1 - xi) * mean(weights^2).
 
-    With a bias mask supplied and penalize_biases False, bias entries are
-    dropped from the weight mean.
+    With a bias mask supplied, bias entries are dropped from the weight mean.
     """
     errors = np.asarray(errors, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -130,7 +109,7 @@ def msereg(errors, weights, xi, bias_mask=None, penalize_biases=False):
     mse = float(np.mean(errors ** 2))
     if xi == 1.0:
         return mse
-    if bias_mask is not None and not penalize_biases:
+    if bias_mask is not None:
         weights = weights[~np.asarray(bias_mask)]
     msw = float(np.mean(weights ** 2)) if weights.size else 0.0
     return xi * mse + (1.0 - xi) * msw
@@ -140,35 +119,45 @@ class StepFailure(Exception):
     """The damped system is singular or gave a non-finite step; raise the damping."""
 
 
-def lm_step(J, F, lam, weights=None, xi=1.0, bias_mask=None, penalize_biases=False):
-    """Solve the damped, regularized normal equations for a step d.
+def normal_equations(J, F, weights, xi, penalized):
+    """The undamped LM system (A, b) and the gradient of ``msereg`` at ``weights``.
 
-    (xi*J'J + alpha*M + lam*I) d = -(xi*J'F + alpha*M w), where M masks the
-    penalized weights and alpha = (1 - xi) * n_residuals / n_penalized.  With
-    xi = 1 this is exactly (J'J + lam*I) d = -J'F.
+    With S residuals and M the 0/1 diagonal of the boolean mask ``penalized``
+    (the weights that enter MSW):
 
+        A = xi*J'J + alpha*M,   b = -(xi*J'F + alpha*M w),
+        grad = xi*(2/S)*J'F + (1 - xi)*(2/n_pen)*M w,
+
+    where alpha = (1 - xi) * S / n_pen.  A d = b is the Gauss-Newton system
+    of S*msereg; with xi = 1 it is J'J d = -J'F.  Built once per epoch;
+    ``lm_step`` damps and solves it.
+    """
+    J = np.asarray(J, dtype=float)
+    JtF = J.T @ np.asarray(F, dtype=float)
+    A = xi * (J.T @ J)
+    b = -xi * JtF
+    grad = xi * (2.0 / J.shape[0]) * JtF
+    n_pen = int(np.count_nonzero(penalized))
+    if xi < 1.0 and n_pen:
+        w = np.where(penalized, np.asarray(weights, dtype=float), 0.0)
+        alpha = (1.0 - xi) * J.shape[0] / n_pen
+        on = np.flatnonzero(penalized)
+        A[on, on] += alpha
+        b -= alpha * w
+        grad = grad + (1.0 - xi) * (2.0 / n_pen) * w
+    return A, b, grad
+
+
+def lm_step(A, b, lam):
+    """Solve the damped system (A + lam*I) d = b for the step d.
+
+    A and b come from ``normal_equations``; A is not changed.
     ``numpy.linalg.solve`` (LU on numpy's own BLAS) is the one factorization.
     An exactly singular system or a non-finite step raises StepFailure so the
     caller can retry with larger damping; a finite step from a nearly
     singular system is left to the caller's objective-decrease test.
     """
-    J = np.asarray(J, dtype=float)
-    F = np.asarray(F, dtype=float)
-    n_params = J.shape[1]
-    A = xi * (J.T @ J)
-    b = -xi * (J.T @ F)
-    if xi < 1.0:
-        if weights is None:
-            raise ValidationError("weights required when xi < 1")
-        w = np.asarray(weights, dtype=float)
-        mask = np.ones(n_params, dtype=bool)
-        if bias_mask is not None and not penalize_biases:
-            mask = ~np.asarray(bias_mask)
-        n_pen = int(mask.sum())
-        if n_pen:
-            alpha = (1.0 - xi) * J.shape[0] / n_pen
-            A[np.flatnonzero(mask), np.flatnonzero(mask)] += alpha
-            b -= alpha * np.where(mask, w, 0.0)
+    A = np.array(A, dtype=float)
     A[np.diag_indices_from(A)] += lam
     try:
         # A is SPD in exact arithmetic (lam > 0), but no definiteness test is
@@ -197,7 +186,6 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
     """One LM run from a seeded random init, with early stopping."""
     train_idx, val_idx, test_idx = splits
     train_set, val_set, test_set = (_subset(dataset, idx) for idx in splits)
-    n_train = train_set.n_samples
 
     net = init_weights(config, seed)
     theta = net.flatten()
@@ -208,7 +196,7 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
     def objective(th):
         candidate = NarxNetwork.from_flat(config, th)
         err = forward_open(candidate, train_set) - train_set.T
-        return msereg(err, th, xi, bias_mask, params.penalize_biases), candidate, err
+        return msereg(err, th, xi, bias_mask), candidate, err
 
     records = []
     best_epoch = -1
@@ -221,21 +209,15 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
     for epoch in range(params.epochs):
         if not np.isfinite(obj):
             raise DivergedError(f"non-finite objective at epoch {epoch}", epoch=epoch)
-        J, F = jacobian(net, train_set)
-        # gradient of the objective in mean-square units
-        grad = xi * (2.0 / n_train) * (J.T @ F)
-        if xi < 1.0:
-            mask = np.ones_like(bias_mask) if params.penalize_biases else ~bias_mask
-            n_pen = int(mask.sum())
-            if n_pen:
-                grad = grad + (1.0 - xi) * (2.0 / n_pen) * np.where(mask, theta, 0.0)
+        # J is not kept: only A (P x P) stays alive through the damping loop
+        A, b, grad = normal_equations(*jacobian(net, train_set), theta, xi, ~bias_mask)
         grad_norm = float(np.max(np.abs(grad)))
 
         # propose steps until one lowers the objective or damping tops out
         accepted = False
         while lam <= params.mu_max:
             try:
-                d = lm_step(J, F, lam, theta, xi, bias_mask, params.penalize_biases)
+                d = lm_step(A, b, lam)
             except StepFailure:
                 lam *= params.mu_inc
                 continue

@@ -20,7 +20,7 @@ from narxlm.network import NarxConfig, NarxNetwork, forward_open, init_weights, 
 from narxlm.pipeline import evaluate_open, fit, prepare, simulate, simulate_diagnostics
 from narxlm.sweep import SweepGrid, run_sweep, select_best
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame, teacher_dataset
-from narxlm.training import TrainParams, lm_step, train
+from narxlm.training import TrainParams, lm_step, normal_equations, train
 
 EXO = ("open", "high", "low", "volume")
 
@@ -91,7 +91,8 @@ def test_damped_step_reduction():
         J = rng.normal(size=(m, p))
         F = rng.normal(size=m)
         lam = float(rng.uniform(0.01, 10.0))
-        d = lm_step(J, F, lam, weights=rng.normal(size=p), xi=1.0)
+        A, b, _ = normal_equations(J, F, rng.normal(size=p), 1.0, np.ones(p, dtype=bool))
+        d = lm_step(A, b, lam)
         expected = np.linalg.solve(J.T @ J + lam * np.eye(p), -(J.T @ F))
         worst = max(worst, float(np.max(np.abs(d - expected))))
     _report("damped-step-reduction", worst < 1e-10, f"max abs err {worst:.2e}")

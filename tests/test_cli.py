@@ -319,6 +319,9 @@ class TestUsage:
          "lag 100000000 in '0:100000000' needs more than the 220 rows"),
         ("sweep", ["--feedback-delays", "1,1:220"], cli.EXIT_VALIDATION,
          "lag 220 in '1:220' needs more than the 220 rows"),
+        # an infinite cap would let the damping loop run forever at lam=inf
+        ("train", ["--mu-max", "inf"], cli.EXIT_VALIDATION,
+         "need 0 < mu0 < mu_max < inf"),
     ])
     def test_malformed_argument_message(self, data_csv, tmp_path, capsys,
                                         command, flags, code, message):
@@ -533,7 +536,8 @@ def malformed_csv(draw):
 
 
 # Option values that no parser may accept: an integer or lag option given a
-# letter, a negative seed, a NaN or negative verdict bound, a NaN LM setting.
+# letter, a negative seed, a NaN or negative verdict bound, a NaN LM setting,
+# an infinite damping cap.
 LETTERED = st.builds(lambda a, c, b: a + c + b, st.text("0123456789:,-", max_size=3),
                      st.sampled_from("aeEx"), st.text("0123456789:,-", max_size=3))
 NEGATIVE_INT = st.integers(max_value=-1).map(str)
@@ -545,7 +549,8 @@ THRESHOLD_ARGUMENTS = [("--seed", NEGATIVE_INT), ("--r-min", NAN),
 FIT_ARGUMENTS = [("--seed", NEGATIVE_INT), ("--input-delays", LETTERED),
                  ("--feedback-delays", LETTERED), ("--neurons", LETTERED),
                  ("--epochs", LETTERED), ("--restarts", LETTERED),
-                 ("--mu", NAN), ("--xi", NAN), ("--goal", NAN)]
+                 ("--mu", NAN), ("--xi", NAN), ("--goal", NAN),
+                 ("--mu-max", st.sampled_from(["inf", "Infinity"]))]
 MALFORMED_ARGUMENTS = {
     "train": FIT_ARGUMENTS + THRESHOLD_ARGUMENTS,
     "sweep": FIT_ARGUMENTS + [("--jobs", LETTERED)],

@@ -426,6 +426,18 @@ class TestReferenceLoader:
         assert row_by_row
         _assert_same_frame(frame, reference_load_ohlcv(path))
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("empty_lines", [1, 2])
+    def test_trailing_empty_lines_keep_one_pass(self, tmp_path, newline, empty_lines):
+        path = tmp_path / "prices.csv"
+        frame_to_csv(synthetic_ohlcv_frame(300, seed=16, noise_std=0.01)[0], path)
+        lines = path.read_text().splitlines() + [""] * (empty_lines + 1)
+        path.write_bytes(newline.join(lines).encode("utf-8"))
+        frame, row_by_row = _load_watching_route(path)
+        assert not row_by_row
+        assert len(frame.timesteps) == 300
+        _assert_same_frame(frame, reference_load_ohlcv(path))
+
     @pytest.mark.parametrize("iso", [False, True], ids=["integer", "iso"])
     def test_benchmark_sized_file_matches_reference_loader(self, tmp_path, iso):
         path = tmp_path / "prices.csv"

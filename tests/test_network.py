@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 from unittest import mock
@@ -445,7 +446,7 @@ class TestSerialization:
         rng = np.random.default_rng(31)
         for _ in range(10):
             net, *_ = random_setup(rng)
-            restored = NarxNetwork.from_json(net.to_json())
+            restored = NarxNetwork.from_dict(json.loads(net.to_json()))
             assert restored.config == net.config
             assert np.array_equal(restored.flatten(), net.flatten())
 

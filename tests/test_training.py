@@ -26,6 +26,7 @@ from narxlm.training import (
     TrainParams,
     lm_step,
     msereg,
+    normal_equations,
     train,
     train_with_restarts,
 )
@@ -47,8 +48,8 @@ class TestMsereg:
         mask = np.array([False, True])
         # only the non-bias weight enters MSW
         assert msereg([0.0], weights, 0.5, bias_mask=mask) == pytest.approx(2.0)
-        assert msereg([0.0], weights, 0.5, bias_mask=mask,
-                      penalize_biases=True) == pytest.approx(0.5 * 6.5)
+        # without a mask every weight enters MSW
+        assert msereg([0.0], weights, 0.5) == pytest.approx(0.5 * 6.5)
 
     def test_empty_inputs(self):
         with pytest.raises(ValidationError):
@@ -57,9 +58,17 @@ class TestMsereg:
             msereg([1.0], [], 0.5)
 
 
+def _step(J, F, lam, weights=None, xi=1.0, penalized=None):
+    """lm_step on the system normal_equations builds from J, F."""
+    if penalized is None:
+        penalized = np.ones(np.shape(J)[1], dtype=bool)
+    A, b, _ = normal_equations(J, F, weights, xi, penalized)
+    return lm_step(A, b, lam)
+
+
 class TestLmStep:
     def test_identity_system(self):
-        d = lm_step(np.eye(2), np.array([1.0, 0.0]), lam=0.0)
+        d = _step(np.eye(2), np.array([1.0, 0.0]), lam=0.0)
         assert np.allclose(d, [-1.0, 0.0], atol=1e-12)
 
     def test_large_damping_is_scaled_steepest_descent(self):
@@ -67,7 +76,7 @@ class TestLmStep:
         J = rng.normal(size=(6, 3))
         F = rng.normal(size=6)
         lam = 1e12
-        d = lm_step(J, F, lam)
+        d = _step(J, F, lam)
         assert np.allclose(d, -(J.T @ F) / lam, rtol=1e-6)
 
     def test_against_dense_solver(self):
@@ -76,7 +85,7 @@ class TestLmStep:
             J = rng.normal(size=(5, 3))
             F = rng.normal(size=5)
             lam = float(rng.uniform(0.01, 10))
-            d = lm_step(J, F, lam)
+            d = _step(J, F, lam)
             expected = np.linalg.solve(J.T @ J + lam * np.eye(3), -(J.T @ F))
             assert np.allclose(d, expected, atol=1e-10, rtol=1e-10)
 
@@ -86,14 +95,14 @@ class TestLmStep:
         J = rng.normal(size=(8, 4))
         F = rng.normal(size=8)
         lam = 0.37
-        d = lm_step(J, F, lam, weights=rng.normal(size=4), xi=1.0)
+        d = _step(J, F, lam, weights=rng.normal(size=4), xi=1.0)
         expected = np.linalg.solve(J.T @ J + lam * np.eye(4), -(J.T @ F))
         assert np.allclose(d, expected, atol=1e-12)
 
     def test_rank_deficient_signals_failure(self):
         J = np.array([[1.0, 0.0], [1.0, 0.0]])  # dead column -> zero pivot
         with pytest.raises(StepFailure):
-            lm_step(J, np.array([1.0, 0.0]), lam=0.0)
+            _step(J, np.array([1.0, 0.0]), lam=0.0)
 
     def test_regularized_step_optimizes_damped_model(self):
         # the step must be the exact minimizer of the quadratic model of
@@ -104,35 +113,62 @@ class TestLmStep:
         w = rng.normal(size=4)
         xi, lam = 0.8, 0.2
         n, p = J.shape
-        d = lm_step(J, F, lam, weights=w, xi=xi)
+        d = _step(J, F, lam, weights=w, xi=xi)
         alpha = (1 - xi) * n / p
         A = xi * (J.T @ J) + alpha * np.eye(p) + lam * np.eye(p)
         b = -(xi * (J.T @ F) + alpha * w)
         assert np.allclose(A @ d, b, atol=1e-10)
 
+    def test_damping_leaves_system_unchanged(self):
+        # the epoch's system is damped afresh in every try
+        rng = np.random.default_rng(4)
+        J = rng.normal(size=(9, 3))
+        A, b, _ = normal_equations(J, rng.normal(size=9), rng.normal(size=3),
+                                   0.9, np.array([True, False, True]))
+        kept = A.copy()
+        first = lm_step(A, b, 0.5)
+        lm_step(A, b, 7.0)
+        assert np.array_equal(A, kept)
+        assert np.array_equal(lm_step(A, b, 0.5), first)
 
-def _mse_gradient_fd(config, theta, ds, h=1e-6):
+
+def _msereg_gradient_fd(config, theta, ds, xi=1.0, bias_mask=None, h=1e-6):
+    def objective(th):
+        err = forward_open(NarxNetwork.from_flat(config, th), ds) - ds.T
+        return msereg(err, th, xi, bias_mask)
+
     grad = np.empty_like(theta)
     for p in range(theta.size):
         tp, tm = theta.copy(), theta.copy()
         tp[p] += h
         tm[p] -= h
-        ep = forward_open(NarxNetwork.from_flat(config, tp), ds) - ds.T
-        em = forward_open(NarxNetwork.from_flat(config, tm), ds) - ds.T
-        grad[p] = (np.mean(ep ** 2) - np.mean(em ** 2)) / (2 * h)
+        grad[p] = (objective(tp) - objective(tm)) / (2 * h)
     return grad
 
 
 class TestGradient:
     def test_mse_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(8)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         net = init_weights(config, 77)
         _, _, _, ds = teacher_dataset(40, seed=9, n_hidden=2)
         J, F = jacobian(net, ds)
         analytic = (2.0 / ds.n_samples) * (J.T @ F)
-        fd = _mse_gradient_fd(config, net.flatten(), ds)
+        fd = _msereg_gradient_fd(config, net.flatten(), ds)
         assert np.max(np.abs(analytic - fd)) / (1 + np.max(np.abs(fd))) < 1e-6
+
+    def test_regularized_gradient_matches_finite_differences(self):
+        # the gradient normal_equations reports (and train's min-grad test
+        # reads) is that of msereg with the biases left out of MSW
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
+        net = init_weights(config, 77)
+        _, _, _, ds = teacher_dataset(40, seed=9, n_hidden=2)
+        theta, bias_mask, xi = net.flatten(), net.bias_mask(), 0.9
+        grad = normal_equations(*jacobian(net, ds), theta, xi, ~bias_mask)[2]
+        fd = _msereg_gradient_fd(config, theta, ds, xi, bias_mask)
+        assert np.max(np.abs(grad - fd)) / (1 + np.max(np.abs(fd))) < 1e-6
+        # the weight penalty is large enough here for a wrong mask to show
+        unmasked = _msereg_gradient_fd(config, theta, ds, xi)
+        assert np.max(np.abs(unmasked - fd)) > 1e-4
 
 
 def linear_ar_dataset(n=200, seed=0, noise=0.0):
@@ -237,15 +273,12 @@ class TestTrain:
             train(config, bad, splits, TrainParams(xi=1.0), seed=0)
 
 
-def reference_lm_step(J, F, lam, weights, xi, bias_mask, penalize_biases):
+def reference_lm_step(J, F, lam, weights, xi, bias_mask):
     """The LM step with a Cholesky definiteness test before the solve."""
-    n_params = J.shape[1]
     A = xi * (J.T @ J)
     b = -xi * (J.T @ F)
     if xi < 1.0:
-        mask = np.ones(n_params, dtype=bool)
-        if not penalize_biases:
-            mask = ~np.asarray(bias_mask)
+        mask = ~np.asarray(bias_mask)
         n_pen = int(mask.sum())
         if n_pen:
             alpha = (1.0 - xi) * J.shape[0] / n_pen
@@ -288,12 +321,12 @@ def reference_train(config, dataset, splits, params, seed):
     net = init_weights(config, seed)
     theta = net.flatten()
     bias_mask = net.bias_mask()
-    lam, xi, pb = params.mu0, params.xi, params.penalize_biases
+    lam, xi = params.mu0, params.xi
 
     def objective(th):
         candidate = NarxNetwork.from_flat(config, th)
         err = forward_open(candidate, train_set) - train_set.T
-        return msereg(err, th, xi, bias_mask, pb), candidate
+        return msereg(err, th, xi, bias_mask), candidate
 
     records = []
     best_epoch, best_val, best_theta = -1, np.inf, theta.copy()
@@ -304,13 +337,13 @@ def reference_train(config, dataset, splits, params, seed):
         J, F = jacobian(net, train_set)
         grad = xi * (2.0 / n_train) * (J.T @ F)
         if xi < 1.0:
-            mask = np.ones_like(bias_mask) if pb else ~bias_mask
+            mask = ~bias_mask
             grad = grad + (1.0 - xi) * (2.0 / int(mask.sum())) * np.where(mask, theta, 0.0)
         grad_norm = float(np.max(np.abs(grad)))
         accepted = False
         while lam <= params.mu_max:
             try:
-                d = reference_lm_step(J, F, lam, theta, xi, bias_mask, pb)
+                d = reference_lm_step(J, F, lam, theta, xi, bias_mask)
             except StepFailure:
                 lam *= params.mu_inc
                 continue
@@ -350,14 +383,13 @@ def reference_train(config, dataset, splits, params, seed):
 
 class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("xi", [0.9, 1.0])
-    @pytest.mark.parametrize("penalize_biases", [False, True])
-    def test_bit_identical(self, xi, penalize_biases):
+    def test_bit_identical(self, xi):
         frame, _ = synthetic_ohlcv_frame(200, seed=21, noise_std=0.02)
         prep = prepare(frame, d_u=(0, 1), d_y=(1, 2))
         # 60 epochs without early stopping; each run raises the damping
         # after a rejected step at least once
         params = TrainParams(xi=xi, epochs=60, goal=1e-12, min_grad=1e-12,
-                             max_fail=60, penalize_biases=penalize_biases)
+                             max_fail=60)
         for seed, n_hidden in ((0, 4), (1, 5), (2, 6)):
             config = NarxConfig(d_u=(0, 1), d_y=(1, 2), n_hidden=n_hidden, n_exo=4)
             report = train(config, prep.dataset, prep.splits, params, seed)
@@ -414,7 +446,8 @@ class TestParams:
             TrainParams(restarts=0)
         for bad in ({"epochs": 0}, {"epochs": -3}, {"max_fail": 0},
                     {"goal": -1e-9}, {"goal": float("nan")},
-                    {"min_grad": -1e-9}, {"min_grad": float("nan")}):
+                    {"min_grad": -1e-9}, {"min_grad": float("nan")},
+                    {"mu_max": float("inf")}):
             with pytest.raises(ValidationError):
                 TrainParams(**bad)
 
@@ -442,18 +475,14 @@ def test_reported_msereg_is_training_objective():
        d_y=st.sampled_from([(1,), (1, 2), (2, 4)]),
        n_hidden=st.integers(1, 5),
        xi=st.sampled_from([0.5, 0.8, 0.9, 1.0]),
-       penalize_biases=st.booleans(),
        restarts=st.integers(1, 3), seed=st.integers(0, 1000))
 def test_reported_msereg_is_training_objective_property(
-        rows, frame_seed, d_u, d_y, n_hidden, xi, penalize_biases, restarts,
-        seed):
+        rows, frame_seed, d_u, d_y, n_hidden, xi, restarts, seed):
     frame, _ = synthetic_ohlcv_frame(rows, seed=frame_seed, noise_std=0.02)
     prep = prepare(frame, d_u=d_u, d_y=d_y)
-    params = TrainParams(xi=xi, restarts=restarts, epochs=12,
-                         penalize_biases=penalize_biases)
+    params = TrainParams(xi=xi, restarts=restarts, epochs=12)
     report = fit(prep, n_hidden=n_hidden, params=params, seed=seed)
-    diag = evaluate_open(report.network, prep, idx=prep.splits[0], xi=xi,
-                         penalize_biases=penalize_biases)
+    diag = evaluate_open(report.network, prep, idx=prep.splits[0], xi=xi)
     expected = report.records[report.best_epoch].train_objective
     assert diag.msereg == pytest.approx(expected, rel=0, abs=1e-12)
 
