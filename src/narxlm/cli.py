@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 validation/format, 5 divergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -37,7 +38,6 @@ from .errors import (
     DivergedError,
     InsufficientDataError,
     NarxError,
-    UndefinedStatisticError,
     ValidationError,
 )
 from .network import NarxNetwork
@@ -52,6 +52,13 @@ EXIT_VALIDATION = 4
 EXIT_DIVERGED = 5
 EXIT_MISMATCH = 6
 EXIT_REJECTED = 7
+# exit code of each error a command may raise; the first matching type wins
+ERROR_EXITS = (
+    (OSError, EXIT_IO),
+    (DivergedError, EXIT_DIVERGED),
+    (ConfigMismatchError, EXIT_MISMATCH),
+    (NarxError, EXIT_VALIDATION),
+)
 
 MODEL_FILE = "model.json"
 TRAIN_REPORT_FILE = "train_report.json"
@@ -65,9 +72,7 @@ MANIFEST_FILE = "manifest.json"
 
 
 def _atomic_write(path, text: str):
-    d = os.path.dirname(path) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -100,18 +105,27 @@ def _environment() -> dict:
     return env
 
 
-def _write_manifest(out_dir, command, params: dict, input_path, outputs):
+def _write_outputs(args, files: dict):
+    """Create ``--out``, write each {name: text} file, then the manifest of them.
+
+    Commands call this once, after every result is computed, so a failed run
+    leaves no directory behind.
+    """
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in files.items():
+        _atomic_write(os.path.join(args.out, name), text)
     manifest = {
-        "command": command,
-        "parameters": params,
-        "input_file": str(input_path),
-        "input_sha256": _sha256(input_path),
+        "command": args.command,
+        "parameters": {k: v for k, v in sorted(vars(args).items())
+                       if k not in ("func", "command")},
+        "input_file": str(args.csv),
+        "input_sha256": _sha256(args.csv),
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": sorted(outputs),
+        "outputs": sorted(files),
         "environment": _environment(),
     }
-    _atomic_write(os.path.join(out_dir, MANIFEST_FILE), json.dumps(manifest, indent=2))
+    _atomic_write(os.path.join(args.out, MANIFEST_FILE), json.dumps(manifest, indent=2))
 
 
 def _add_common(p):
@@ -124,17 +138,28 @@ def _add_common(p):
     p.add_argument("--seed", type=_int_at_least(0), default=42)
 
 
-def _add_train_params(p):
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--mu-dec", type=float, default=0.8)
-    p.add_argument("--mu-inc", type=float, default=1.5)
-    p.add_argument("--mu-max", type=float, default=1e10)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--goal", type=float, default=1e-5)
-    p.add_argument("--min-grad", type=float, default=1e-7)
-    p.add_argument("--max-fail", type=int, default=6)
-    p.add_argument("--xi", type=float, default=0.9)
-    p.add_argument("--restarts", type=int, default=10)
+# (flag, dataclass field) of every training and verdict option: the dest is
+# the flag's name (--mu-dec -> mu_dec), the type and default the field's
+TRAIN_FLAGS = (
+    ("--mu", "mu0"), ("--mu-dec", "mu_dec"), ("--mu-inc", "mu_inc"),
+    ("--mu-max", "mu_max"), ("--epochs", "epochs"), ("--goal", "goal"),
+    ("--min-grad", "min_grad"), ("--max-fail", "max_fail"), ("--xi", "xi"),
+    ("--restarts", "restarts"),
+)
+THRESHOLD_FLAGS = (
+    ("--r-min", "r_min"), ("--divergence-max", "divergence_max_pct"),
+    ("--mse-max", "mse_max"),
+)
+
+
+def _add_fields(p, cls, flags):
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for flag, name in flags:
+        p.add_argument(flag, type=type(defaults[name]), default=defaults[name])
+
+
+def _from_fields(args, cls, flags):
+    return cls(**{name: getattr(args, flag[2:].replace("-", "_")) for flag, name in flags})
 
 
 def _int_at_least(low):
@@ -147,22 +172,12 @@ def _int_at_least(low):
     return parse
 
 
-def _add_thresholds(p):
-    p.add_argument("--r-min", type=float, default=0.99)
-    p.add_argument("--divergence-max", type=float, default=10.0)
-    p.add_argument("--mse-max", type=float, default=float("inf"))
-
-
 def _train_params_from(args) -> TrainParams:
-    return TrainParams(
-        mu0=args.mu, mu_dec=args.mu_dec, mu_inc=args.mu_inc, mu_max=args.mu_max,
-        epochs=args.epochs, goal=args.goal, min_grad=args.min_grad,
-        max_fail=args.max_fail, xi=args.xi, restarts=args.restarts,
-    )
+    return _from_fields(args, TrainParams, TRAIN_FLAGS)
 
 
 def _thresholds_from(args) -> VerdictThresholds:
-    return VerdictThresholds(args.r_min, args.divergence_max, args.mse_max)
+    return _from_fields(args, VerdictThresholds, THRESHOLD_FLAGS)
 
 
 def _load_frame(args):
@@ -198,15 +213,15 @@ def _add_train_options(p):
     p.add_argument("--exo-channels", default=None,
                    help="comma-separated channel names (default open,high,low,volume)")
     p.add_argument("--target-channel", default="close")
-    _add_train_params(p)
-    _add_thresholds(p)
+    _add_fields(p, TrainParams, TRAIN_FLAGS)
+    _add_fields(p, VerdictThresholds, THRESHOLD_FLAGS)
 
 
 def _add_simulate_options(p):
     _add_common(p)
     p.add_argument("--model", required=True, help="model.json from a train run")
     p.add_argument("--horizon", type=int, default=100)
-    _add_thresholds(p)
+    _add_fields(p, VerdictThresholds, THRESHOLD_FLAGS)
 
 
 def _add_sweep_options(p):
@@ -220,13 +235,13 @@ def _add_sweep_options(p):
     p.add_argument("--target-channel", default="close")
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes (>= 1)")
-    _add_train_params(p)
+    _add_fields(p, TrainParams, TRAIN_FLAGS)
 
 
 def _add_eval_options(p):
     _add_common(p)
     p.add_argument("--model", required=True)
-    _add_thresholds(p)
+    _add_fields(p, VerdictThresholds, THRESHOLD_FLAGS)
 
 
 MODEL_KEYS = ("config", "weights", "normalization", "exo_channels", "target_channel")
@@ -253,8 +268,6 @@ def _load_model(path):
         raise DataFormatError(
             f"malformed model document: {type(exc).__name__} {exc}") from exc
     target_channel = doc["target_channel"]
-    if not 0.0 < norm_spec.hi - norm_spec.lo < np.inf:
-        raise DataFormatError("model normalization has no usable [lo, hi]")
     for ch in exo_channels + (target_channel,):
         if ch not in CHANNELS:
             raise ConfigMismatchError(f"model channel {ch!r} not present in OHLCV data")
@@ -279,24 +292,19 @@ def cmd_train(args) -> int:
     report = fit(prep, args.neurons, params, args.seed)
     diag = evaluate_open(report.network, prep, xi=params.xi, thresholds=thresholds)
 
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    _atomic_write(os.path.join(out, MODEL_FILE),
-                  report.network.to_json({
-                      "normalization": prep.norm_spec.to_dict(),
-                      "exo_channels": list(exo),
-                      "target_channel": args.target_channel}))
-    _atomic_write(os.path.join(out, TRAIN_REPORT_FILE),
-                  json.dumps(report.to_dict(), indent=2))
     lines = ["epoch,train_objective,train_mse,val_mse,test_mse,grad_norm,lambda"]
     for r in report.records:
         lines.append(f"{r.epoch},{r.train_objective!r},{r.train_mse!r},"
                      f"{r.val_mse!r},{r.test_mse!r},{r.grad_norm!r},{r.lam!r}")
-    _atomic_write(os.path.join(out, EPOCHS_FILE), "\n".join(lines) + "\n")
-    _atomic_write(os.path.join(out, DIAGNOSTICS_FILE),
-                  json.dumps(diag.to_dict(), indent=2))
-    _write_manifest(out, "train", _manifest_params(args), args.csv,
-                    [MODEL_FILE, TRAIN_REPORT_FILE, EPOCHS_FILE, DIAGNOSTICS_FILE])
+    _write_outputs(args, {
+        MODEL_FILE: report.network.to_json({
+            "normalization": prep.norm_spec.to_dict(),
+            "exo_channels": list(exo),
+            "target_channel": args.target_channel}),
+        TRAIN_REPORT_FILE: json.dumps(report.to_dict(), indent=2),
+        EPOCHS_FILE: "\n".join(lines) + "\n",
+        DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2),
+    })
     print(f"trained: stop={report.stop_reason} best_epoch={report.best_epoch} "
           f"val_mse={report.best_val_mse:.3e} R={diag.r_value:.5f} "
           f"divergence={diag.max_divergence_pct:.3f}% "
@@ -319,8 +327,6 @@ def cmd_simulate(args) -> int:
             f"horizon {H} exceeds the {len(frame) - priming} rows after "
             f"{priming} priming row{'s' if priming > 1 else ''}")
     start_row = len(frame) - H
-    out = args.out
-    os.makedirs(out, exist_ok=True)
     lines = ["timestep,target,prediction,error"]
     if H > 0:
         ts, preds, targs = simulate(net, prep, start_row, H)
@@ -332,11 +338,9 @@ def cmd_simulate(args) -> int:
         diag_doc = diag.to_dict()
     else:
         diag_doc = {"note": "empty horizon", "accepted": True}
-    _atomic_write(os.path.join(out, PREDICTIONS_FILE), "\n".join(lines) + "\n")
-    _atomic_write(os.path.join(out, DIAGNOSTICS_FILE), json.dumps(diag_doc, indent=2))
-    _write_manifest(out, "simulate", _manifest_params(args), args.csv,
-                    [PREDICTIONS_FILE, DIAGNOSTICS_FILE])
-    print(f"simulated {H} steps -> {os.path.join(out, PREDICTIONS_FILE)}")
+    _write_outputs(args, {PREDICTIONS_FILE: "\n".join(lines) + "\n",
+                          DIAGNOSTICS_FILE: json.dumps(diag_doc, indent=2)})
+    print(f"simulated {H} steps -> {os.path.join(args.out, PREDICTIONS_FILE)}")
     return EXIT_OK
 
 
@@ -365,8 +369,6 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(grid, frame, exo, target, jobs=args.jobs)
     best = select_best(rows)
 
-    out = args.out
-    os.makedirs(out, exist_ok=True)
     header = ("input_delays,feedback_delays,neurons,performance,mse,r_value,"
               "xcorr_within_bounds,wall_time,diverged,warning")
     lines = [header]
@@ -377,9 +379,6 @@ def cmd_sweep(args) -> int:
             str(r.xcorr_within_bounds), f"{r.wall_time:.3f}",
             str(r.diverged), json.dumps(r.warning),
         ]))
-    _atomic_write(os.path.join(out, SWEEP_CSV_FILE), "\n".join(lines) + "\n")
-    _atomic_write(os.path.join(out, SWEEP_JSON_FILE),
-                  json.dumps([r.to_dict() for r in rows], indent=2))
     chosen = {
         "input_delays": list(best.d_u),
         "feedback_delays": list(best.d_y),
@@ -389,9 +388,11 @@ def cmd_sweep(args) -> int:
         "xcorr_within_bounds": best.xcorr_within_bounds,
         "warning": best.warning,
     }
-    _atomic_write(os.path.join(out, CHOSEN_CONFIG_FILE), json.dumps(chosen, indent=2))
-    _write_manifest(out, "sweep", _manifest_params(args), args.csv,
-                    [SWEEP_CSV_FILE, SWEEP_JSON_FILE, CHOSEN_CONFIG_FILE])
+    _write_outputs(args, {
+        SWEEP_CSV_FILE: "\n".join(lines) + "\n",
+        SWEEP_JSON_FILE: json.dumps([r.to_dict() for r in rows], indent=2),
+        CHOSEN_CONFIG_FILE: json.dumps(chosen, indent=2),
+    })
     print(f"swept {len(rows)} configurations; best: d_u={best.d_u} "
           f"d_y={best.d_y} N={best.n_hidden} R={best.r_value:.5f}")
     return EXIT_OK
@@ -403,21 +404,11 @@ def cmd_eval(args) -> int:
     prep = prepare(frame, net.config.d_u, net.config.d_y, exo_channels, target_channel,
                    norm_spec=norm_spec)
     diag = evaluate_open(net, prep, thresholds=_thresholds_from(args))
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    _atomic_write(os.path.join(out, DIAGNOSTICS_FILE),
-                  json.dumps(diag.to_dict(), indent=2))
-    _write_manifest(out, "eval", _manifest_params(args), args.csv,
-                    [DIAGNOSTICS_FILE])
+    _write_outputs(args, {DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2)})
     verdict = "accept" if diag.accepted else "reject"
     print(f"eval: R={diag.r_value:.5f} divergence={diag.max_divergence_pct:.3f}% "
           f"mse={diag.mse:.3e} verdict={verdict}")
     return EXIT_OK if diag.accepted else EXIT_REJECTED
-
-
-def _manifest_params(args) -> dict:
-    skip = {"func", "command"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 # (name, help, add-options function, handler) of every subcommand
@@ -460,22 +451,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, NarxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DataFormatError, ValidationError, InsufficientDataError,
-            UndefinedStatisticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except DivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except ConfigMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except NarxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(code for kind, code in ERROR_EXITS if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -4,6 +4,10 @@ The raw series is a set of named daily channels (open/high/low/volume plus the
 close target).  Supervised samples are built by sliding tapped delay lines over
 the series: each sample pairs lagged exogenous values and lagged targets with
 the current target.
+
+The design fixes two settings: every normalized channel maps its fitted
+[min, max] onto [-1, 1], and the samples split 70/15/15 in time into
+training, validation and test blocks.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from .errors import (
 CHANNELS = ("open", "high", "low", "volume", "close", "adj_close")
 DEFAULT_EXO_CHANNELS = ("open", "high", "low", "volume")
 DEFAULT_TARGET_CHANNEL = "close"
+NORM_LO, NORM_HI = -1.0, 1.0
+SPLIT_RATIOS = (0.70, 0.15, 0.15)  # train, validation, test
 
 # CSV header aliases, lower-cased and stripped of spaces/underscores
 _COLUMN_ALIASES = {
@@ -62,6 +68,12 @@ def parse_date(token: str) -> int:
         return _dt.date.fromisoformat(token).toordinal()
     except ValueError as exc:
         raise DataFormatError(f"unparseable date {token!r}") from exc
+
+
+def _check_fixed(key: str, value, fixed):
+    """Reject a saved model whose ``key`` differs from the value the design fixes."""
+    if value != fixed:
+        raise ValidationError(f"model {key} {value!r} is not supported: it must be {fixed!r}")
 
 
 def _broken_price_invariant(high, low, volume):
@@ -322,43 +334,39 @@ def load_ohlcv(path) -> TimeSeriesFrame:
 
 @dataclass(frozen=True)
 class NormalizationSpec:
-    """Per-channel affine maps of observed [min, max] onto [lo, hi]."""
+    """Per-channel affine maps of observed [min, max] onto [NORM_LO, NORM_HI]."""
 
     ranges: dict  # channel -> (min, max)
-    lo: float = -1.0
-    hi: float = 1.0
 
     def apply_values(self, values, channel: str) -> np.ndarray:
         if channel not in self.ranges:
             raise KeyError(f"channel {channel!r} not in normalization spec")
         mn, mx = self.ranges[channel]
         values = np.asarray(values, dtype=float)
-        return self.lo + (values - mn) * (self.hi - self.lo) / (mx - mn)
+        return NORM_LO + (values - mn) * (NORM_HI - NORM_LO) / (mx - mn)
 
     def invert_values(self, values, channel: str) -> np.ndarray:
         if channel not in self.ranges:
             raise KeyError(f"channel {channel!r} not in normalization spec")
         mn, mx = self.ranges[channel]
         values = np.asarray(values, dtype=float)
-        return mn + (values - self.lo) * (mx - mn) / (self.hi - self.lo)
+        return mn + (values - NORM_LO) * (mx - mn) / (NORM_HI - NORM_LO)
 
     def to_dict(self) -> dict:
         return {
-            "lo": self.lo,
-            "hi": self.hi,
+            "lo": NORM_LO,
+            "hi": NORM_HI,
             "ranges": {c: [mn, mx] for c, (mn, mx) in self.ranges.items()},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationSpec":
-        return cls(
-            ranges={c: (float(mn), float(mx)) for c, (mn, mx) in d["ranges"].items()},
-            lo=float(d["lo"]),
-            hi=float(d["hi"]),
-        )
+        _check_fixed("lo", float(d["lo"]), NORM_LO)
+        _check_fixed("hi", float(d["hi"]), NORM_HI)
+        return cls(ranges={c: (float(mn), float(mx)) for c, (mn, mx) in d["ranges"].items()})
 
 
-def fit_normalization(frame: TimeSeriesFrame, channels, lo=-1.0, hi=1.0,
+def fit_normalization(frame: TimeSeriesFrame, channels,
                       fit_rows: int | None = None) -> NormalizationSpec:
     """Fit per-channel min/max over the first ``fit_rows`` rows (all by default).
 
@@ -372,11 +380,11 @@ def fit_normalization(frame: TimeSeriesFrame, channels, lo=-1.0, hi=1.0,
         if mx <= mn:
             raise ValidationError(f"channel {ch!r} is constant over the fit window")
         ranges[ch] = (mn, mx)
-    return NormalizationSpec(ranges=ranges, lo=float(lo), hi=float(hi))
+    return NormalizationSpec(ranges=ranges)
 
 
 def apply_normalization(frame: TimeSeriesFrame, spec: NormalizationSpec) -> TimeSeriesFrame:
-    """Return a copy of the frame with spec'd channels mapped into [lo, hi]."""
+    """Return a copy of the frame with spec'd channels mapped into [-1, 1]."""
     cols = {}
     for ch in CHANNELS:
         vals = frame.channel(ch)
@@ -464,21 +472,15 @@ def prepare_delayed(frame: TimeSeriesFrame, d_u, d_y,
                     target_channel, frame.timesteps)
 
 
-def split_indices(n_samples: int, ratios=(0.70, 0.15, 0.15)):
-    """Contiguous temporal train/validation/test blocks.
+def split_indices(n_samples: int):
+    """Contiguous temporal train/validation/test blocks in SPLIT_RATIOS.
 
     Sizes follow largest-remainder rounding of the ratios; the blocks
     partition range(n_samples) in order.
     """
     if n_samples < 3:
         raise InsufficientDataError("need at least 3 samples to split")
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValidationError("ratios must be three positive numbers")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValidationError("ratios must sum to 1")
-
-    exact = [r * n_samples for r in ratios]
+    exact = [r * n_samples for r in SPLIT_RATIOS]
     sizes = [int(np.floor(e)) for e in exact]
     remainders = [e - s for e, s in zip(exact, sizes)]
     leftover = n_samples - sum(sizes)

@@ -2,8 +2,8 @@
 
 The accept/reject gate combines the Pearson R between outputs and targets,
 the maximum percent divergence in price units, and an MSE ceiling.  Residual
-whiteness is probed with normalized auto- and cross-correlations against the
-95% white-noise band +/- 1.96 / sqrt(n).
+whiteness is probed with normalized auto- and cross-correlations out to lag
+MAX_LAG = 20 against the 95% white-noise band +/- 1.96 / sqrt(n).
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UndefinedStatisticError, ValidationError
-from .training import msereg
 
 Z_95 = 1.96
+MAX_LAG = 20  # residual correlations run over lags up to this
 
 
 def confidence_bound(n: int) -> float:
@@ -182,28 +182,23 @@ class DiagnosticsReport:
 
 
 def diagnose(outputs_price, targets_price, errors_norm, exo_channels_norm,
-             weights=None, xi=1.0, max_lag=20,
-             thresholds: VerdictThresholds = VerdictThresholds(),
-             bias_mask=None) -> DiagnosticsReport:
+             msereg: float | None = None,
+             thresholds: VerdictThresholds = VerdictThresholds()) -> DiagnosticsReport:
     """Full report: metrics in price units, correlations on normalized errors.
 
     exo_channels_norm maps channel name -> normalized series aligned with
-    errors_norm.  max_lag is clamped to the available series length.
-    msereg takes weights, xi and bias_mask as the training objective does,
-    so it matches that objective on the same block.
+    errors_norm.  Correlations run to MAX_LAG, clamped to the available
+    series length.  ``msereg`` is the training objective on the same block
+    (the caller's ``training.msereg``); without it the report gives the MSE.
     """
     outputs_price = np.asarray(outputs_price, dtype=float)
     targets_price = np.asarray(targets_price, dtype=float)
     errors_norm = np.asarray(errors_norm, dtype=float)
     mse = float(np.mean(errors_norm ** 2))
-    if weights is not None and xi < 1.0:
-        reg = msereg(errors_norm, weights, xi, bias_mask)
-    else:
-        reg = mse
     r = regression_r(outputs_price, targets_price)
     div = max_divergence(outputs_price, targets_price)
 
-    lag = min(max_lag, errors_norm.size - 1)
+    lag = min(MAX_LAG, errors_norm.size - 1)
     ac, ac_bound = error_autocorrelation(errors_norm, lag)
     lags, rho, xc_bound = _crosscorrelations(list(exo_channels_norm.values()),
                                              errors_norm, lag)
@@ -211,7 +206,8 @@ def diagnose(outputs_price, targets_price, errors_norm, exo_channels_norm,
 
     accepted, reasons = acceptance_verdict(r, div, mse, thresholds)
     return DiagnosticsReport(
-        mse=mse, msereg=reg, r_value=r, max_divergence_pct=div,
+        mse=mse, msereg=mse if msereg is None else msereg,
+        r_value=r, max_divergence_pct=div,
         autocorr=ac, autocorr_bound=ac_bound,
         xcorr=xcorr, xcorr_bound=xc_bound,
         accepted=accepted, reasons=reasons,

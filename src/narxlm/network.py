@@ -2,9 +2,11 @@
 
 The network has one hidden tanh layer fed by tapped delay lines over the
 exogenous channels (lags d_u) and the target feedback signal (lags d_y), and a
-single linear output unit.  Open-loop (series-parallel) evaluation reads true
-lagged targets from the dataset; the closed-loop form replays its own
-predictions into the feedback taps for multi-step-ahead forecasting.
+single linear output unit.  These transfers are fixed (HIDDEN_TRANSFER,
+OUTPUT_TRANSFER); a saved model records them.  Open-loop (series-parallel)
+evaluation reads true lagged targets from the dataset; the closed-loop form
+replays its own predictions into the feedback taps for multi-step-ahead
+forecasting.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_lags
+from .data import _check_fixed, _check_lags
 from .errors import InsufficientDataError, ShapeError, ValidationError
 
 FORMAT_VERSION = 1
+HIDDEN_TRANSFER = "tanh"
+OUTPUT_TRANSFER = "linear"
 
 
 @dataclass(frozen=True)
@@ -26,8 +30,6 @@ class NarxConfig:
     d_y: tuple
     n_hidden: int
     n_exo: int
-    hidden_transfer: str = "tanh"
-    output_transfer: str = "linear"
 
     def __post_init__(self):
         d_u, d_y = _check_lags(self.d_u, self.d_y)
@@ -37,10 +39,6 @@ class NarxConfig:
             raise ValidationError("n_hidden must be >= 1")
         if self.n_exo < 1:
             raise ValidationError("n_exo must be >= 1")
-        if self.hidden_transfer != "tanh":
-            raise ValidationError(f"unsupported hidden transfer {self.hidden_transfer!r}")
-        if self.output_transfer != "linear":
-            raise ValidationError(f"unsupported output transfer {self.output_transfer!r}")
 
     @property
     def n_input_taps(self) -> int:
@@ -57,19 +55,21 @@ class NarxConfig:
             "d_y": list(self.d_y),
             "n_hidden": self.n_hidden,
             "n_exo": self.n_exo,
-            "hidden_transfer": self.hidden_transfer,
-            "output_transfer": self.output_transfer,
+            "hidden_transfer": HIDDEN_TRANSFER,
+            "output_transfer": OUTPUT_TRANSFER,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "NarxConfig":
+        _check_fixed("hidden_transfer", d.get("hidden_transfer", HIDDEN_TRANSFER),
+                     HIDDEN_TRANSFER)
+        _check_fixed("output_transfer", d.get("output_transfer", OUTPUT_TRANSFER),
+                     OUTPUT_TRANSFER)
         return cls(
             d_u=tuple(d["d_u"]),
             d_y=tuple(d["d_y"]),
             n_hidden=int(d["n_hidden"]),
             n_exo=int(d["n_exo"]),
-            hidden_transfer=d.get("hidden_transfer", "tanh"),
-            output_transfer=d.get("output_transfer", "linear"),
         )
 
 

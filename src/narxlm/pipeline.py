@@ -26,7 +26,7 @@ from .data import (
 from .diagnostics import DiagnosticsReport, VerdictThresholds, diagnose
 from .errors import InsufficientDataError
 from .network import ClosedLoopNarx, NarxConfig, NarxNetwork, forward_open
-from .training import TrainParams, TrainReport, train_with_restarts
+from .training import TrainParams, TrainReport, msereg, train_with_restarts
 
 
 @dataclass
@@ -43,7 +43,7 @@ def prepare(raw_frame: TimeSeriesFrame, d_u, d_y,
             exo_channels=DEFAULT_EXO_CHANNELS,
             target_channel=DEFAULT_TARGET_CHANNEL,
             norm_spec: NormalizationSpec | None = None) -> PreparedData:
-    """Normalize, build the delayed dataset and split it 70/15/15 in time.
+    """Normalize to [-1, 1], build the delayed dataset and split it 70/15/15 in time.
 
     Without ``norm_spec`` the normalization is fitted on the rows that feed
     the training block; a given spec (a saved model's) is applied as is.
@@ -70,10 +70,12 @@ def fit(prep: PreparedData, n_hidden: int, params: TrainParams, seed: int) -> Tr
     return train_with_restarts(config, prep.dataset, prep.splits, params, seed)
 
 
-def evaluate_open(net: NarxNetwork, prep: PreparedData, idx=None,
-                  xi: float = 1.0, max_lag: int = 20,
+def evaluate_open(net: NarxNetwork, prep: PreparedData, idx=None, xi: float = 1.0,
                   thresholds: VerdictThresholds = VerdictThresholds()) -> DiagnosticsReport:
-    """Open-loop one-step diagnostics on a sample block (all samples if None)."""
+    """Open-loop one-step diagnostics on a sample block (all samples if None).
+
+    The report's msereg is the training objective with ``xi`` on the block.
+    """
     dataset = prep.dataset
     if idx is None:
         idx = np.arange(dataset.n_samples)
@@ -86,8 +88,7 @@ def evaluate_open(net: NarxNetwork, prep: PreparedData, idx=None,
     exo = {ch: prep.frame.channel(ch)[dataset.first_usable_index:][idx]
            for ch in prep.exo_channels}
     return diagnose(pred_price, targ_price, err, exo,
-                    weights=net.flatten(), xi=xi, max_lag=max_lag,
-                    thresholds=thresholds, bias_mask=net.bias_mask())
+                    msereg(err, net.flatten(), xi, net.bias_mask()), thresholds)
 
 
 def simulate(net: NarxNetwork, prep: PreparedData, start_row: int, horizon: int):
@@ -119,7 +120,7 @@ def simulate(net: NarxNetwork, prep: PreparedData, start_row: int, horizon: int)
 
 
 def simulate_diagnostics(preds_price, targs_price, prep: PreparedData,
-                         start_row: int, max_lag: int = 20,
+                         start_row: int,
                          thresholds: VerdictThresholds = VerdictThresholds()) -> DiagnosticsReport:
     """Diagnostics for a closed-loop run over rows with known targets."""
     err = prep.norm_spec.apply_values(preds_price, prep.target_channel) - \
@@ -127,5 +128,4 @@ def simulate_diagnostics(preds_price, targs_price, prep: PreparedData,
     horizon = len(preds_price)
     exo = {ch: prep.frame.channel(ch)[start_row:start_row + horizon]
            for ch in prep.exo_channels}
-    return diagnose(preds_price, targs_price, err, exo,
-                    max_lag=max_lag, thresholds=thresholds)
+    return diagnose(preds_price, targs_price, err, exo, thresholds=thresholds)

@@ -90,17 +90,18 @@ def run_sweep(grid: SweepGrid, frame, exo_channels, target_channel, jobs=1) -> l
     ``frame`` holds raw prices.  Each point is prepared, fitted and scored
     as ``pipeline.prepare``, ``fit`` and ``evaluate_open`` do for ``train``,
     so its mse and R are the ones ``train`` reports.  Diverged runs are kept
-    as flagged rows so the table stays rectangular.
+    as flagged rows so the table stays rectangular.  ``jobs`` caps the
+    worker processes, which never outnumber the points; one runs inline.
     """
     args = [(point, grid.params, grid.seed, frame, tuple(exo_channels), target_channel)
             for point in grid.points()]
-    if jobs > 1:
+    # a forked pool starts all its workers at once, so never more than points
+    workers = min(jobs, len(args))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, args))
-    else:
-        rows = [_sweep_point(a) for a in args]
-    return rows
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_sweep_point, args))
+    return [_sweep_point(a) for a in args]
 
 
 def _sweep_point(packed) -> SweepRow:

@@ -158,6 +158,17 @@ class TestSimulate:
         assert f"horizon {horizon} exceeds the 219 rows after 1 priming row\n" in err
         assert not out.exists()
 
+    def test_undefined_statistic_leaves_no_directory(self, trained_dir, data_csv,
+                                                     tmp_path, capsys):
+        # one step has zero variance, so R is undefined
+        out = tmp_path / "sim1"
+        rc = cli.main(["simulate", "--csv", data_csv,
+                       "--model", os.path.join(trained_dir, cli.MODEL_FILE),
+                       "--horizon", "1", "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: zero variance: R undefined\n"
+        assert not out.exists()
+
     def test_horizon_of_every_row_after_priming(self, trained_dir, data_csv, tmp_path):
         out = tmp_path / "sim_all"
         rc = cli.main(["simulate", "--csv", data_csv,
@@ -188,6 +199,58 @@ class TestEval:
         with open(os.path.join(out, cli.DIAGNOSTICS_FILE)) as fh:
             diag = json.load(fh)
         assert diag["reasons"]
+
+
+# a model.json as the previous release wrote it: N = 1 on the open channel,
+# trained on the data_csv series with --epochs 5 --restarts 1 --seed 1
+PRIOR_MODEL = {
+    "format_version": 1,
+    "config": {"d_u": [0, 1], "d_y": [1], "n_hidden": 1, "n_exo": 1,
+               "hidden_transfer": "tanh", "output_transfer": "linear"},
+    "weights": ["-0.044790015431015816", "0.15080743517354778",
+                "-0.15616838885902068", "0.37076143455594024",
+                "-0.23358707927183936", "-0.38577063056218219"],
+    "normalization": {"lo": -1.0, "hi": 1.0,
+                      "ranges": {"close": [20.0, 22.0],
+                                 "open": [20.25612869107284, 21.886334339048442]}},
+    "exo_channels": ["open"],
+    "target_channel": "close",
+}
+
+
+class TestFixedModelSettings:
+    def test_prior_model_loads_and_round_trips(self, data_csv, tmp_path):
+        text = json.dumps(PRIOR_MODEL, indent=2)
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        net, norm_spec, exo, target = cli._load_model(str(model))
+        assert net.to_json({"normalization": norm_spec.to_dict(),
+                            "exo_channels": list(exo),
+                            "target_channel": target}) == text
+        out = tmp_path / "eval"
+        rc = cli.main(["eval", "--csv", data_csv, "--model", str(model), "--out", str(out)])
+        assert rc == cli.EXIT_REJECTED
+        diag = json.loads((out / cli.DIAGNOSTICS_FILE).read_text())
+        # the values the previous release reported for this model and series
+        assert (diag["r_value"], diag["mse"]) == (0.23271891861841323, 0.047772115936865076)
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("config", "hidden_transfer", "sigmoid"),
+        ("config", "output_transfer", "tanh"),
+        ("normalization", "lo", 0.0),
+        ("normalization", "hi", 2.0),
+        ("normalization", "lo", float("nan")),
+    ])
+    def test_other_fixed_value_exits_4(self, data_csv, tmp_path, capsys, block, key, value):
+        doc = json.loads(json.dumps(PRIOR_MODEL))
+        doc[block][key] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main(["eval", "--csv", data_csv, "--model", str(model), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert f"model {key} {value!r} is not supported" in capsys.readouterr().err
+        assert not out.exists()
 
 
 MANIFEST_KEYS = {"command", "parameters", "input_file", "input_sha256",
@@ -284,6 +347,20 @@ class TestSweep:
                        "--out", str(tmp_path / "sweep3"),
                        "--neurons", ""])
         assert rc != 0
+
+
+class TestOptionDefaults:
+    @pytest.mark.parametrize("command,model", [
+        ("train", []), ("sweep", []),
+        ("simulate", ["--model", "m.json"]), ("eval", ["--model", "m.json"]),
+    ])
+    def test_defaults_are_the_dataclasses(self, command, model):
+        argv = [command, "--csv", "p.csv", "--out", "o", *model]
+        args = cli._build_parser(argv).parse_args(argv)
+        if command in ("train", "sweep"):
+            assert cli._train_params_from(args) == narxlm.TrainParams()
+        if command != "sweep":
+            assert cli._thresholds_from(args) == narxlm.VerdictThresholds()
 
 
 class TestUsage:

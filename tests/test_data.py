@@ -591,7 +591,8 @@ class TestSplitIndices:
         assert tr[-1] + 1 == va[0] and va[-1] + 1 == te[0]
 
     def test_minimal(self):
-        tr, va, te = split_indices(3, (1 / 3, 1 / 3, 1 / 3))
+        # 70/15/15 of 3 rounds to 2/1/0; the empty test block takes one sample
+        tr, va, te = split_indices(3)
         assert (len(tr), len(va), len(te)) == (1, 1, 1)
 
     def test_largest_remainder(self):
@@ -602,12 +603,6 @@ class TestSplitIndices:
     def test_too_few(self):
         with pytest.raises(InsufficientDataError):
             split_indices(2)
-
-    def test_bad_ratios(self):
-        with pytest.raises(ValidationError):
-            split_indices(100, (0.5, 0.4, 0.2))
-        with pytest.raises(ValidationError):
-            split_indices(100, (1.0, -0.5, 0.5))
 
     @given(st.integers(3, 2000))
     @settings(max_examples=200, deadline=None)

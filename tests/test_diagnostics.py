@@ -178,7 +178,7 @@ class TestCorrelationReference:
         outputs = targets + 0.1 * rng.normal(size=n)
         errors = rng.normal(size=n)
         exo = {ch: rng.normal(size=n) for ch in ("open", "high", "low", "volume")}
-        report = diagnose(outputs, targets, errors, exo, max_lag=20)
+        report = diagnose(outputs, targets, errors, exo)
         assert list(report.xcorr) == list(exo)
         for ch, series in exo.items():
             lags, rho, bound = input_error_crosscorrelation(series, errors, 20)

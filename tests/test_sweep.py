@@ -8,7 +8,7 @@ from narxlm.errors import InsufficientDataError, ValidationError
 from narxlm.network import NarxConfig, forward_open
 from narxlm.sweep import SweepGrid, SweepRow, parse_lag_range, run_sweep, select_best
 from narxlm.synth import synthetic_ohlcv_frame
-from narxlm.training import TrainParams, train_with_restarts
+from narxlm.training import TrainParams, msereg, train_with_restarts
 
 EXO = ("open", "high", "low", "volume")
 FAST = TrainParams(xi=1.0, epochs=30, restarts=2, goal=1e-10, min_grad=1e-10)
@@ -72,13 +72,40 @@ class TestRunSweep:
         exo = {ch: norm.channel(ch)[ds.first_usable_index:] for ch in EXO}
         diag = diagnose(spec.invert_values(pred, "close"),
                         spec.invert_values(ds.T, "close"),
-                        pred - ds.T, exo, weights=report.network.flatten(),
-                        xi=FAST.xi, bias_mask=report.network.bias_mask())
+                        pred - ds.T, exo,
+                        msereg=msereg(pred - ds.T, report.network.flatten(), FAST.xi,
+                                      report.network.bias_mask()))
         assert row.performance == report.records[report.best_epoch].train_objective
         assert row.mse == diag.mse
         assert row.r_value == diag.r_value
         assert row.xcorr_within_bounds == diag.xcorr_within_bounds
         assert not row.diverged
+
+    @pytest.mark.parametrize("n_points,jobs,pools", [(2, 8, [2]), (1, 8, []), (3, 2, [2])])
+    def test_workers_capped_at_points(self, frame, monkeypatch, n_points, jobs, pools):
+        # a forked pool starts max_workers processes at once; this one starts none
+        import concurrent.futures
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        params = TrainParams(xi=1.0, epochs=2, restarts=1)
+        grid = SweepGrid(((0, 1),), ((1,),), tuple(range(2, 2 + n_points)), params)
+        rows = run_sweep(grid, frame, EXO, "close", jobs=jobs)
+        assert [r.n_hidden for r in rows] == list(grid.neuron_candidates)
+        assert started == pools
 
     def test_deterministic_and_complete(self, frame):
         grid = SweepGrid(((0, 1), (1,)), ((1,),), (2, 3), FAST, seed=6)
