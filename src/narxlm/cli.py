@@ -263,11 +263,15 @@ def _load_model(path):
     try:
         net = NarxNetwork.from_dict(doc)
         norm_spec = NormalizationSpec.from_dict(doc["normalization"])
-        exo_channels = tuple(doc["exo_channels"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataFormatError(
             f"malformed model document: {type(exc).__name__} {exc}") from exc
-    target_channel = doc["target_channel"]
+    exo_channels, target_channel = doc["exo_channels"], doc["target_channel"]
+    if not (isinstance(exo_channels, list) and all(isinstance(ch, str) for ch in exo_channels)):
+        raise DataFormatError("malformed model document: 'exo_channels' must be a list of strings")
+    if not isinstance(target_channel, str):
+        raise DataFormatError("malformed model document: 'target_channel' must be a string")
+    exo_channels = tuple(exo_channels)
     for ch in exo_channels + (target_channel,):
         if ch not in CHANNELS:
             raise ConfigMismatchError(f"model channel {ch!r} not present in OHLCV data")

@@ -13,8 +13,7 @@ training, validation and test blocks.
 from __future__ import annotations
 
 import csv
-import datetime as _dt
-import re
+import string
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,27 +46,26 @@ _COLUMN_ALIASES = {
 
 _REQUIRED = ("date", "open", "high", "low", "close", "volume")
 
-_INT64_RANGE = range(-2**63, 2**63)
-_INTEGER_DATE = re.compile(r"[+-]?[0-9]+")
+_PARSE_ERRORS = (ValueError, OverflowError, Warning)  # warnings are raised as errors
 
 
 def parse_date(token: str) -> int:
     """Parse a date cell to an integer day index.
 
-    Plain integers (``[+-]?[0-9]+``, no ``_`` and no non-ASCII digit) pass
-    through if they fit in int64; ISO-8601 dates map to their proleptic
-    Gregorian ordinal so consecutive calendar days are consecutive integers.
+    A signed ASCII integer (``[+-]?[0-9]+``) passes through if it fits in
+    int64; ``YYYY-MM-DD`` maps to its proleptic Gregorian ordinal.  ASCII
+    whitespace around either is ignored.  Nothing else is a date on any
+    Python (``date.fromisoformat`` takes more from 3.11 on).
     """
-    token = token.strip()
-    if _INTEGER_DATE.fullmatch(token):
-        day = int(token)
-        if day not in _INT64_RANGE:
-            raise DataFormatError(f"date {token!r} out of range")
-        return day
+    token = token.strip(string.whitespace)
     try:
-        return _dt.date.fromisoformat(token).toordinal()
-    except ValueError as exc:
-        raise DataFormatError(f"unparseable date {token!r}") from exc
+        if "\0" in token:  # a bytes array drops a NUL that ends a cell
+            raise ValueError
+        return int(_day_numbers(np.array([token.encode("ascii")]))[0])
+    except OverflowError:
+        raise DataFormatError(f"date {token!r} out of range") from None
+    except ValueError:  # UnicodeEncodeError too
+        raise DataFormatError(f"unparseable date {token!r}") from None
 
 
 def _check_fixed(key: str, value, fixed):
@@ -162,93 +160,93 @@ def _split_lines(text: str) -> list:
     return text.split("\n")
 
 
-def _csv_rows(path, lines):
-    """(CSV row number, cells) for each line; a quoted cell may not span lines.
+def _cells(path, lineno, line) -> list:
+    """The cells of CSV row ``lineno``, where a quoted cell may not span lines;
+    a line without quotes is split on commas, as ``csv`` would, only faster."""
+    if '"' not in line:
+        return line.split(",")
+    # an empty second line is read only when the first ends inside quotes
+    reader = csv.reader((line, ""))
+    try:
+        cells = next(reader)
+        if reader.line_num != 1:
+            raise csv.Error("a quoted cell spans lines")
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: bad cell on row {lineno}: {exc}") from exc
+    return cells
 
-    A line without quotes is split on commas, which is what ``csv`` does
-    with it, only faster.
+
+def _day_numbers(cells) -> np.ndarray:
+    """The int64 day numbers of an array of bytes date cells, as ``parse_date``.
+
+    Raises ValueError on a cell of another shape, which numpy's conversions
+    do not check (they read ``1_0`` as 10 and ``2010``, ``2010-01-04T00`` and
+    ``NaT`` as dates), and OverflowError on an integer beyond int64.
     """
-    for lineno, line in enumerate(lines, start=1):
-        if '"' not in line:
-            yield lineno, line.split(",")
-            continue
-        # an empty second line is read only when the first ends inside quotes
-        reader = csv.reader((line, ""))
-        try:
-            cells = next(reader)
-            if reader.line_num != 1:
-                raise csv.Error("a quoted cell spans lines")
-        except csv.Error as exc:
-            raise DataFormatError(f"{path}: bad cell on row {lineno}: {exc}") from exc
-        yield lineno, cells
+    cells = np.char.strip(cells)  # ASCII whitespace
+    length = np.char.str_len(cells)
+    width = max(int(length.max(initial=0)), 10)  # room for YYYY-MM-DD
+    codes = cells.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    value = codes - np.uint8(48)  # a digit's value; above 9 (the uint8 wraps) if no digit
+    digits = (value <= 9) @ np.ones(width)  # a row sum, faster than an axis reduction
+    signed = (codes[:, 0] == ord("+")) | (codes[:, 0] == ord("-"))
+    integer = (digits > 0) & (digits + signed == length)
+    iso = (length == 10) & (digits == 8) & (codes[:, 4] == ord("-")) & (codes[:, 7] == ord("-"))
+    days = np.zeros(len(cells), dtype=np.int64)
+    for j in range(int(length[integer].max(initial=0))):  # Horner's rule
+        days = np.where((j >= signed) & (j < length), days * 10 + value[:, j], days)
+    days = np.where(codes[:, 0] == ord("-"), -days, days)
+    big = integer & (digits > 18)  # more digits than int64 arithmetic holds
+    days[big] = cells[big].astype(np.int64)
+    days[iso] = cells[iso].astype("datetime64[D]").astype(np.int64) + 719163  # 1970-01-01
+    if not (integer | iso).all() or (days[iso] < 1).any():  # nor is year 0000 a date
+        raise ValueError("a date cell is neither an integer nor YYYY-MM-DD")
+    return days
 
 
-def _parse_values(lines, cols) -> np.ndarray:
-    """The ``cols`` cells of every line as an (n, len(cols)) float array."""
-    return np.loadtxt(lines, delimiter=",", usecols=cols, comments=None,
-                      ndmin=2, quotechar='"')
+def _parse(lines, date_pos, cols, width=24):
+    """(int64 day numbers, (n, len(cols)) float values) of CSV lines.
 
-
-def _bad_cell(path, lines, date_pos, cols, exc) -> DataFormatError:
-    """The error for the first data row whose date or value cells do not parse.
-
-    Runs only after the row-by-row read has failed, and returns no data.  A
-    row is bad when ``parse_date`` or ``float()`` rejects one of its cells, or
-    when ``_parse_values`` rejects it alone (``1_000``, which ``float()``
-    takes).
+    One ``np.loadtxt`` call reads the date cells as ``S<width>`` bytes (a
+    cell that fills the field may be cut, so then all are read again as
+    wide as the longest line) and the ``cols`` cells as floats.  Raises one
+    of ``_PARSE_ERRORS`` on a bad cell, no data row or a skipped empty line.
     """
-    rows = _csv_rows(path, lines)
-    next(rows)
-    for lineno, cells in rows:
-        if not "".join(cells).strip():
-            continue
+    dtype = np.dtype([("date", f"S{width}"), ("values", np.float64, len(cols))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                             usecols=[date_pos, *cols], ndmin=1, quotechar='"')
+    if len(records) != len(lines):
+        raise ValueError(f"np.loadtxt read {len(records)} rows from {len(lines)} lines")
+    cells = np.ascontiguousarray(records["date"])
+    if cells.view(np.uint8)[width - 1::width].any() and width < (longest := max(map(len, lines))):
+        return _parse(lines, date_pos, cols, longest)  # a cell's last byte is set
+    return _day_numbers(cells), records["values"]
+
+
+def _bad_cell(path, lines, linenos, date_pos, cols, exc) -> DataFormatError:
+    """The error for the first of the rows ``linenos`` that ``_parse`` rejects,
+    found by halving, as ``_parse`` rejects every group that holds it.  The
+    message is ``parse_date``'s or ``float()``'s, else ``_parse``'s (``1_000``).
+    """
+    while len(linenos) > 1:
+        half = len(linenos) // 2
         try:
-            parse_date(cells[date_pos])
-            for pos in cols:
-                float(cells[pos])
-            _parse_values(lines[lineno - 1:lineno], cols)
-        except (DataFormatError, ValueError, IndexError) as err:
-            return DataFormatError(f"{path}: bad cell on row {lineno}: {err}")
+            _parse([lines[i - 1] for i in linenos[:half]], date_pos, cols)
+            linenos = linenos[half:]
+        except _PARSE_ERRORS:
+            linenos = linenos[:half]
+    line = lines[linenos[0] - 1]
+    cells = _cells(path, linenos[0], line)
+    try:
+        parse_date(cells[date_pos])
+        for pos in cols:
+            float(cells[pos])
+        _parse([line], date_pos, cols)
+    except (DataFormatError, IndexError, *_PARSE_ERRORS) as err:
+        return DataFormatError(f"{path}: bad cell on row {linenos[0]}: {err}")
     return DataFormatError(f"{path}: {exc}")
-
-
-def _one_pass(body, date_pos, cols):
-    """(int64 dates, float values) of unquoted lines in one parse, or None.
-
-    None when a cell does not parse (an ISO or bad date, a bad value, a date
-    outside int64, ``1_0``, non-ASCII digits) or when a line is empty or
-    skipped: ``np.loadtxt`` skips empty lines without a word.  Warnings are
-    errors: numpy < 2 reads ``7.0`` as an int64 via a float with a
-    ``DeprecationWarning``, and a body with no data row gives a ``UserWarning``.
-    """
-    if "" in body:
-        return None
-    dtype = np.dtype([("date", np.int64), ("values", np.float64, len(cols))])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            records = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None,
-                                 usecols=[date_pos, *cols], ndmin=1)
-    except (ValueError, Warning):
-        return None
-    if len(records) != len(body):
-        return None
-    return records["date"], records["values"]
-
-
-def _row_dates(path, lines, date_pos, cols):
-    """(dates, CSV row numbers) of the rows that are not blank, row by row."""
-    rows = _csv_rows(path, lines)
-    next(rows)
-    dates, linenos = [], []
-    try:
-        for lineno, cells in rows:
-            if "".join(cells).strip():
-                dates.append(parse_date(cells[date_pos]))
-                linenos.append(lineno)
-    except (DataFormatError, IndexError) as exc:
-        raise _bad_cell(path, lines, date_pos, cols, exc) from exc
-    return np.array(dates, dtype=np.int64), linenos
 
 
 def load_ohlcv(path) -> TimeSeriesFrame:
@@ -256,19 +254,19 @@ def load_ohlcv(path) -> TimeSeriesFrame:
 
     The header must name Date, Open, High, Low, Close, Volume
     (case-insensitive); Adj Close is optional and defaults to Close.  The
-    file is UTF-8 text with an optional byte-order mark.  Cells may be
-    quoted with ``"``, but a quoted cell may not span lines.  Rows whose
-    cells are all blank are skipped.  Every ``DataFormatError`` names the
-    file, and one in a row (a bad or non-finite cell, a byte that is not
-    UTF-8, an integer date outside int64) names its CSV row, counting the
-    header as row 1.  So does the ``ValidationError`` for a negative volume
-    or a high below the low, and the one for a repeated date names both rows.
+    file is UTF-8 text with an optional byte-order mark and no NUL byte.
+    Cells may be quoted with ``"``, but a quoted cell may not span lines.
+    Rows whose cells are all blank are skipped.  A date is ``YYYY-MM-DD``
+    or a signed ASCII integer (``parse_date``).  Every ``DataFormatError``
+    names the file, and one in a row (a bad or non-finite cell, a byte that
+    is not UTF-8 or is NUL, an integer date outside int64) names its CSV
+    row, counting the header as row 1.  So does the ``ValidationError`` for
+    a negative volume or a high below the low, and the one for a repeated
+    date names both rows.
 
-    A file with no ``"`` below its header, no blank row (empty lines at its
-    end do not count) and only integer dates that fit in int64 is read in
-    one pass: one ``np.loadtxt`` call parses its date and value cells.  Any
-    other file (a quoted cell, a blank row, an ISO or bad date, a bad value)
-    is read row by row.
+    One ``np.loadtxt`` call parses every row, and the date cells, integer
+    and ISO alike, become day numbers in bulk.  Blank rows are dropped only
+    if that fails, and rows are checked one by one only to name a bad one.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -279,13 +277,15 @@ def load_ohlcv(path) -> TimeSeriesFrame:
         raise DataFormatError(f"{path}: row {row} is not UTF-8 text: {exc}") from None
     if not text:
         raise DataFormatError(f"{path}: empty file")
+    if b"\0" in raw:  # np.loadtxt drops a NUL at the end of a date cell
+        row = len(_split_lines(raw[:raw.index(b"\0")].decode("utf-8-sig")))
+        raise DataFormatError(f"{path}: row {row} holds a NUL byte")
     lines = _split_lines(text)
     while len(lines) > 1 and not lines[-1]:
         del lines[-1]  # the line breaks after the last row
 
-    _, header = next(_csv_rows(path, lines[:1]))
     colmap = {}
-    for pos, name in enumerate(header):
+    for pos, name in enumerate(_cells(path, 1, lines[0])):
         key = name.strip().lower().replace(" ", "").replace("_", "").replace("-", "")
         if key in _COLUMN_ALIASES:
             colmap[_COLUMN_ALIASES[key]] = pos
@@ -297,19 +297,18 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     names = ("open", "high", "low", "volume", "close", "adj_close")
     cols = [colmap.get(ch, colmap["close"]) for ch in names]
     date_pos = colmap["date"]
-    body, linenos = lines[1:], range(2, len(lines) + 1)
-    # a quoted header (as some exporters write) keeps the body on one pass
-    parsed = None if text.find('"', len(lines[0])) >= 0 else _one_pass(body, date_pos, cols)
-    if parsed is None:
-        dates, linenos = _row_dates(path, lines, date_pos, cols)
-        if not linenos:
-            raise DataFormatError(f"{path}: no data rows")
+    linenos = range(2, len(lines) + 1)
+    try:
+        dates, values = _parse(lines[1:], date_pos, cols)
+    except _PARSE_ERRORS:
+        # drop the blank rows: np.loadtxt rejects ",," and skips an empty line
+        linenos = [i for i in linenos if "".join(_cells(path, i, lines[i - 1])).strip()]
         try:
-            values = _parse_values([lines[i - 1] for i in linenos], cols)
-        except ValueError as exc:
-            raise _bad_cell(path, lines, date_pos, cols, exc) from exc
-    else:
-        dates, values = parsed
+            dates, values = _parse([lines[i - 1] for i in linenos], date_pos, cols)
+        except _PARSE_ERRORS as exc:
+            if not linenos:
+                raise DataFormatError(f"{path}: no data rows") from None
+            raise _bad_cell(path, lines, linenos, date_pos, cols, exc) from exc
     finite = np.isfinite(values)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -325,7 +324,7 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     if repeats.size:
         k = repeats[0]  # the stable sort keeps the earlier row first
         row = linenos[order[k + 1]]
-        _, cells = next(_csv_rows(path, lines[row - 1:row]))
+        cells = _cells(path, row, lines[row - 1])
         raise ValidationError(f"{path}: date {cells[date_pos].strip()} on row {row}"
                               f" repeats row {linenos[order[k]]}")
     columns = np.ascontiguousarray(values[order].T)

@@ -24,6 +24,14 @@ HIDDEN_TRANSFER = "tanh"
 OUTPUT_TRANSFER = "linear"
 
 
+def _integer(value) -> int:
+    """An integer field of a model document: ``5.5``, ``"5"`` and inf are not one."""
+    number = int(value)
+    if number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
 @dataclass(frozen=True)
 class NarxConfig:
     d_u: tuple
@@ -66,10 +74,10 @@ class NarxConfig:
         _check_fixed("output_transfer", d.get("output_transfer", OUTPUT_TRANSFER),
                      OUTPUT_TRANSFER)
         return cls(
-            d_u=tuple(d["d_u"]),
-            d_y=tuple(d["d_y"]),
-            n_hidden=int(d["n_hidden"]),
-            n_exo=int(d["n_exo"]),
+            d_u=tuple(map(_integer, d["d_u"])),
+            d_y=tuple(map(_integer, d["d_y"])),
+            n_hidden=_integer(d["n_hidden"]),
+            n_exo=_integer(d["n_exo"]),
         )
 
 

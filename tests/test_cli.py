@@ -554,6 +554,12 @@ class TestInputValidation:
          "bad cell on row 3: unparseable date '7.0'"),
         (b"1,1,2,0.5,1.5,100\n2,1,2,0.5,1.5,100\n1e3,1,2,0.5,1.5,100\n",
          "bad cell on row 4: unparseable date '1e3'"),
+        # ISO week dates, which date.fromisoformat takes from Python 3.11 on
+        (b"2010-01-04,1,2,0.5,1.5,100\n2010-W01-1,1,2,0.5,1.5,100\n",
+         "bad cell on row 3: unparseable date '2010-W01-1'"),
+        (b"2010-01-04,1,2,0.5,1.5,100\n2010W011,1,2,0.5,1.5,100\n",
+         "bad cell on row 3: unparseable date '2010W011'"),
+        (b"1,1,2,0.5,1.5,100\n2\x00,1,2,0.5,1.5,100\n", "row 3 holds a NUL byte"),
     ])
     def test_undecodable_or_bad_date_names_path_and_row(self, tmp_path, capsys,
                                                          body, message):
@@ -564,6 +570,58 @@ class TestInputValidation:
         assert rc == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert f"{bad}: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("option", ["--from", "--to"])
+    @pytest.mark.parametrize("date", ["2010-W01-1", "2010W011"])
+    def test_week_date_option_is_unparseable(self, data_csv, tmp_path, capsys,
+                                             option, date):
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--csv", data_csv, "--out", str(out), option, date,
+                       *FAST_FLAGS])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: unparseable date '{date}'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    @pytest.mark.parametrize("key, value", [
+        ("n_hidden", float("inf")), ("n_exo", -float("inf")), ("d_u", [0, 1e400]),
+        ("n_hidden", 5.5),
+    ])
+    def test_model_non_integer_config_field(self, trained_dir, data_csv, tmp_path,
+                                            capsys, command, key, value):
+        with open(os.path.join(trained_dir, cli.MODEL_FILE)) as fh:
+            doc = json.load(fh)
+        doc["config"][key] = value
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", data_csv, "--model", str(broken),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "malformed model document" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("exo_channels", "open", "'exo_channels' must be a list of strings"),
+        ("exo_channels", ["open", 1], "'exo_channels' must be a list of strings"),
+        ("target_channel", ["close"], "'target_channel' must be a string"),
+    ])
+    def test_model_mistyped_channel_key(self, trained_dir, data_csv, tmp_path, capsys,
+                                        command, key, value, message):
+        with open(os.path.join(trained_dir, cli.MODEL_FILE)) as fh:
+            doc = json.load(fh)
+        doc[key] = value
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", data_csv, "--model", str(broken),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: malformed model document: {message}\n"
         assert not out.exists()
 
 
@@ -637,7 +695,7 @@ MALFORMED_ARGUMENTS = {
 
 
 JSON_JUNK = st.one_of(
-    st.none(), st.text(alphabet="xyz!", max_size=4),
+    st.none(), st.text(alphabet="xyz!", max_size=4), st.floats(),
     st.lists(st.integers(-3, 3), max_size=3),
     st.dictionaries(st.text(alphabet="abc", max_size=3), st.integers(), max_size=2))
 
@@ -663,13 +721,20 @@ class TestMalformedInputProperty:
         with open(os.path.join(trained_dir, cli.MODEL_FILE), encoding="utf-8") as fh:
             text = fh.read()
         doc = json.loads(text)
-        kind = data.draw(st.sampled_from(["drop", "replace", "truncate"]))
+        kind = data.draw(st.sampled_from(["drop", "replace", "replace-config", "truncate"]))
         key = data.draw(st.sampled_from(sorted(doc)))
         if kind == "drop":
             del doc[key]
             text = json.dumps(doc)
         elif kind == "replace":
-            doc[key] = data.draw(JSON_JUNK)
+            doc[key] = data.draw(JSON_JUNK.filter(lambda v: v != doc[key]))
+            text = json.dumps(doc)
+        elif kind == "replace-config":
+            config = doc["config"]
+            key = data.draw(st.sampled_from(sorted(config)))
+            # a list of small integers can be another valid lag set
+            config[key] = data.draw(JSON_JUNK.filter(
+                lambda v: not isinstance(v, list) and v != config[key]))
             text = json.dumps(doc)
         else:
             text = text[:data.draw(st.integers(0, len(text) - 1))]

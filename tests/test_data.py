@@ -4,14 +4,12 @@ import os
 import re
 import tempfile
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narxlm import data
 from narxlm.data import (
     CHANNELS,
     apply_normalization,
@@ -146,6 +144,22 @@ class TestLoadOhlcv:
             with pytest.raises(DataFormatError, match=f"unparseable date '{token}'"):
                 parse_date(token)
 
+    @given(token=st.one_of(
+        st.integers(-2**64, 2**64).map(str),
+        st.dates().map(datetime.date.isoformat),
+        st.text(alphabet="0123456789+-_ \tTW:.", max_size=22),
+        st.builds("{}{}{}".format, st.sampled_from(["", " ", "+", "-", "\t"]),
+                  st.dates().map(lambda d: d.strftime("%Y%m%d")), st.sampled_from(["", " "]))))
+    @settings(max_examples=300)
+    def test_parse_date_matches_reference(self, token):
+        try:
+            want = reference_date(token)
+        except ValueError:
+            with pytest.raises(DataFormatError):
+                parse_date(token)
+        else:
+            assert parse_date(token) == want
+
     def test_bad_date_names_row(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text(
@@ -255,6 +269,45 @@ class TestLoadOhlcv:
                 load_ohlcv(p)
         assert not caught
 
+    @pytest.mark.parametrize("date", ["2010-W01-1", "2010W011", "2010-01", "2010-01-04T00",
+                                      "NaT", "0000-01-01", "2010-02-30", "\xa05"])
+    def test_loose_date_forms_name_row(self, tmp_path, date):
+        # numpy's datetime64 takes 2010-01, 2010-01-04T00, NaT and year 0000,
+        # and date.fromisoformat takes ISO week dates from Python 3.11 on
+        p = tmp_path / "bad.csv"
+        p.write_text("Date,Open,High,Low,Close,Volume\n"
+                     f"2010-01-04,1,2,0.5,1.5,100\n{date},1,2,0.5,1.5,100\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{p}: bad cell on row 3: unparseable date {date!r}") + "$"):
+            load_ohlcv(p)
+        with pytest.raises(DataFormatError, match=re.escape(f"unparseable date {date!r}")):
+            parse_date(date)
+
+    @pytest.mark.parametrize("date, message", [
+        (" " * 30 + "7", None),
+        ("0" * 30 + "7", None),
+        ("9" * 30, "date '" + "9" * 30 + "' out of range"),
+        ("x" * 30, "unparseable date '" + "x" * 30 + "'"),
+    ], ids=["padded", "leading-zeros", "out-of-range", "letters"])
+    def test_date_cell_longer_than_field(self, tmp_path, date, message):
+        p = tmp_path / "long.csv"
+        p.write_text("Date,Open,High,Low,Close,Volume\n"
+                     f"5,1,2,0.5,1.5,100\n{date},1,2,0.5,1.5,100\n")
+        if message is None:
+            assert list(load_ohlcv(p).timesteps) == [5, 7]
+        else:
+            with pytest.raises(DataFormatError, match=re.escape(
+                    f"{p}: bad cell on row 3: {message}") + "$"):
+                load_ohlcv(p)
+
+    def test_nul_byte_names_row(self, tmp_path):
+        # np.loadtxt would read a date cell "5\0" as 5
+        p = tmp_path / "nul.csv"
+        p.write_text("Date,Open,High,Low,Close,Volume\n"
+                     "4,1,2,0.5,1.5,100\n5\0,1,2,0.5,1.5,100\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}: row 3 holds a NUL byte")):
+            load_ohlcv(p)
+
     def test_byte_order_mark(self, sample_csv, tmp_path):
         p = tmp_path / "bom.csv"
         p.write_bytes(b"\xef\xbb\xbf" + sample_csv.read_bytes())
@@ -274,6 +327,16 @@ class TestLoadOhlcv:
             load_ohlcv(p)
 
 
+def reference_date(token):
+    """A date cell's day index by the documented grammar, one regex at a time."""
+    token = token.strip(" \t\n\r\v\f")
+    if re.fullmatch(r"[+-]?[0-9]+", token) and -2**63 <= int(token) < 2**63:
+        return int(token)
+    if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", token):
+        return datetime.date.fromisoformat(token).toordinal()
+    raise ValueError(f"not a date: {token!r}")
+
+
 def reference_load_ohlcv(path):
     """The loader as it was before numpy's reader: csv.reader plus float()
     per cell.  Kept as the reference that load_ohlcv must match."""
@@ -291,7 +354,7 @@ def reference_load_ohlcv(path):
         for cells in reader:
             if not cells or all(not c.strip() for c in cells):
                 continue
-            dates.append(parse_date(cells[colmap["date"]]))
+            dates.append(reference_date(cells[colmap["date"]]))
             rows.append([float(cells[pos]) for pos in cols])
     values = np.array(rows)
     order = np.argsort(dates, kind="stable")
@@ -322,8 +385,9 @@ def valid_ohlcv_csv(draw):
     price = st.floats(-1e4, 1e4, allow_nan=False)
     ordinals = draw(st.lists(st.integers(700000, 740000), min_size=n, max_size=n,
                              unique=True))
-    iso = draw(st.booleans())
-    # no quote and no blank row: the layout load_ohlcv reads in one pass
+    # every date integer, every date ISO, or each drawn
+    iso_forms = draw(st.sampled_from([[False], [True], [False, True]]))
+    # no quote and no blank row: the layout np.loadtxt reads at the first try
     plain = draw(st.booleans())
     fmt = draw(st.sampled_from(FLOAT_FORMATS))
     columns = ["date", "open", "high", "low", "close", "volume"]
@@ -336,7 +400,8 @@ def valid_ohlcv_csv(draw):
     for day in ordinals:
         low = draw(price)
         cells = {
-            "date": datetime.date.fromordinal(day).isoformat() if iso else str(day),
+            "date": (datetime.date.fromordinal(day).isoformat()
+                     if draw(st.sampled_from(iso_forms)) else str(day)),
             "open": fmt(draw(price)),
             "high": fmt(low + draw(st.floats(0, 100))),
             "low": fmt(low),
@@ -361,13 +426,6 @@ def valid_ohlcv_csv(draw):
     return newline.join([header] + rows) + draw(st.sampled_from(["", newline]))
 
 
-def _load_watching_route(path):
-    """load_ohlcv(path), and whether it read the file row by row."""
-    with mock.patch.object(data, "_row_dates", wraps=data._row_dates) as row_dates:
-        frame = load_ohlcv(path)
-    return frame, row_dates.called
-
-
 def _assert_same_frame(got, want):
     for ch in ("timesteps",) + CHANNELS:
         a, b = getattr(got, ch), getattr(want, ch)
@@ -378,25 +436,22 @@ def _assert_same_frame(got, want):
 
 class TestReferenceLoader:
     @given(text=valid_ohlcv_csv())
-    # about half the examples are plain, so twice the parent's 100 keeps the
-    # quoted and blank-row layouts at about as many examples as before
+    # about half the examples are plain, so 200 keeps the quoted and
+    # blank-row layouts at about 100 examples
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_loader(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "prices.csv")
             with open(path, "wb") as fh:
                 fh.write(text.encode("utf-8"))
-            frame, row_by_row = _load_watching_route(path)
-            event("route: row by row" if row_by_row else "route: one pass")
-            _assert_same_frame(frame, reference_load_ohlcv(path))
+            _assert_same_frame(load_ohlcv(path), reference_load_ohlcv(path))
 
     def test_date_after_integer_cells_matches_reference_loader(self, tmp_path):
         # an integer cell before the date must not be read as the date
         path = tmp_path / "prices.csv"
         path.write_text("Volume,Open,Date,High,Low,Close\n"
                         "300,21,9,22,20,21\n100,20,3,21,19,20\n200,22,6,23,21,22\n")
-        frame, row_by_row = _load_watching_route(path)
-        assert not row_by_row
+        frame = load_ohlcv(path)
         assert list(frame.timesteps) == [3, 6, 9]
         _assert_same_frame(frame, reference_load_ohlcv(path))
 
@@ -404,8 +459,7 @@ class TestReferenceLoader:
         path = tmp_path / "prices.csv"
         path.write_text("Date,Open,High,Low,Close,Volume\n"
                         "+7,1,2,0.5,1.5,100\n008,1,2,0.5,1.5,100\n\t6\t,1,2,0.5,1.5,100\n")
-        frame, row_by_row = _load_watching_route(path)
-        assert not row_by_row
+        frame = load_ohlcv(path)
         assert list(frame.timesteps) == [6, 7, 8]
         _assert_same_frame(frame, reference_load_ohlcv(path))
 
@@ -415,16 +469,11 @@ class TestReferenceLoader:
         header, body = path.read_text().split("\n", 1)
         quoted = ",".join(f'"{name}"' for name in header.split(","))
         path.write_text(quoted + "\n" + body)
-        frame, row_by_row = _load_watching_route(path)
-        assert not row_by_row
-        _assert_same_frame(frame, reference_load_ohlcv(path))
+        _assert_same_frame(load_ohlcv(path), reference_load_ohlcv(path))
 
-        # a quote in the body still sends the file row by row
         first, rest = body.split(",", 1)
         path.write_text(quoted + "\n" + f'"{first}",' + rest)
-        frame, row_by_row = _load_watching_route(path)
-        assert row_by_row
-        _assert_same_frame(frame, reference_load_ohlcv(path))
+        _assert_same_frame(load_ohlcv(path), reference_load_ohlcv(path))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("empty_lines", [1, 2])
@@ -433,9 +482,28 @@ class TestReferenceLoader:
         frame_to_csv(synthetic_ohlcv_frame(300, seed=16, noise_std=0.01)[0], path)
         lines = path.read_text().splitlines() + [""] * (empty_lines + 1)
         path.write_bytes(newline.join(lines).encode("utf-8"))
-        frame, row_by_row = _load_watching_route(path)
-        assert not row_by_row
+        frame = load_ohlcv(path)
         assert len(frame.timesteps) == 300
+        _assert_same_frame(frame, reference_load_ohlcv(path))
+
+    def test_mixed_integer_and_iso_dates_match_reference_loader(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        frame_to_csv(synthetic_ohlcv_frame(300, seed=16, noise_std=0.01)[0], path)
+        header, *rows = path.read_text().splitlines()
+        rows = [datetime.date.fromordinal(int(row.split(",", 1)[0])).isoformat()
+                + "," + row.split(",", 1)[1] if i % 3 else row for i, row in enumerate(rows)]
+        path.write_text("\n".join([header] + rows) + "\n")
+        frame = load_ohlcv(path)
+        assert len(frame) == 300
+        _assert_same_frame(frame, reference_load_ohlcv(path))
+
+    def test_quoted_row_beside_quoted_blank_row(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text('Date,Open,High,Low,Close,Volume\n'
+                        '"2010-01-05","1","2","0.5","1.5","100"\n"",""\n'
+                        '"2010-01-04",1,2,0.5,1.5,"200"\n')
+        frame = load_ohlcv(path)
+        assert list(frame.volume) == [200, 100]
         _assert_same_frame(frame, reference_load_ohlcv(path))
 
     @pytest.mark.parametrize("iso", [False, True], ids=["integer", "iso"])
@@ -447,9 +515,7 @@ class TestReferenceLoader:
             path.write_text("\n".join([",".join(rows[0])] + [
                 datetime.date.fromordinal(int(day)).isoformat() + "," + rest
                 for day, rest in rows[1:]]) + "\n")
-        frame, row_by_row = _load_watching_route(path)
-        assert row_by_row == iso  # ISO dates are parsed one row at a time
-        _assert_same_frame(frame, reference_load_ohlcv(path))
+        _assert_same_frame(load_ohlcv(path), reference_load_ohlcv(path))
 
 
 class TestNormalization:
