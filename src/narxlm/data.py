@@ -301,14 +301,27 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     try:
         dates, values = _parse(lines[1:], date_pos, cols)
     except _PARSE_ERRORS:
-        # drop the blank rows: np.loadtxt rejects ",," and skips an empty line
-        linenos = [i for i in linenos if "".join(_cells(path, i, lines[i - 1])).strip()]
+        # drop the blank rows: np.loadtxt rejects ",," and skips an empty
+        # line; the rows end at one whose cells cannot be read, which is the
+        # error unless a row before it is bad
+        rows, unreadable = [], None
+        for i in linenos:
+            try:
+                cells = _cells(path, i, lines[i - 1])
+            except DataFormatError as err:
+                unreadable = err
+                break
+            if "".join(cells).strip():
+                rows.append(i)
+        linenos = rows
         try:
             dates, values = _parse([lines[i - 1] for i in linenos], date_pos, cols)
         except _PARSE_ERRORS as exc:
-            if not linenos:
-                raise DataFormatError(f"{path}: no data rows") from None
-            raise _bad_cell(path, lines, linenos, date_pos, cols, exc) from exc
+            if linenos:
+                raise _bad_cell(path, lines, linenos, date_pos, cols, exc) from exc
+            raise unreadable or DataFormatError(f"{path}: no data rows") from None
+        if unreadable:
+            raise unreadable
     finite = np.isfinite(values)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]

@@ -29,8 +29,8 @@ def regression_r(outputs, targets) -> float:
     targets = np.asarray(targets, dtype=float)
     if outputs.shape != targets.shape or outputs.size == 0:
         raise ValidationError("outputs and targets must be equal-length, non-empty")
-    o = outputs - outputs.mean()
-    t = targets - targets.mean()
+    o = outputs - outputs.sum() / outputs.size
+    t = targets - targets.sum() / targets.size
     denom = np.sqrt((o @ o) * (t @ t))
     if denom == 0.0:
         raise UndefinedStatisticError("zero variance: R undefined")
@@ -43,26 +43,52 @@ def max_divergence(outputs, targets) -> float:
     targets = np.asarray(targets, dtype=float)
     if outputs.shape != targets.shape or outputs.size == 0:
         raise ValidationError("outputs and targets must be equal-length, non-empty")
-    if np.any(targets == 0.0):
+    if (targets == 0.0).any():
         raise UndefinedStatisticError("zero target value: divergence undefined")
-    return float(np.max(np.abs(outputs - targets) / np.abs(targets)) * 100.0)
+    return float((np.abs(outputs - targets) / np.abs(targets)).max() * 100.0)
 
 
-def _lagged_products(e: np.ndarray, x: np.ndarray, max_lag: int) -> np.ndarray:
-    """sum_k e[k] * x[..., k - L] for L = -max_lag..max_lag along the last axis.
+def _residual_correlations(errors, channels, max_lag: int):
+    """Residual autocorrelation and every channel's cross-correlation in one pass.
 
-    Row L + max_lag of a strided window view over the zero-padded e holds
-    e[j + L] for j = 0..n-1, so sum_j x[j] * e[j + L] for every lag, and for
-    every row of a 2-D x, is one matrix product.
+    Returns (rho(0..max_lag), one row of rho(-max_lag..max_lag) per channel,
+    band half-width).  The residual is centred and its sum of squares taken
+    once.  Row j of a strided window view over the zero-padded centred
+    residual e holds e[j + L] for L = -max_lag..max_lag, so sum_j x[j] *
+    e[j + L] for every lag is one product with the view: one for the
+    autocorrelation, one (C, n) matmul for the channels.  Raises, in this
+    order: ValidationError for a series no longer than max_lag,
+    UndefinedStatisticError for a constant residual, ValidationError for a
+    channel of another length, UndefinedStatisticError for a constant
+    channel.
     """
+    e = np.asarray(errors, dtype=float)
     n = e.size
+    if max_lag < 1 or n <= max_lag:
+        raise ValidationError("need series longer than max_lag >= 1")
+    ec = e - e.sum() / n
+    ss = float(ec @ ec)
+    if ss == 0.0:
+        raise UndefinedStatisticError("constant error series: autocorrelation undefined")
+    X = np.empty((len(channels), n))
+    for i, x in enumerate(channels):
+        x = np.asarray(x, dtype=float)
+        if x.shape != e.shape:
+            raise ValidationError("channel and errors must be equal length")
+        X[i] = x
+    xc = X - X.sum(axis=1, keepdims=True) / n
+    sx = np.sqrt(np.einsum("ij,ij->i", xc, xc))
+    if (sx == 0.0).any():
+        raise UndefinedStatisticError("zero variance: cross-correlation undefined")
     ep = np.zeros(n + 2 * max_lag)
-    ep[max_lag:max_lag + n] = e
+    ep[max_lag:max_lag + n] = ec
     # a strided view on ep's buffer; numpy's as_strided costs ~4x more per call
     step = ep.itemsize
-    windows = np.ndarray((2 * max_lag + 1, n), dtype=ep.dtype, buffer=ep,
+    windows = np.ndarray((n, 2 * max_lag + 1), dtype=ep.dtype, buffer=ep,
                          strides=(step, step))
-    return x @ windows.T
+    rho = (ec @ windows[:, max_lag:]) / ss
+    rho[0] = 1.0
+    return rho, (xc @ windows) / (sx[:, None] * np.sqrt(ss)), confidence_bound(n)
 
 
 def error_autocorrelation(errors, max_lag: int):
@@ -70,43 +96,8 @@ def error_autocorrelation(errors, max_lag: int):
 
     rho(0) = 1 by construction.
     """
-    errors = np.asarray(errors, dtype=float)
-    n = errors.size
-    if max_lag < 1 or n <= max_lag:
-        raise ValidationError("need series longer than max_lag >= 1")
-    e = errors - errors.mean()
-    denom = float(e @ e)
-    if denom == 0.0:
-        raise UndefinedStatisticError("constant error series: autocorrelation undefined")
-    rho = _lagged_products(e, e, max_lag)[max_lag:] / denom
-    rho[0] = 1.0
-    return rho, confidence_bound(n)
-
-
-def _crosscorrelations(channels, errors, max_lag: int):
-    """input_error_crosscorrelation for every series in channels at once.
-
-    Returns (lags, rho, band) with one row of rho per channel.
-    """
-    e = np.asarray(errors, dtype=float)
-    X = np.empty((len(channels), e.size))
-    for row, x in zip(X, channels):
-        x = np.asarray(x, dtype=float)
-        if x.shape != e.shape:
-            raise ValidationError("channel and errors must be equal length")
-        row[:] = x
-    n = e.size
-    if max_lag < 1 or n <= max_lag:
-        raise ValidationError("need series longer than max_lag >= 1")
-    xc = X - X.mean(axis=1, keepdims=True)
-    ec = e - e.mean()
-    sx = np.sqrt(np.einsum("ij,ij->i", xc, xc))
-    se = float(np.sqrt(ec @ ec))
-    if np.any(sx == 0.0) or se == 0.0:
-        raise UndefinedStatisticError("zero variance: cross-correlation undefined")
-    lags = np.arange(-max_lag, max_lag + 1)
-    rho = _lagged_products(ec, xc, max_lag) / (sx[:, None] * se)
-    return lags, rho, confidence_bound(n)
+    rho, _, bound = _residual_correlations(errors, (), max_lag)
+    return rho, bound
 
 
 def input_error_crosscorrelation(exo_channel, errors, max_lag: int):
@@ -116,8 +107,15 @@ def input_error_crosscorrelation(exo_channel, errors, max_lag: int):
     product of the two standard deviations, so a copied series gives 1 at
     lag 0.
     """
-    lags, rho, bound = _crosscorrelations([exo_channel], errors, max_lag)
-    return lags, rho[0], bound
+    x = np.asarray(exo_channel, dtype=float)
+    e = np.asarray(errors, dtype=float)
+    if x.shape != e.shape:
+        raise ValidationError("channel and errors must be equal length")
+    try:
+        _, rho, bound = _residual_correlations(e, (x,), max_lag)
+    except UndefinedStatisticError:  # either series constant
+        raise UndefinedStatisticError("zero variance: cross-correlation undefined") from None
+    return np.arange(-max_lag, max_lag + 1), rho[0], bound
 
 
 @dataclass(frozen=True)
@@ -134,14 +132,17 @@ class VerdictThresholds:
 
 def acceptance_verdict(r_value: float, max_divergence_pct: float, mse: float,
                        thresholds: VerdictThresholds = VerdictThresholds()):
-    """(accepted, reasons): reasons list every violated criterion."""
+    """(accepted, reasons): reasons list every violated criterion.
+
+    Each test is written as "not within bound", so a NaN metric violates it.
+    """
     reasons = []
-    if r_value < thresholds.r_min:
+    if not r_value >= thresholds.r_min:
         reasons.append(f"R {r_value:.6g} < {thresholds.r_min}")
-    if max_divergence_pct > thresholds.divergence_max_pct:
+    if not max_divergence_pct <= thresholds.divergence_max_pct:
         reasons.append(
             f"max divergence {max_divergence_pct:.4g}% > {thresholds.divergence_max_pct}%")
-    if mse > thresholds.mse_max:
+    if not mse <= thresholds.mse_max:
         reasons.append(f"MSE {mse:.6g} > {thresholds.mse_max}")
     return (not reasons), reasons
 
@@ -188,27 +189,31 @@ def diagnose(outputs_price, targets_price, errors_norm, exo_channels_norm,
 
     exo_channels_norm maps channel name -> normalized series aligned with
     errors_norm.  Correlations run to MAX_LAG, clamped to the available
-    series length.  ``msereg`` is the training objective on the same block
-    (the caller's ``training.msereg``); without it the report gives the MSE.
+    series length, and come from one pass over the residual
+    (``_residual_correlations``): it is centred once, and the
+    autocorrelation and every channel's cross-correlation share one lag
+    window.  ``msereg`` is the training objective on the same block (the
+    caller's ``training.msereg``); without it the report gives the MSE.
     """
     outputs_price = np.asarray(outputs_price, dtype=float)
     targets_price = np.asarray(targets_price, dtype=float)
     errors_norm = np.asarray(errors_norm, dtype=float)
-    mse = float(np.mean(errors_norm ** 2))
+    n = errors_norm.size
+    mse = float((errors_norm ** 2).sum() / n)
     r = regression_r(outputs_price, targets_price)
     div = max_divergence(outputs_price, targets_price)
 
-    lag = min(MAX_LAG, errors_norm.size - 1)
-    ac, ac_bound = error_autocorrelation(errors_norm, lag)
-    lags, rho, xc_bound = _crosscorrelations(list(exo_channels_norm.values()),
-                                             errors_norm, lag)
+    lag = min(MAX_LAG, n - 1)
+    ac, rho, bound = _residual_correlations(errors_norm, list(exo_channels_norm.values()),
+                                            lag)
+    lags = np.arange(-lag, lag + 1)
     xcorr = {ch: (lags, row) for ch, row in zip(exo_channels_norm, rho)}
 
     accepted, reasons = acceptance_verdict(r, div, mse, thresholds)
     return DiagnosticsReport(
         mse=mse, msereg=mse if msereg is None else msereg,
         r_value=r, max_divergence_pct=div,
-        autocorr=ac, autocorr_bound=ac_bound,
-        xcorr=xcorr, xcorr_bound=xc_bound,
+        autocorr=ac, autocorr_bound=bound,
+        xcorr=xcorr, xcorr_bound=bound,
         accepted=accepted, reasons=reasons,
     )

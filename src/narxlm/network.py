@@ -275,12 +275,15 @@ class ClosedLoopNarx:
         The exogenous taps of every step are known up front, so their hidden
         drive X @ W_ih.T + b_h for the whole horizon is one (H, N) matmul over
         a tap matrix built with one index; only the |d_y|-wide feedback
-        through W_yh runs step by step.  Step t adds the feedback product of
-        the last max(d_y) outputs to drive[t] in one (N,) hidden buffer,
-        applies tanh there in place and writes the output unit's dot product
-        into the output history.  The buffer is allocated once per call; the
-        one array a step creates is the (N,) feedback product that ``dot``
-        returns (a ``dot(..., out=)`` into a second buffer measured slower).
+        through W_yh runs step by step.  The loop steps over the drive rows
+        with the index of the output they produce: it adds the feedback
+        product of the max(d_y) outputs before that index to the row in one
+        (N,) hidden buffer, applies tanh there in place and writes the output
+        unit's dot product at that index of the output history.  The buffer
+        is allocated once per call; the one array a step creates is the (N,)
+        feedback product that ``dot`` returns (a ``dot(..., out=)`` into a
+        second buffer measured slower).  The ufuncs take the buffer as a
+        positional ``out``, which parses faster than the keyword.
         """
         c = self.config
         net = self.net
@@ -306,8 +309,8 @@ class ClosedLoopNarx:
         X = exo[rows].transpose(0, 2, 1).reshape(H, c.n_input_taps)
         drive = X @ net.W_ih.T + net.b_h                     # (H, N)
 
-        # y[t:t + max_dy] is step t's feedback window, oldest first, so the
-        # feedback weights go in a (max_dy, N) matrix with row max_dy - lag
+        # y[t - max_dy:t] is output y[t]'s feedback window, oldest first, so
+        # the feedback weights go in a (max_dy, N) matrix with row max_dy - lag
         W_fb = np.zeros((max_dy, c.n_hidden))
         W_fb[max_dy - np.asarray(c.d_y)] = net.W_yh.T
         y = np.empty(max_dy + H)
@@ -316,8 +319,8 @@ class ClosedLoopNarx:
         # overhead, which `@` and attribute lookups add to
         W_ho, b_o, add, tanh = net.W_ho, net.b_o, np.add, np.tanh
         a = np.empty(c.n_hidden)
-        for t in range(H):
-            add(drive[t], y[t:t + max_dy].dot(W_fb), out=a)
-            tanh(a, out=a)
-            y[max_dy + t] = a.dot(W_ho) + b_o
+        for t, d in enumerate(drive, max_dy):
+            add(d, y[t - max_dy:t].dot(W_fb), a)
+            tanh(a, a)
+            y[t] = a.dot(W_ho) + b_o
         return y[max_dy:]

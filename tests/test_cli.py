@@ -560,6 +560,9 @@ class TestInputValidation:
         (b"2010-01-04,1,2,0.5,1.5,100\n2010W011,1,2,0.5,1.5,100\n",
          "bad cell on row 3: unparseable date '2010W011'"),
         (b"1,1,2,0.5,1.5,100\n2\x00,1,2,0.5,1.5,100\n", "row 3 holds a NUL byte"),
+        # the first of two faults: a bad cell before a quoted cell that spans lines
+        (b'1,1,2,0.5,1.5,100\n2,1,2,0.5,oops,100\n3,1,2,0.5,1.5,"a\nb"\n',
+         "bad cell on row 3: could not convert string to float: 'oops'"),
     ])
     def test_undecodable_or_bad_date_names_path_and_row(self, tmp_path, capsys,
                                                          body, message):

@@ -254,6 +254,20 @@ class TestLoadOhlcv:
         with pytest.raises(DataFormatError, match="row 3: .*spans lines"):
             load_ohlcv(p)
 
+    @pytest.mark.parametrize("bad_row, message", [
+        (None, "row 4: a quoted cell spans lines"),
+        ("2,1,2,0.5,oops,100,x", "row 3: could not convert string to float: 'oops'"),
+        ("2,1,2,0.5,1.5,100,x\n,,,,,,\n2,1,2", "row 5: "),
+    ], ids=["spanning-only", "bad-cell-first", "short-row-after-blank-row"])
+    def test_first_of_two_faults_named(self, tmp_path, bad_row, message):
+        # a quoted cell spanning rows 4-5 (or later) ends the rows read; an
+        # earlier bad row is named first
+        p = tmp_path / "bad.csv"
+        p.write_text("Date,Open,High,Low,Close,Volume,Note\n1,1,2,0.5,1.5,100,x\n"
+                     + (bad_row or "2,1,2,0.5,1.5,100,x") + '\n9,1,2,0.5,1.5,100,"a\nb"\n')
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}: bad cell on {message}")):
+            load_ohlcv(p)
+
 
     @pytest.mark.parametrize("text", ["Date,Open,High,Low,Close,Volume",
                                       "Date,Open,High,Low,Close,Volume\n",

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from narxlm.diagnostics import (
+    MAX_LAG,
+    DiagnosticsReport,
     VerdictThresholds,
     acceptance_verdict,
     confidence_bound,
@@ -198,6 +200,142 @@ class TestCorrelationReference:
                      {"open": rng.normal(size=40), "high": np.ones(40)})
 
 
+def _reference_lagged_products(e, x, max_lag):
+    ep = np.zeros(e.size + 2 * max_lag)
+    ep[max_lag:max_lag + e.size] = e
+    step = ep.itemsize
+    windows = np.ndarray((2 * max_lag + 1, e.size), dtype=ep.dtype, buffer=ep,
+                         strides=(step, step))
+    return x @ windows.T
+
+
+def _reference_autocorrelation(errors, max_lag):
+    errors = np.asarray(errors, dtype=float)
+    n = errors.size
+    if max_lag < 1 or n <= max_lag:
+        raise ValidationError("need series longer than max_lag >= 1")
+    e = errors - errors.mean()
+    denom = float(e @ e)
+    if denom == 0.0:
+        raise UndefinedStatisticError("constant error series: autocorrelation undefined")
+    rho = _reference_lagged_products(e, e, max_lag)[max_lag:] / denom
+    rho[0] = 1.0
+    return rho, confidence_bound(n)
+
+
+def _reference_crosscorrelations(channels, errors, max_lag):
+    e = np.asarray(errors, dtype=float)
+    X = np.empty((len(channels), e.size))
+    for row, x in zip(X, channels):
+        x = np.asarray(x, dtype=float)
+        if x.shape != e.shape:
+            raise ValidationError("channel and errors must be equal length")
+        row[:] = x
+    n = e.size
+    if max_lag < 1 or n <= max_lag:
+        raise ValidationError("need series longer than max_lag >= 1")
+    xc = X - X.mean(axis=1, keepdims=True)
+    ec = e - e.mean()
+    sx = np.sqrt(np.einsum("ij,ij->i", xc, xc))
+    se = float(np.sqrt(ec @ ec))
+    if np.any(sx == 0.0) or se == 0.0:
+        raise UndefinedStatisticError("zero variance: cross-correlation undefined")
+    lags = np.arange(-max_lag, max_lag + 1)
+    rho = _reference_lagged_products(ec, xc, max_lag) / (sx[:, None] * se)
+    return lags, rho, confidence_bound(n)
+
+
+def reference_diagnose(outputs, targets, errors, channels, thresholds=VerdictThresholds()):
+    """diagnose as it was before the one-pass correlation kernel: the residual
+    centred once for the autocorrelation and again for the cross-correlations,
+    means by ``np.mean``.  R and the divergence are computed inline as
+    regression_r and max_divergence did, without their input checks."""
+    outputs = np.asarray(outputs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    errors = np.asarray(errors, dtype=float)
+    mse = float(np.mean(errors ** 2))
+    o = outputs - outputs.mean()
+    t = targets - targets.mean()
+    denom = np.sqrt((o @ o) * (t @ t))
+    if denom == 0.0:
+        raise UndefinedStatisticError("zero variance: R undefined")
+    r = float((o @ t) / denom)
+    div = float(np.max(np.abs(outputs - targets) / np.abs(targets)) * 100.0)
+    lag = min(MAX_LAG, errors.size - 1)
+    ac, ac_bound = _reference_autocorrelation(errors, lag)
+    lags, rho, xc_bound = _reference_crosscorrelations(list(channels.values()), errors, lag)
+    accepted, reasons = acceptance_verdict(r, div, mse, thresholds)
+    return DiagnosticsReport(
+        mse=mse, msereg=mse, r_value=r, max_divergence_pct=div,
+        autocorr=ac, autocorr_bound=ac_bound,
+        xcorr={ch: (lags, row) for ch, row in zip(channels, rho)}, xcorr_bound=xc_bound,
+        accepted=accepted, reasons=reasons)
+
+
+def _raised(fn, *args):
+    with pytest.raises((ValidationError, UndefinedStatisticError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestDiagnoseReference:
+    @pytest.mark.parametrize("n", [2, 3, 21, 22, 60, 250, 5000])
+    @pytest.mark.parametrize("n_channels", range(6))
+    def test_bit_identical(self, n, n_channels):
+        rng = np.random.default_rng(100 * n + n_channels)
+        targets = 20.0 + rng.normal(size=n)
+        outputs = targets + 0.05 * rng.normal(size=n)
+        errors = (outputs - targets) / 3.0 + 0.01 * rng.normal(size=n)
+        channels = {f"ch{k}": 2.0 * rng.normal(size=n) + k for k in range(n_channels)}
+        got = diagnose(outputs, targets, errors, channels)
+        want = reference_diagnose(outputs, targets, errors, channels)
+        for name in ("mse", "msereg", "r_value", "max_divergence_pct", "autocorr",
+                     "autocorr_bound", "xcorr_bound", "accepted", "reasons"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert list(got.xcorr) == list(want.xcorr)
+        for ch, (lags, rho) in got.xcorr.items():
+            assert np.array_equal(lags, want.xcorr[ch][0])
+            assert np.array_equal(rho, want.xcorr[ch][1])
+
+    @pytest.mark.parametrize("faults", [
+        {"residual"}, {"constant"}, {"length"}, {"short"},
+        {"residual", "constant"}, {"residual", "length"}, {"constant", "length"},
+        {"residual", "constant", "length"}, {"short", "length"}, {"short", "residual"},
+    ], ids=lambda f: "+".join(sorted(f)))
+    @pytest.mark.parametrize("length_first", [False, True])
+    def test_same_exception(self, faults, length_first):
+        n = 1 if "short" in faults else 40  # the residual's length
+        rng = np.random.default_rng(14)
+        targets = 20.0 + np.arange(40.0)
+        errors = np.full(n, 0.25) if "residual" in faults else rng.normal(size=n)
+        constant = np.ones(n) if "constant" in faults else rng.normal(size=n)
+        other = rng.normal(size=n + 1 if "length" in faults else n)
+        channels = ({"open": other, "high": constant} if length_first
+                    else {"open": constant, "high": other})
+        args = (targets + 0.1, targets, errors, channels)
+        assert _raised(diagnose, *args) == _raised(reference_diagnose, *args)
+
+    @pytest.mark.parametrize("x, e, max_lag", [
+        (np.ones(30), np.arange(30.0), 5),         # constant channel
+        (np.arange(30.0), np.ones(30), 5),         # constant residual
+        (np.ones(30), np.ones(30), 5),
+        (np.arange(29.0), np.ones(30), 5),         # wrong length before the constant residual
+        (np.arange(3.0), np.arange(4.0), 5),       # wrong length before the short series
+        (np.arange(4.0), np.arange(4.0), 5),       # short series
+        (np.arange(30.0), np.arange(30.0) ** 2, 0),
+    ])
+    def test_crosscorrelation_exceptions(self, x, e, max_lag):
+        assert (_raised(input_error_crosscorrelation, x, e, max_lag)
+                == _raised(_reference_crosscorrelations, [x], e, max_lag))
+
+    @pytest.mark.parametrize("e, max_lag", [
+        (np.ones(30), 5), (np.ones(3), 5), (np.arange(4.0), 5), (np.arange(30.0), 0),
+    ])
+    def test_autocorrelation_exceptions(self, e, max_lag):
+        assert (_raised(error_autocorrelation, e, max_lag)
+                == _raised(_reference_autocorrelation, e, max_lag))
+
+
 class TestVerdict:
     def test_paper_scale_numbers_accept(self):
         ok, reasons = acceptance_verdict(0.998, 1.122, 0.024288,
@@ -229,6 +367,22 @@ class TestVerdict:
     def test_thresholds_boundaries_accepted(self):
         th = VerdictThresholds(r_min=-np.inf, divergence_max_pct=0.0, mse_max=0.0)
         assert acceptance_verdict(1.0, 0.0, 0.0, th) == (True, [])
+
+    @pytest.mark.parametrize("metrics, reason", [
+        ((np.nan, 1.0, 0.0), "R nan < 0.99"),
+        ((0.999, np.nan, 0.0), "max divergence nan% > 10.0%"),
+        ((0.999, 1.0, np.nan), "MSE nan > inf"),
+    ], ids=["r", "divergence", "mse"])
+    def test_nan_metric_rejected(self, metrics, reason):
+        assert acceptance_verdict(*metrics) == (False, [reason])
+
+    def test_nan_output_rejected(self):
+        targets = 20.0 + np.sin(np.arange(30.0))
+        outputs = targets + 0.01
+        outputs[7] = np.nan
+        report = diagnose(outputs, targets, np.cos(np.arange(30.0)), {})
+        assert np.isnan(report.r_value) and not report.accepted
+        assert report.reasons == ["R nan < 0.99", "max divergence nan% > 10.0%"]
 
     def test_monotone(self):
         rng = np.random.default_rng(7)
