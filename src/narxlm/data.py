@@ -225,28 +225,39 @@ def _parse(lines, date_pos, cols, width=24):
     return _day_numbers(cells), records["values"]
 
 
+def _non_finite(path, values, linenos) -> DataFormatError:
+    """The error for the first non-finite cell of parsed rows ``linenos``."""
+    row, col = np.argwhere(~np.isfinite(values))[0]
+    return DataFormatError(
+        f"{path}: non-finite {CHANNELS[col]} {values[row, col]} on row {linenos[row]}")
+
+
 def _bad_cell(path, lines, linenos, date_pos, cols, exc) -> DataFormatError:
-    """The error for the first of the rows ``linenos`` that ``_parse`` rejects,
-    found by halving, as ``_parse`` rejects every group that holds it.  The
-    message is ``parse_date``'s or ``float()``'s, else ``_parse``'s (``1_000``).
+    """The error for the first of the rows ``linenos`` that ``_parse`` rejects
+    or reads as non-finite, found by halving, as every group that holds that
+    row is bad too.  The message is ``parse_date``'s or ``float()``'s, else
+    ``_non_finite``'s, else ``_parse``'s (``1_000``).
     """
     while len(linenos) > 1:
         half = len(linenos) // 2
         try:
-            _parse([lines[i - 1] for i in linenos[:half]], date_pos, cols)
-            linenos = linenos[half:]
+            _, values = _parse([lines[i - 1] for i in linenos[:half]], date_pos, cols)
+            bad = not np.isfinite(values).all()
         except _PARSE_ERRORS:
-            linenos = linenos[:half]
+            bad = True
+        linenos = linenos[:half] if bad else linenos[half:]
     line = lines[linenos[0] - 1]
     cells = _cells(path, linenos[0], line)
     try:
         parse_date(cells[date_pos])
         for pos in cols:
             float(cells[pos])
-        _parse([line], date_pos, cols)
+        _, values = _parse([line], date_pos, cols)
     except (DataFormatError, IndexError, *_PARSE_ERRORS) as err:
         return DataFormatError(f"{path}: bad cell on row {linenos[0]}: {err}")
-    return DataFormatError(f"{path}: {exc}")
+    if np.isfinite(values).all():
+        return DataFormatError(f"{path}: {exc}")
+    return _non_finite(path, values, linenos)
 
 
 def load_ohlcv(path) -> TimeSeriesFrame:
@@ -294,8 +305,7 @@ def load_ohlcv(path) -> TimeSeriesFrame:
             raise DataFormatError(f"{path}: missing column {required!r}")
 
     # frame_from_columns' argument order; adj_close falls back to close
-    names = ("open", "high", "low", "volume", "close", "adj_close")
-    cols = [colmap.get(ch, colmap["close"]) for ch in names]
+    cols = [colmap.get(ch, colmap["close"]) for ch in CHANNELS]
     date_pos = colmap["date"]
     linenos = range(2, len(lines) + 1)
     try:
@@ -320,13 +330,10 @@ def load_ohlcv(path) -> TimeSeriesFrame:
             if linenos:
                 raise _bad_cell(path, lines, linenos, date_pos, cols, exc) from exc
             raise unreadable or DataFormatError(f"{path}: no data rows") from None
-        if unreadable:
+        if unreadable and np.isfinite(values).all():  # else the check below names the row
             raise unreadable
-    finite = np.isfinite(values)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise DataFormatError(
-            f"{path}: non-finite {names[col]} {values[row, col]} on row {linenos[row]}")
+    if not np.isfinite(values).all():
+        raise _non_finite(path, values, linenos)
     # checked before the sort, so that the error names the CSV row
     broken = _broken_price_invariant(values[:, 1], values[:, 2], values[:, 3])
     if broken:
@@ -444,6 +451,12 @@ def _check_lags(d_u, d_y):
     return d_u, d_y
 
 
+def _taps(cols, lags, ks) -> np.ndarray:
+    """Tapped delay lines: row r holds col[ks[r] - lag] for each column, then
+    each lag in ``lags`` order, so the columns are ordered (channel, lag)."""
+    return np.column_stack([u[ks - lag] for u in cols for lag in lags])
+
+
 def _delayed(exo_cols, y, d_u, d_y, exo_channels, target_channel,
              timesteps=None) -> DelayedDataset:
     """Tapped delay lines over the exogenous columns and the target ``y``.
@@ -459,8 +472,8 @@ def _delayed(exo_cols, y, d_u, d_y, exo_channels, target_channel,
         )
     ks = np.arange(max_lag, n)
     return DelayedDataset(
-        X=np.column_stack([u[ks - lag] for u in exo_cols for lag in d_u]),
-        Y_hist=np.column_stack([y[ks - lag] for lag in d_y]),
+        X=_taps(exo_cols, d_u, ks),
+        Y_hist=_taps([y], d_y, ks),
         T=y[ks].copy(),
         d_u=d_u,
         d_y=d_y,

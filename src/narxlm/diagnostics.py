@@ -8,6 +8,7 @@ MAX_LAG = 20 against the 95% white-noise band +/- 1.96 / sqrt(n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ MAX_LAG = 20  # residual correlations run over lags up to this
 
 def confidence_bound(n: int) -> float:
     """Half-width of the 95% white-noise band for n observations."""
-    return Z_95 / np.sqrt(n)
+    return Z_95 / math.sqrt(n)
 
 
 def regression_r(outputs, targets) -> float:
@@ -31,7 +32,7 @@ def regression_r(outputs, targets) -> float:
         raise ValidationError("outputs and targets must be equal-length, non-empty")
     o = outputs - outputs.sum() / outputs.size
     t = targets - targets.sum() / targets.size
-    denom = np.sqrt((o @ o) * (t @ t))
+    denom = math.sqrt((o @ o) * (t @ t))
     if denom == 0.0:
         raise UndefinedStatisticError("zero variance: R undefined")
     return float((o @ t) / denom)
@@ -43,9 +44,10 @@ def max_divergence(outputs, targets) -> float:
     targets = np.asarray(targets, dtype=float)
     if outputs.shape != targets.shape or outputs.size == 0:
         raise ValidationError("outputs and targets must be equal-length, non-empty")
-    if (targets == 0.0).any():
+    scale = np.abs(targets)
+    if (scale == 0.0).any():
         raise UndefinedStatisticError("zero target value: divergence undefined")
-    return float((np.abs(outputs - targets) / np.abs(targets)).max() * 100.0)
+    return float((np.abs(outputs - targets) / scale).max() * 100.0)
 
 
 def _residual_correlations(errors, channels, max_lag: int):
@@ -88,7 +90,7 @@ def _residual_correlations(errors, channels, max_lag: int):
                          strides=(step, step))
     rho = (ec @ windows[:, max_lag:]) / ss
     rho[0] = 1.0
-    return rho, (xc @ windows) / (sx[:, None] * np.sqrt(ss)), confidence_bound(n)
+    return rho, (xc @ windows) / (sx[:, None] * math.sqrt(ss)), confidence_bound(n)
 
 
 def error_autocorrelation(errors, max_lag: int):

@@ -241,79 +241,58 @@ def jacobian(net: NarxNetwork, dataset):
     return J, F
 
 
-def _exo_rows(values, n_exo: int, name: str, rows: str) -> np.ndarray:
-    """``values`` as a (rows, n_exo) float array; 1-D only if n_exo == 1 or empty."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1 and (n_exo == 1 or not values.size):
-        values = values.reshape(-1, n_exo)
-    if values.ndim != 2 or values.shape[1] != n_exo:
-        raise ShapeError(f"{name} shape {values.shape} != ({rows}, {n_exo})")
-    return values
-
-
 class ClosedLoopNarx:
     """Closed-loop (parallel) evaluator sharing the trained weights.
 
-    Feedback taps read the evaluator's own prediction history once the primed
-    true values are exhausted.
+    Exogenous taps arrive as rows of DelayedDataset.X, so ``data`` alone
+    orders tap columns by (channel, lag); feedback taps read the evaluator's
+    own predictions once the primed true values are exhausted.
     """
 
     def __init__(self, net: NarxNetwork):
         self.net = net
         self.config = net.config
 
-    def simulate(self, primer_y, primer_exo, exo_future) -> np.ndarray:
-        """Roll the network forward for H = len(exo_future) steps.
+    def simulate(self, primer_y, taps) -> np.ndarray:
+        """Roll the network forward for H = len(taps) steps.
 
         primer_y: 1-D trailing true targets, at least max(d_y) values.
-        primer_exo: trailing exogenous rows (width n_exo, channel order as in
-            the training dataset), at least max(d_u) rows, in the form
-            exo_future takes.
-        exo_future: (H, n_exo) true exogenous rows for the horizon; a 1-D
-            (H,) array when n_exo == 1, or an empty sequence for H = 0.
+        taps: (H, n_input_taps) exogenous taps, one row per step, laid out
+            as DelayedDataset.X's rows (``pipeline.simulate`` passes those).
 
         The exogenous taps of every step are known up front, so their hidden
-        drive X @ W_ih.T + b_h for the whole horizon is one (H, N) matmul over
-        a tap matrix built with one index; only the |d_y|-wide feedback
-        through W_yh runs step by step.  The loop steps over the drive rows
-        with the index of the output they produce: it adds the feedback
-        product of the max(d_y) outputs before that index to the row in one
-        (N,) hidden buffer, applies tanh there in place and writes the output
-        unit's dot product at that index of the output history.  The buffer
-        is allocated once per call; the one array a step creates is the (N,)
-        feedback product that ``dot`` returns (a ``dot(..., out=)`` into a
-        second buffer measured slower).  The ufuncs take the buffer as a
-        positional ``out``, which parses faster than the keyword.
+        drive taps @ W_ih.T + b_h for the whole horizon is one (H, N) matmul;
+        only the |d_y|-wide feedback through W_yh runs step by step.  The
+        loop steps over the drive rows with the index of the output they
+        produce: it adds the feedback product of the max(d_y) outputs before
+        that index to the row in one (N,) hidden buffer, applies tanh there
+        in place and writes the output unit's dot product at that index of
+        the output history.  The buffer is allocated once per call; the one
+        array a step creates is the (N,) feedback product that ``dot``
+        returns (a ``dot(..., out=)`` into a second buffer measured slower).
+        The ufuncs take the buffer as a positional ``out``, which parses
+        faster than the keyword.
         """
         c = self.config
         net = self.net
         primer_y = np.asarray(primer_y, dtype=float)
         if primer_y.ndim != 1:
             raise ShapeError(f"primer_y shape {primer_y.shape} is not 1-D")
-        primer_exo = _exo_rows(primer_exo, c.n_exo, "primer_exo", "rows")
-        exo_future = _exo_rows(exo_future, c.n_exo, "exo_future", "H")
+        taps = np.asarray(taps, dtype=float)
+        if taps.ndim != 2 or taps.shape[1] != c.n_input_taps:
+            raise ShapeError(f"taps shape {taps.shape} != (H, {c.n_input_taps})")
         max_dy = max(c.d_y)
-        max_du = max(c.d_u)
         if len(primer_y) < max_dy:
             raise InsufficientDataError(
                 f"primer supplies {len(primer_y)} targets, need {max_dy}")
-        if len(primer_exo) < max_du:
-            raise InsufficientDataError(
-                f"primer supplies {len(primer_exo)} exogenous rows, need {max_du}")
 
-        H = len(exo_future)
-        # row max_du + t of exo is step t's current input; the tap matrix
-        # has columns ordered (channel, lag) to match DelayedDataset.X
-        exo = np.concatenate([primer_exo[len(primer_exo) - max_du:], exo_future])
-        rows = (max_du + np.arange(H))[:, None] - np.asarray(c.d_u)
-        X = exo[rows].transpose(0, 2, 1).reshape(H, c.n_input_taps)
-        drive = X @ net.W_ih.T + net.b_h                     # (H, N)
+        drive = taps @ net.W_ih.T + net.b_h                  # (H, N)
 
         # y[t - max_dy:t] is output y[t]'s feedback window, oldest first, so
         # the feedback weights go in a (max_dy, N) matrix with row max_dy - lag
         W_fb = np.zeros((max_dy, c.n_hidden))
         W_fb[max_dy - np.asarray(c.d_y)] = net.W_yh.T
-        y = np.empty(max_dy + H)
+        y = np.empty(max_dy + len(taps))
         y[:max_dy] = primer_y[len(primer_y) - max_dy:]
         # locals and ndarray.dot: on (N,) arrays a step is mostly call
         # overhead, which `@` and attribute lookups add to

@@ -24,7 +24,7 @@ from .data import (
     split_indices,
 )
 from .diagnostics import DiagnosticsReport, VerdictThresholds, diagnose
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, ValidationError
 from .network import ClosedLoopNarx, NarxConfig, NarxNetwork, forward_open
 from .training import TrainParams, TrainReport, msereg, train_with_restarts
 
@@ -94,24 +94,26 @@ def evaluate_open(net: NarxNetwork, prep: PreparedData, idx=None, xi: float = 1.
 def simulate(net: NarxNetwork, prep: PreparedData, start_row: int, horizon: int):
     """Closed-loop rollout starting at frame row ``start_row``.
 
-    Targets before start_row prime the feedback taps; exogenous rows for
-    start_row..start_row+horizon-1 must exist in the frame.  Returns
-    (timesteps, predictions_price, targets_price) with targets NaN where the
-    frame runs out.
+    Targets before start_row prime the feedback taps; the exogenous taps of
+    rows start_row.. are those rows of the prepared dataset's X, so ``net``
+    must have the dataset's lags.  Returns (timesteps, predictions_price,
+    targets_price); a negative horizon or one past the frame raises.
     """
     c = net.config
-    frame = prep.frame
-    max_dy, max_du = max(c.d_y), max(c.d_u)
-    if start_row < max(max_dy, max_du):
+    frame, dataset = prep.frame, prep.dataset
+    if horizon < 0:
+        raise ValidationError("horizon must be >= 0")
+    if (c.d_u, c.d_y) != (dataset.d_u, dataset.d_y):
+        raise ValidationError(f"network lags {c.d_u}, {c.d_y} differ from the dataset's")
+    k = start_row - dataset.first_usable_index  # start_row's sample
+    if k < 0:
         raise InsufficientDataError("start_row leaves too little priming history")
     if start_row + horizon > len(frame):
         raise InsufficientDataError(
             f"horizon {horizon} from row {start_row} exceeds frame length {len(frame)}")
     y = frame.channel(prep.target_channel)
-    exo = np.column_stack([frame.channel(ch)[start_row - max_du:start_row + horizon]
-                           for ch in prep.exo_channels])
-    preds = ClosedLoopNarx(net).simulate(y[start_row - max_dy:start_row],
-                                         exo[:max_du], exo[max_du:])
+    preds = ClosedLoopNarx(net).simulate(y[start_row - max(c.d_y):start_row],
+                                         dataset.X[k:k + horizon])
     preds_price = prep.norm_spec.invert_values(preds, prep.target_channel)
     targs_price = prep.norm_spec.invert_values(
         y[start_row:start_row + horizon], prep.target_channel)

@@ -15,6 +15,7 @@ from .data import (
     DelayedDataset,
     TimeSeriesFrame,
     _delayed,
+    _taps,
     fit_normalization,
     frame_from_columns,
 )
@@ -35,8 +36,10 @@ def drive_teacher(net: NarxNetwork, U: np.ndarray, seed: int | None = None,
                   noise_std: float = 0.0) -> np.ndarray:
     """Iterate the teacher over exogenous rows U, feeding back its own output.
 
-    The first max-lag values of y are zero (delay fill).  Optional white
-    measurement noise is added after each step.
+    The first max-lag values of y are zero (delay fill).  The exogenous taps
+    of step k are row k - max-lag of the tap matrix that ``data`` builds for
+    a DelayedDataset.  Optional white measurement noise is added after each
+    step, and fed back with the output.
     """
     c = net.config
     U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -45,10 +48,9 @@ def drive_teacher(net: NarxNetwork, U: np.ndarray, seed: int | None = None,
     y = np.zeros(n)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_std, size=n) if noise_std > 0 else np.zeros(n)
-    for k in range(max_lag, n):
-        x_row = np.array([U[k - lag, ci] for ci in range(c.n_exo) for lag in c.d_u])
-        yh_row = np.array([y[k - lag] for lag in c.d_y])
-        a = np.tanh(x_row @ net.W_ih.T + yh_row @ net.W_yh.T + net.b_h)
+    d_y = np.asarray(c.d_y)
+    for k, x_row in enumerate(_taps(U.T, c.d_u, np.arange(max_lag, n)), max_lag):
+        a = np.tanh(x_row @ net.W_ih.T + y[k - d_y] @ net.W_yh.T + net.b_h)
         y[k] = float(a @ net.W_ho + net.b_o) + noise[k]
     return y
 

@@ -563,6 +563,13 @@ class TestInputValidation:
         # the first of two faults: a bad cell before a quoted cell that spans lines
         (b'1,1,2,0.5,1.5,100\n2,1,2,0.5,oops,100\n3,1,2,0.5,1.5,"a\nb"\n',
          "bad cell on row 3: could not convert string to float: 'oops'"),
+        # a non-finite cell, which np.loadtxt reads, before a cell it rejects
+        (b"1,1,2,0.5,1.5,100\n2,nan,2,0.5,1.5,100\n3,1,2,0.5,1.5,100\n"
+         b"4,1,2,0.5,oops,100\n", "non-finite open nan on row 3"),
+        (b"2010-01-04,1,2,0.5,1.5,100\n2010-01-05,inf,2,0.5,1.5,100\n"
+         b"2010-01-06,1,2,0.5,1.5,100\n2010-01-07,1,2,0.5,1.5,100\n"
+         b"2010-01-08,1,2,0.5,1.5,100\n2010-13-45,1,2,0.5,1.5,100\n",
+         "non-finite open inf on row 3"),
     ])
     def test_undecodable_or_bad_date_names_path_and_row(self, tmp_path, capsys,
                                                          body, message):

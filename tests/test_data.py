@@ -258,16 +258,48 @@ class TestLoadOhlcv:
         (None, "row 4: a quoted cell spans lines"),
         ("2,1,2,0.5,oops,100,x", "row 3: could not convert string to float: 'oops'"),
         ("2,1,2,0.5,1.5,100,x\n,,,,,,\n2,1,2", "row 5: "),
-    ], ids=["spanning-only", "bad-cell-first", "short-row-after-blank-row"])
+        ("2,nan,2,0.5,1.5,100,x", None),
+    ], ids=["spanning-only", "bad-cell-first", "short-row-after-blank-row",
+            "non-finite-first"])
     def test_first_of_two_faults_named(self, tmp_path, bad_row, message):
         # a quoted cell spanning rows 4-5 (or later) ends the rows read; an
         # earlier bad row is named first
         p = tmp_path / "bad.csv"
         p.write_text("Date,Open,High,Low,Close,Volume,Note\n1,1,2,0.5,1.5,100,x\n"
                      + (bad_row or "2,1,2,0.5,1.5,100,x") + '\n9,1,2,0.5,1.5,100,"a\nb"\n')
-        with pytest.raises(DataFormatError, match=re.escape(f"{p}: bad cell on {message}")):
+        message = f"bad cell on {message}" if message else "non-finite open nan on row 3"
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}: {message}")):
             load_ohlcv(p)
 
+
+    @pytest.mark.parametrize("cell, later_row, later, parse_error", [
+        ("nan", 5, "4,1,2,0.5,oops,100", "could not convert string to float: 'oops'"),
+        ("inf", 7, "2010-13-45,1,2,0.5,1.5,100", "unparseable date '2010-13-45'"),
+    ], ids=["nan-then-bad-float", "inf-then-bad-date"])
+    def test_non_finite_cell_before_a_parse_error_is_named(self, tmp_path, cell,
+                                                           later_row, later, parse_error):
+        # np.loadtxt reads nan and inf, so the parse fails only on the later
+        # row; the file must fail as it does with the non-finite cell alone
+        days = [f"2010-01-{d:02d}" if "2010" in later else str(d) for d in range(1, 8)]
+
+        def write(name, faults):
+            rows = [f"{day},1,2,0.5,1.5,100" for day in days]
+            for row, text in faults.items():
+                rows[row - 2] = text
+            p = tmp_path / name
+            p.write_text("Date,Open,High,Low,Close,Volume\n" + "\n".join(rows) + "\n")
+            return p
+
+        non_finite = {3: f"{days[1]},{cell},2,0.5,1.5,100"}
+        for p in (write("alone.csv", non_finite),
+                  write("both.csv", {**non_finite, later_row: later})):
+            with pytest.raises(DataFormatError, match=re.escape(
+                    f"{p}: non-finite open {cell} on row 3") + "$"):
+                load_ohlcv(p)
+        p = write("later.csv", {later_row: later})
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{p}: bad cell on row {later_row}: {parse_error}") + "$"):
+            load_ohlcv(p)
 
     @pytest.mark.parametrize("text", ["Date,Open,High,Low,Close,Volume",
                                       "Date,Open,High,Low,Close,Volume\n",

@@ -1,12 +1,12 @@
 import json
 import re
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from narxlm import pipeline
+from narxlm.data import _taps
 from narxlm.errors import InsufficientDataError, ShapeError, ValidationError
 from narxlm.network import (
     ClosedLoopNarx,
@@ -77,8 +77,8 @@ def reference_simulate(evaluator, primer_y, primer_exo, exo_future):
     """ClosedLoopNarx.simulate as it was with one fresh hidden array per step.
 
     Kept as the reference that the rewritten feedback loop must match bit for
-    bit; it takes the evaluator as its first argument so that it can also
-    stand in for the method.
+    bit.  It gathers the taps from raw exogenous rows itself: the primer's
+    trailing max(d_u) rows, then one row per step of the horizon.
     """
     c, net = evaluator.config, evaluator.net
     primer_y = np.asarray(primer_y, dtype=float)
@@ -287,6 +287,11 @@ class TestJacobian:
         assert F[0] == F[1]
 
 
+def _raw_taps(config, exo, start):
+    """The tap rows that ``data`` builds for steps start.. of raw rows ``exo``."""
+    return _taps(np.asarray(exo).T, config.d_u, np.arange(start, len(exo)))
+
+
 class TestClosedLoop:
     def test_first_step_matches_open(self):
         rng = np.random.default_rng(21)
@@ -295,12 +300,8 @@ class TestClosedLoop:
             c = net.config
             first = ds.first_usable_index
             open_pred = forward_open(net, ds)[0]
-            ev = ClosedLoopNarx(net)
-            preds = ev.simulate(
-                primer_y=y[first - max(c.d_y):first],
-                primer_exo=U[first - max(c.d_u):first] if max(c.d_u) else
-                np.zeros((0, c.n_exo)),
-                exo_future=U[first:first + 1])
+            preds = ClosedLoopNarx(net).simulate(primer_y=y[first - max(c.d_y):first],
+                                                 taps=ds.X[:1])
             assert abs(preds[0] - open_pred) < 1e-12
 
     def test_zero_network(self):
@@ -310,9 +311,7 @@ class TestClosedLoop:
         net = NarxNetwork.from_flat(config, theta)
         ev = ClosedLoopNarx(net)
         rng = np.random.default_rng(0)
-        preds = ev.simulate(primer_y=[0.0, 0.0],
-                            primer_exo=rng.normal(size=(1, 2)),
-                            exo_future=rng.normal(size=(10, 2)))
+        preds = ev.simulate(primer_y=[0.0, 0.0], taps=rng.normal(size=(10, 4)))
         assert np.allclose(preds, 1.5)
 
     def test_manual_three_step_rollout(self):
@@ -323,7 +322,7 @@ class TestClosedLoop:
         u = np.array([0.3, -0.8, 0.5])
         y0 = 0.2
         ev = ClosedLoopNarx(net)
-        preds = ev.simulate([y0], np.zeros((0, 1)), u[:, None])
+        preds = ev.simulate([y0], u[:, None])
         y_prev = y0
         for t in range(3):
             expected = wo * np.tanh(wi * u[t] + wy * y_prev + bh) + bo
@@ -345,22 +344,20 @@ class TestClosedLoop:
             start = max(max(d_u), max(d_y)) + int(rng.integers(0, 10))
             U = rng.uniform(-1.0, 1.0, size=(start + horizon, config.n_exo))
             y = drive_teacher(teacher, U)
-            preds = ClosedLoopNarx(teacher).simulate(y[:start], U[:start], U[start:])
+            preds = ClosedLoopNarx(teacher).simulate(y[:start], _raw_taps(config, U, start))
             assert preds.shape == (horizon,)
             assert np.all(np.abs(preds - y[start:]) < 1e-12)
 
     def test_empty_horizon(self):
-        config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=1, n_exo=1)
-        net = init_weights(config, 0)
-        preds = ClosedLoopNarx(net).simulate([0.1], np.zeros((0, 1)), [])
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=2, n_exo=4)
+        preds = ClosedLoopNarx(init_weights(config, 0)).simulate([0.1], np.zeros((0, 8)))
         assert preds.shape == (0,)
 
     def test_primer_too_short(self):
         config = NarxConfig(d_u=(0,), d_y=(1, 2, 3), n_hidden=1, n_exo=1)
         net = init_weights(config, 0)
         with pytest.raises(InsufficientDataError):
-            ClosedLoopNarx(net).simulate([0.1], np.zeros((0, 1)),
-                                         np.zeros((2, 1)))
+            ClosedLoopNarx(net).simulate([0.1], np.zeros((2, 1)))
 
     @pytest.mark.parametrize("horizon", [0, 1, 60, 250])
     def test_matches_reference_loop(self, horizon):
@@ -374,71 +371,109 @@ class TestClosedLoop:
             primer_y = rng.uniform(-1.0, 1.0, size=max(config.d_y) + 2)
             primer_exo = rng.uniform(-1.0, 1.0, size=(max(config.d_u) + 1, config.n_exo))
             exo_future = rng.uniform(-1.0, 1.0, size=(horizon, config.n_exo))
-            got = ev.simulate(primer_y, primer_exo, exo_future)
+            taps = _raw_taps(config, np.concatenate([primer_exo, exo_future]),
+                             len(primer_exo))
+            got = ev.simulate(primer_y, taps)
             assert np.array_equal(got, reference_simulate(ev, primer_y, primer_exo,
                                                           exo_future)), config
 
-    def test_pipeline_matches_reference_loop_on_every_origin(self):
+    @pytest.mark.parametrize("d_u,d_y", [((0, 1), (1,)), ((1, 3), (1, 2, 4))])
+    def test_pipeline_matches_reference_loop_on_every_origin(self, d_u, d_y):
         frame, _ = synthetic_ohlcv_frame(400, seed=29, noise_std=0.01)
-        prep = pipeline.prepare(frame, (0, 1), (1,))
-        net = init_weights(NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=22, n_exo=4), 3)
+        prep = pipeline.prepare(frame, d_u, d_y)
+        config = NarxConfig(d_u=d_u, d_y=d_y, n_hidden=22, n_exo=4)
+        ev = ClosedLoopNarx(init_weights(config, 3))
         first = prep.dataset.first_usable_index
         origins = [first + int(k) for k in np.concatenate(prep.splits[1:])
                    if first + k + 60 <= len(frame)]
         assert len(origins) > 50
+        y = prep.frame.close
+        max_dy, max_du = max(d_y), max(d_u)
         for origin in origins:
-            _, got, _ = pipeline.simulate(net, prep, origin, 60)
-            with mock.patch.object(ClosedLoopNarx, "simulate", reference_simulate):
-                _, want, _ = pipeline.simulate(net, prep, origin, 60)
-            assert np.array_equal(got, want), origin
+            _, got, _ = pipeline.simulate(ev.net, prep, origin, 60)
+            exo = np.column_stack([prep.frame.channel(ch)[origin - max_du:origin + 60]
+                                   for ch in prep.exo_channels])
+            want = reference_simulate(ev, y[origin - max_dy:origin], exo[:max_du],
+                                      exo[max_du:])
+            assert np.array_equal(got, prep.norm_spec.invert_values(want, "close")), origin
 
-    def test_one_dimensional_future_for_one_channel(self):
-        config = NarxConfig(d_u=(0, 2), d_y=(1, 3), n_hidden=4, n_exo=1)
-        ev = ClosedLoopNarx(init_weights(config, 5))
-        u = np.linspace(-1.0, 1.0, 9)
-        primer = [0.1, -0.2, 0.3]
-        assert np.array_equal(ev.simulate(primer, u[:2, None], u[2:]),
-                              ev.simulate(primer, u[:2, None], u[2:, None]))
+    @pytest.mark.parametrize("d_u,d_y", [((0, 1), (1,)), ((1, 3), (1, 2, 4))])
+    def test_pipeline_rejects_negative_horizon(self, d_u, d_y):
+        frame, _ = synthetic_ohlcv_frame(120, seed=29)
+        prep = pipeline.prepare(frame, d_u, d_y)
+        net = init_weights(NarxConfig(d_u=d_u, d_y=d_y, n_hidden=3, n_exo=4), 0)
+        for horizon in (-1, -60):
+            with pytest.raises(ValidationError, match=r"^horizon must be >= 0$"):
+                pipeline.simulate(net, prep, 60, horizon)
+        ts, preds, targs = pipeline.simulate(net, prep, 60, 0)
+        assert ts.shape == preds.shape == targs.shape == (0,)
 
-    @pytest.mark.parametrize("exo_future", [[], np.zeros(0), np.zeros((0, 4))],
-                             ids=["list", "1-D", "2-D"])
-    def test_empty_future_of_any_form(self, exo_future):
-        config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=2, n_exo=4)
-        preds = ClosedLoopNarx(init_weights(config, 0)).simulate(
-            [0.1], np.zeros((0, 4)), exo_future)
-        assert preds.shape == (0,)
+    def test_pipeline_rejects_network_of_other_lags(self):
+        # the same tap width: d_u (0, 2) would read d_u (0, 1)'s columns
+        frame, _ = synthetic_ohlcv_frame(120, seed=29)
+        prep = pipeline.prepare(frame, (0, 1), (1,))
+        for d_u, d_y in (((0, 2), (1,)), ((0, 1), (2,))):
+            net = init_weights(NarxConfig(d_u=d_u, d_y=d_y, n_hidden=3, n_exo=4), 0)
+            with pytest.raises(ValidationError, match="differ from the dataset's"):
+                pipeline.simulate(net, prep, 60, 10)
 
-    @pytest.mark.parametrize("shape", [(60, 3), (7, 3), (60, 5), (60,), (2, 60, 4),
-                                       (0, 3)])
-    def test_future_of_wrong_width(self, shape):
-        # reshaped to (-1, 4), a (60, 3) array is a 45-step forecast on scrambled rows
+    @pytest.mark.parametrize("shape", [(8,), (60,), (0,), (2, 60, 8), (1, 0, 8),
+                                       (60, 7), (60, 4), (60, 9), (0, 4)])
+    def test_taps_of_wrong_shape(self, shape):
+        # as (-1, 8), a (60, 4) array would be a 30-step forecast on scrambled taps
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=4)
         ev = ClosedLoopNarx(init_weights(config, 0))
-        with pytest.raises(ShapeError, match=re.escape(
-                f"exo_future shape {shape} != (H, 4)")):
-            ev.simulate([0.1], np.zeros((1, 4)), np.ones(shape))
-
-    def test_one_dimensional_primer_with_one_channel(self):
-        # (2,) holds the two rows that d_u (0, 1, 2) asks for, as exo_future's rule reads it
-        config = NarxConfig(d_u=(0, 1, 2), d_y=(1,), n_hidden=3, n_exo=1)
-        ev = ClosedLoopNarx(init_weights(config, 0))
-        for primer, future in ((np.zeros(2), np.zeros(3)),
-                               (np.array([0.3, -0.2]), np.array([0.1, 0.5, -0.4]))):
-            got = ev.simulate([0.1], primer, future)
-            assert got.shape == (3,)
-            assert np.array_equal(got, ev.simulate([0.1], primer[:, None], future))
-
-    def test_one_dimensional_primer_with_three_channels(self):
-        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=3)
-        ev = ClosedLoopNarx(init_weights(config, 0))
-        with pytest.raises(ShapeError, match=re.escape("primer_exo shape (3,) != (rows, 3)")):
-            ev.simulate([0.1], np.zeros(3), np.zeros((5, 3)))
+        with pytest.raises(ShapeError, match=re.escape(f"taps shape {shape} != (H, 8)")):
+            ev.simulate([0.1], np.ones(shape))
 
     def test_two_dimensional_primer_y(self):
         config = NarxConfig(d_u=(0,), d_y=(1, 2), n_hidden=3, n_exo=1)
         ev = ClosedLoopNarx(init_weights(config, 0))
         with pytest.raises(ShapeError, match=r"primer_y shape \(2, 1\) is not 1-D"):
-            ev.simulate(np.zeros((2, 1)), np.zeros((0, 1)), np.zeros((5, 1)))
+            ev.simulate(np.zeros((2, 1)), np.zeros((5, 1)))
+
+
+def reference_drive_teacher(net, U, seed=None, noise_std=0.0):
+    """synth.drive_teacher as it was, gathering each step's taps in Python.
+
+    Kept as the reference that the tap-matrix form must match bit for bit.
+    """
+    c = net.config
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    n = U.shape[0]
+    max_lag = max(max(c.d_u), max(c.d_y))
+    y = np.zeros(n)
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, noise_std, size=n) if noise_std > 0 else np.zeros(n)
+    for k in range(max_lag, n):
+        x_row = np.array([U[k - lag, ci] for ci in range(c.n_exo) for lag in c.d_u])
+        yh_row = np.array([y[k - lag] for lag in c.d_y])
+        a = np.tanh(x_row @ net.W_ih.T + yh_row @ net.W_yh.T + net.b_h)
+        y[k] = float(a @ net.W_ho + net.b_o) + noise[k]
+    return y
+
+
+class TestDriveTeacher:
+    @pytest.mark.parametrize("noise_std", [0.0, 0.05])
+    def test_matches_reference(self, noise_std):
+        rng = np.random.default_rng(90 + int(noise_std * 100))
+        for i in range(60):
+            config = NarxConfig(d_u=_lags(rng, 0, int(rng.integers(1, 4))),
+                                d_y=_lags(rng, 1, int(rng.integers(1, 4))),
+                                n_hidden=int(rng.integers(1, 23)),
+                                n_exo=int(rng.integers(1, 6)))
+            teacher = init_weights(config, int(rng.integers(1 << 30)))
+            max_lag = max(config.d_u[-1], config.d_y[-1])
+            # every fifth series is no longer than the delay fill
+            n = int(rng.integers(0, max_lag + 1)) if i % 5 == 0 else \
+                max_lag + int(rng.integers(1, 120))
+            U = rng.uniform(-1.0, 1.0, size=(n, config.n_exo))
+            seed = int(rng.integers(1 << 30))
+            got = drive_teacher(teacher, U, seed=seed, noise_std=noise_std)
+            want = reference_drive_teacher(teacher, U, seed=seed, noise_std=noise_std)
+            assert np.array_equal(got, want), (config, n)
+            if n <= max_lag:
+                assert np.array_equal(got, np.zeros(n))
 
 
 class TestSerialization:
