@@ -190,19 +190,8 @@ def _load_frame(args):
 
 
 def _exo_channels(args):
-    """The exogenous channel names, after checking them and the target's."""
-    exo = tuple(args.exo_channels.split(",")) if args.exo_channels else DEFAULT_EXO_CHANNELS
-    for ch in exo + (args.target_channel,):
-        if ch not in CHANNELS:
-            raise ValidationError(
-                f"unknown channel {ch!r}; valid channels: {', '.join(CHANNELS)}")
-    if args.target_channel in exo:
-        # with input lag 0 the target y(k) would be a regressor of itself
-        raise ValidationError(
-            f"target channel {args.target_channel!r} cannot be an exogenous channel")
-    if len(set(exo)) != len(exo):
-        raise ValidationError(f"exogenous channels repeat a name: {','.join(exo)}")
-    return exo
+    """The --exo-channels names; ``prepare`` checks them and the target's."""
+    return tuple(args.exo_channels.split(",")) if args.exo_channels else DEFAULT_EXO_CHANNELS
 
 
 def _add_train_options(p):

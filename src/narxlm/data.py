@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import string
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -420,7 +420,8 @@ class DelayedDataset:
 
     X rows concatenate lagged exogenous values, ordered (channel, lag) with
     lags in the order given by d_u; Y_hist rows hold lagged targets ordered by
-    d_y; T is the current target.
+    d_y; T is the current target.  Sample k is frame row first_usable_index + k;
+    the frame and the caller keep the timesteps and the channel names.
     """
 
     X: np.ndarray
@@ -428,10 +429,7 @@ class DelayedDataset:
     T: np.ndarray
     d_u: tuple
     d_y: tuple
-    exo_channels: tuple
-    target_channel: str
     first_usable_index: int
-    timesteps: np.ndarray = field(default=None)
 
     @property
     def n_samples(self) -> int:
@@ -451,14 +449,31 @@ def _check_lags(d_u, d_y):
     return d_u, d_y
 
 
+def _check_channels(exo_channels, target_channel) -> tuple:
+    """The exogenous channel names as a tuple, after checking them and the target's."""
+    exo = tuple(exo_channels)
+    if not exo:
+        raise ValidationError("need at least one exogenous channel")
+    for ch in exo + (target_channel,):
+        if ch not in CHANNELS:
+            raise ValidationError(
+                f"unknown channel {ch!r}; valid channels: {', '.join(CHANNELS)}")
+    if target_channel in exo:
+        # with input lag 0 the target y(k) would be a regressor of itself
+        raise ValidationError(
+            f"target channel {target_channel!r} cannot be an exogenous channel")
+    if len(set(exo)) != len(exo):
+        raise ValidationError(f"exogenous channels repeat a name: {','.join(exo)}")
+    return exo
+
+
 def _taps(cols, lags, ks) -> np.ndarray:
     """Tapped delay lines: row r holds col[ks[r] - lag] for each column, then
     each lag in ``lags`` order, so the columns are ordered (channel, lag)."""
     return np.column_stack([u[ks - lag] for u in cols for lag in lags])
 
 
-def _delayed(exo_cols, y, d_u, d_y, exo_channels, target_channel,
-             timesteps=None) -> DelayedDataset:
+def _delayed(exo_cols, y, d_u, d_y) -> DelayedDataset:
     """Tapped delay lines over the exogenous columns and the target ``y``.
 
     X columns are ordered (channel, lag), with lags in sorted d_u order.
@@ -471,17 +486,8 @@ def _delayed(exo_cols, y, d_u, d_y, exo_channels, target_channel,
             f"frame has {n} rows but max lag {max_lag} needs at least {max_lag + 1}"
         )
     ks = np.arange(max_lag, n)
-    return DelayedDataset(
-        X=_taps(exo_cols, d_u, ks),
-        Y_hist=_taps([y], d_y, ks),
-        T=y[ks].copy(),
-        d_u=d_u,
-        d_y=d_y,
-        exo_channels=tuple(exo_channels),
-        target_channel=target_channel,
-        first_usable_index=max_lag,
-        timesteps=None if timesteps is None else timesteps[ks].copy(),
-    )
+    return DelayedDataset(X=_taps(exo_cols, d_u, ks), Y_hist=_taps([y], d_y, ks),
+                          T=y[ks].copy(), d_u=d_u, d_y=d_y, first_usable_index=max_lag)
 
 
 def prepare_delayed(frame: TimeSeriesFrame, d_u, d_y,
@@ -490,11 +496,12 @@ def prepare_delayed(frame: TimeSeriesFrame, d_u, d_y,
     """Shift the series by the lag sets to produce supervised samples.
 
     Sample k (k >= first_usable_index) has regressors u_c(k-i) for i in d_u,
-    c in exo_channels and y(k-j) for j in d_y, with target y(k).
+    c in exo_channels and y(k-j) for j in d_y, with target y(k).  The
+    channels must be known, distinct and not the target (``_check_channels``).
     """
+    exo_channels = _check_channels(exo_channels, target_channel)
     return _delayed([frame.channel(ch) for ch in exo_channels],
-                    frame.channel(target_channel), d_u, d_y, exo_channels,
-                    target_channel, frame.timesteps)
+                    frame.channel(target_channel), d_u, d_y)
 
 
 def split_indices(n_samples: int):
@@ -504,7 +511,7 @@ def split_indices(n_samples: int):
     partition range(n_samples) in order.
     """
     if n_samples < 3:
-        raise InsufficientDataError("need at least 3 samples to split")
+        raise InsufficientDataError(f"need at least 3 samples to split, got {n_samples}")
     exact = [r * n_samples for r in SPLIT_RATIOS]
     sizes = [int(np.floor(e)) for e in exact]
     remainders = [e - s for e, s in zip(exact, sizes)]

@@ -96,7 +96,8 @@ def _residual_correlations(errors, channels, max_lag: int):
 def error_autocorrelation(errors, max_lag: int):
     """Normalized autocorrelation rho(0..max_lag) and the 95% band half-width.
 
-    rho(0) = 1 by construction.
+    rho(0) = 1 by construction.  Public API, exported by ``narxlm``: a
+    one-series view of ``_residual_correlations``, which ``diagnose`` calls.
     """
     rho, _, bound = _residual_correlations(errors, (), max_lag)
     return rho, bound
@@ -107,7 +108,8 @@ def input_error_crosscorrelation(exo_channel, errors, max_lag: int):
 
     Lag L correlates error(k) with input(k - L); normalization is by the
     product of the two standard deviations, so a copied series gives 1 at
-    lag 0.
+    lag 0.  Public API, exported by ``narxlm``: a one-channel view of
+    ``_residual_correlations``, which ``diagnose`` calls.
     """
     x = np.asarray(exo_channel, dtype=float)
     e = np.asarray(errors, dtype=float)

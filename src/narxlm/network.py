@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,6 +140,17 @@ class NarxNetwork:
         b_o = float(theta[pos])
         return cls(config, W_ih.copy(), W_yh.copy(), b_h.copy(), W_ho.copy(), b_o)
 
+    @cached_property
+    def feedback_matrix(self) -> np.ndarray:
+        """W_yh.T as a read-only (max(d_y), N) matrix, lag j in row max(d_y) - j:
+        y[t - max(d_y):t] @ it is output t's feedback.  Built once per network
+        and cached in its ``__dict__`` (the frozen dataclass has no slots)."""
+        d_y = np.asarray(self.config.d_y)
+        W_fb = np.zeros((d_y[-1], self.config.n_hidden))
+        W_fb[d_y[-1] - d_y] = self.W_yh.T
+        W_fb.flags.writeable = False
+        return W_fb
+
     def bias_mask(self) -> np.ndarray:
         """Boolean vector over the flat parameters, True at bias positions."""
         c = self.config
@@ -262,12 +274,12 @@ class ClosedLoopNarx:
 
         The exogenous taps of every step are known up front, so their hidden
         drive taps @ W_ih.T + b_h for the whole horizon is one (H, N) matmul;
-        only the |d_y|-wide feedback through W_yh runs step by step.  The
-        loop steps over the drive rows with the index of the output they
-        produce: it adds the feedback product of the max(d_y) outputs before
-        that index to the row in one (N,) hidden buffer, applies tanh there
-        in place and writes the output unit's dot product at that index of
-        the output history.  The buffer is allocated once per call; the one
+        only the |d_y|-wide feedback through ``net.feedback_matrix`` runs
+        step by step.  The loop steps over the drive rows with the index of
+        the output they produce: it adds the feedback product of the max(d_y)
+        outputs before that index to the row in one (N,) hidden buffer,
+        applies tanh there in place and writes the output unit's dot product
+        at that index of the output history.  The buffer is allocated once per call; the one
         array a step creates is the (N,) feedback product that ``dot``
         returns (a ``dot(..., out=)`` into a second buffer measured slower).
         The ufuncs take the buffer as a positional ``out``, which parses
@@ -287,16 +299,12 @@ class ClosedLoopNarx:
                 f"primer supplies {len(primer_y)} targets, need {max_dy}")
 
         drive = taps @ net.W_ih.T + net.b_h                  # (H, N)
-
-        # y[t - max_dy:t] is output y[t]'s feedback window, oldest first, so
-        # the feedback weights go in a (max_dy, N) matrix with row max_dy - lag
-        W_fb = np.zeros((max_dy, c.n_hidden))
-        W_fb[max_dy - np.asarray(c.d_y)] = net.W_yh.T
         y = np.empty(max_dy + len(taps))
         y[:max_dy] = primer_y[len(primer_y) - max_dy:]
         # locals and ndarray.dot: on (N,) arrays a step is mostly call
         # overhead, which `@` and attribute lookups add to
-        W_ho, b_o, add, tanh = net.W_ho, net.b_o, np.add, np.tanh
+        W_fb, W_ho, b_o = net.feedback_matrix, net.W_ho, net.b_o
+        add, tanh = np.add, np.tanh
         a = np.empty(c.n_hidden)
         for t, d in enumerate(drive, max_dy):
             add(d, y[t - max_dy:t].dot(W_fb), a)

@@ -17,6 +17,7 @@ from .data import (
     DelayedDataset,
     NormalizationSpec,
     TimeSeriesFrame,
+    _check_channels,
     _check_lags,
     apply_normalization,
     fit_normalization,
@@ -45,16 +46,14 @@ def prepare(raw_frame: TimeSeriesFrame, d_u, d_y,
             norm_spec: NormalizationSpec | None = None) -> PreparedData:
     """Normalize to [-1, 1], build the delayed dataset and split it 70/15/15 in time.
 
-    Without ``norm_spec`` the normalization is fitted on the rows that feed
-    the training block; a given spec (a saved model's) is applied as is.
+    The channels are checked first.  Without ``norm_spec`` the normalization
+    is fitted on the rows that feed the training block; a given spec (a
+    saved model's) is applied as is.
     """
-    exo_channels = tuple(exo_channels)
+    exo_channels = _check_channels(exo_channels, target_channel)
     d_u, d_y = _check_lags(d_u, d_y)
     max_lag = max(d_u[-1], d_y[-1])
-    n_samples = len(raw_frame) - max_lag
-    if n_samples < 3:
-        raise InsufficientDataError("too few rows for the requested lags")
-    splits = split_indices(n_samples)
+    splits = split_indices(len(raw_frame) - max_lag)  # rejects fewer than 3 samples
     if norm_spec is None:
         # rows feeding the training samples: everything up to the last train target
         norm_spec = fit_normalization(raw_frame, sorted(set(exo_channels) | {target_channel}),

@@ -14,6 +14,7 @@ from itertools import product
 
 import numpy as np
 
+from .data import _check_channels
 from .errors import DivergedError, InsufficientDataError, ValidationError
 from .pipeline import evaluate_open, fit, prepare
 from .training import TrainParams
@@ -92,8 +93,10 @@ def run_sweep(grid: SweepGrid, frame, exo_channels, target_channel, jobs=1) -> l
     so its mse and R are the ones ``train`` reports.  Diverged runs are kept
     as flagged rows so the table stays rectangular.  ``jobs`` caps the
     worker processes, which never outnumber the points; one runs inline.
+    The channels are checked once, before any point starts.
     """
-    args = [(point, grid.params, grid.seed, frame, tuple(exo_channels), target_channel)
+    exo_channels = _check_channels(exo_channels, target_channel)
+    args = [(point, grid.params, grid.seed, frame, exo_channels, target_channel)
             for point in grid.points()]
     # a forked pool starts all its workers at once, so never more than points
     workers = min(jobs, len(args))

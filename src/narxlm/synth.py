@@ -19,30 +19,33 @@ from .data import (
     fit_normalization,
     frame_from_columns,
 )
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .network import NarxConfig, NarxNetwork, init_weights
 
 
 def make_supervised(U: np.ndarray, y: np.ndarray, d_u, d_y) -> DelayedDataset:
-    """DelayedDataset straight from raw arrays (U: (n, n_exo), y: (n,))."""
-    U = np.atleast_2d(np.asarray(U, dtype=float))
+    """DelayedDataset straight from raw arrays (U: (n, n_exo) or (n,), y: (n,))."""
+    U = np.column_stack([np.asarray(U, dtype=float)])  # a 1-D U is one column
     y = np.asarray(y, dtype=float)
     if U.shape[0] != y.shape[0]:
         raise ValidationError("U and y must have equal length")
-    return _delayed(U.T, y, d_u, d_y, tuple(f"u{c}" for c in range(U.shape[1])), "y")
+    return _delayed(U.T, y, d_u, d_y)
 
 
 def drive_teacher(net: NarxNetwork, U: np.ndarray, seed: int | None = None,
                   noise_std: float = 0.0) -> np.ndarray:
     """Iterate the teacher over exogenous rows U, feeding back its own output.
 
-    The first max-lag values of y are zero (delay fill).  The exogenous taps
-    of step k are row k - max-lag of the tap matrix that ``data`` builds for
-    a DelayedDataset.  Optional white measurement noise is added after each
-    step, and fed back with the output.
+    U is (n, n_exo), or (n,) for one channel.  The first max-lag values of
+    y are zero (delay fill).  The exogenous taps of step k are row
+    k - max-lag of the tap matrix that ``data`` builds for a DelayedDataset.
+    Optional white measurement noise is added after each step, and fed back
+    with the output.
     """
     c = net.config
-    U = np.atleast_2d(np.asarray(U, dtype=float))
+    U = np.column_stack([np.asarray(U, dtype=float)])  # a 1-D U is one column
+    if U.ndim != 2 or U.shape[1] != c.n_exo:
+        raise ShapeError(f"U shape {U.shape} != (n, {c.n_exo})")
     n = U.shape[0]
     max_lag = max(max(c.d_u), max(c.d_y))
     y = np.zeros(n)

@@ -68,9 +68,7 @@ class TrainReport:
     best_epoch: int
     network: NarxNetwork
     seed: int
-    train_idx: np.ndarray = field(repr=False, default=None)
-    val_idx: np.ndarray = field(repr=False, default=None)
-    test_idx: np.ndarray = field(repr=False, default=None)
+    splits: tuple = field(repr=False, default=None)  # train, val, test indices
 
     @property
     def best_val_mse(self) -> float:
@@ -89,11 +87,8 @@ class TrainReport:
             "best_val_mse": self.best_val_mse,
             "best_test_mse": self.best_test_mse,
             "final_train_objective": self.records[-1].train_objective,
-            "splits": {
-                "train": [int(self.train_idx[0]), int(self.train_idx[-1]) + 1],
-                "val": [int(self.val_idx[0]), int(self.val_idx[-1]) + 1],
-                "test": [int(self.test_idx[0]), int(self.test_idx[-1]) + 1],
-            },
+            "splits": {name: [int(idx[0]), int(idx[-1]) + 1]
+                       for name, idx in zip(("train", "val", "test"), self.splits)},
         }
 
 
@@ -177,14 +172,11 @@ def _block_mse(net, block):
 
 
 def _subset(dataset, idx):
-    ts = dataset.timesteps
-    return replace(dataset, X=dataset.X[idx], Y_hist=dataset.Y_hist[idx], T=dataset.T[idx],
-                   timesteps=None if ts is None else ts[idx])
+    return replace(dataset, X=dataset.X[idx], Y_hist=dataset.Y_hist[idx], T=dataset.T[idx])
 
 
 def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -> TrainReport:
     """One LM run from a seeded random init, with early stopping."""
-    train_idx, val_idx, test_idx = splits
     train_set, val_set, test_set = (_subset(dataset, idx) for idx in splits)
 
     net = init_weights(config, seed)
@@ -256,8 +248,6 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
             stop_reason = "max-fail"
             break
 
-    if not records:
-        raise DivergedError("no epochs ran", epoch=0)
     if best_epoch < 0:
         best_epoch = len(records) - 1
         best_theta = theta.copy()
@@ -268,9 +258,7 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
         best_epoch=best_epoch,
         network=NarxNetwork.from_flat(config, best_theta),
         seed=seed,
-        train_idx=np.asarray(train_idx),
-        val_idx=np.asarray(val_idx),
-        test_idx=np.asarray(test_idx),
+        splits=tuple(np.asarray(idx) for idx in splits),
     )
 
 

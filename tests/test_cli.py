@@ -634,6 +634,30 @@ class TestInputValidation:
         assert capsys.readouterr().err == f"error: malformed model document: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    @pytest.mark.parametrize("exo, code, message", [
+        (["open", "high", "low", "close"], cli.EXIT_VALIDATION,
+         "target channel 'close' cannot be an exogenous channel"),
+        (["open", "high", "open", "volume"], cli.EXIT_VALIDATION,
+         "exogenous channels repeat a name: open,high,open,volume"),
+        # _load_model rejects an unknown name before prepare sees it
+        (["open", "high", "low", "price"], cli.EXIT_MISMATCH,
+         "model channel 'price' not present in OHLCV data"),
+    ])
+    def test_model_channel_rule(self, trained_dir, data_csv, tmp_path, capsys,
+                                command, exo, code, message):
+        with open(os.path.join(trained_dir, cli.MODEL_FILE)) as fh:
+            doc = json.load(fh)
+        doc["exo_channels"] = exo
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", data_csv, "--model", str(broken),
+                       "--out", str(out)])
+        assert rc == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 def _run_quietly(argv):
     """(exit code, stderr) of cli.main; an uncaught exception fails the test."""

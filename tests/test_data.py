@@ -650,7 +650,7 @@ class TestPrepareDelayed:
         ds = prepare_delayed(sample_frame, d_u=(0, 1), d_y=(1,))
         # sample for timestep 734508 is index 1 (first usable is 734507)
         k = 1
-        assert ds.timesteps[k] == 734508
+        assert sample_frame.timesteps[ds.first_usable_index + k] == 734508
         # column order: (channel, lag) with channels open, high, low, volume
         assert ds.X[k, 0] == 21.19   # open lag 0 (row 734508)
         assert ds.X[k, 1] == 21.12   # open lag 1 (row 734507)

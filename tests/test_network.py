@@ -279,9 +279,7 @@ class TestJacobian:
             X=np.vstack([ds.X[:1], ds.X[:1]]),
             Y_hist=np.vstack([ds.Y_hist[:1], ds.Y_hist[:1]]),
             T=np.concatenate([ds.T[:1], ds.T[:1]]),
-            d_u=ds.d_u, d_y=ds.d_y, exo_channels=ds.exo_channels,
-            target_channel=ds.target_channel,
-            first_usable_index=ds.first_usable_index)
+            d_u=ds.d_u, d_y=ds.d_y, first_usable_index=ds.first_usable_index)
         J, F = jacobian(net, dup)
         assert np.array_equal(J[0], J[1])
         assert F[0] == F[1]
@@ -432,6 +430,19 @@ class TestClosedLoop:
         with pytest.raises(ShapeError, match=r"primer_y shape \(2, 1\) is not 1-D"):
             ev.simulate(np.zeros((2, 1)), np.zeros((5, 1)))
 
+    def test_feedback_matrix_built_once_per_network(self):
+        config = NarxConfig(d_u=(0,), d_y=(1, 3), n_hidden=4, n_exo=2)
+        net = init_weights(config, 5)
+        W_fb = net.feedback_matrix
+        want = np.zeros((3, 4))
+        want[3 - np.asarray(config.d_y)] = net.W_yh.T
+        assert np.array_equal(W_fb, want) and not W_fb.flags.writeable
+        ev = ClosedLoopNarx(net)
+        first = ev.simulate([0.1, 0.2, 0.3], np.ones((5, 2)))
+        assert np.array_equal(ev.simulate([0.1, 0.2, 0.3], np.ones((5, 2))), first)
+        assert net.feedback_matrix is W_fb
+        assert init_weights(config, 5).feedback_matrix is not W_fb
+
 
 def reference_drive_teacher(net, U, seed=None, noise_std=0.0):
     """synth.drive_teacher as it was, gathering each step's taps in Python.
@@ -474,6 +485,27 @@ class TestDriveTeacher:
             assert np.array_equal(got, want), (config, n)
             if n <= max_lag:
                 assert np.array_equal(got, np.zeros(n))
+
+    def test_one_dimensional_U_is_one_channel(self):
+        teacher = init_weights(NarxConfig(d_u=(0, 2), d_y=(1,), n_hidden=3, n_exo=1), 4)
+        u = np.linspace(-1.0, 1.0, 50)
+        got = drive_teacher(teacher, u, seed=1, noise_std=0.05)
+        assert got.shape == (50,)
+        assert np.array_equal(got, drive_teacher(teacher, u[:, None], seed=1, noise_std=0.05))
+        ds = make_supervised(u, got, (0, 2), (1,))
+        want = make_supervised(u[:, None], got, (0, 2), (1,))
+        for name in ("X", "Y_hist", "T"):
+            assert np.array_equal(getattr(ds, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("shape, message", [
+        ((50, 3), "U shape (50, 3) != (n, 2)"),
+        ((50,), "U shape (50, 1) != (n, 2)"),
+        ((50, 2, 1), "U shape (50, 2, 1) != (n, 2)"),
+    ])
+    def test_U_of_wrong_shape(self, shape, message):
+        teacher = init_weights(NarxConfig(d_u=(0,), d_y=(1,), n_hidden=3, n_exo=2), 4)
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            drive_teacher(teacher, np.zeros(shape))
 
 
 class TestSerialization:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from narxlm import sweep
 from narxlm.data import apply_normalization, fit_normalization, prepare_delayed, split_indices
-from narxlm.errors import ValidationError
+from narxlm.errors import InsufficientDataError, ValidationError
 from narxlm.pipeline import prepare
 from narxlm.synth import synthetic_ohlcv_frame
+from narxlm.training import TrainParams
 
 EXO = ("open", "high", "low", "volume")
 
@@ -18,7 +20,7 @@ def test_prepare_applies_a_given_spec_without_refitting():
     assert prepare(frame, (0, 2), (1, 3), EXO, "close").norm_spec != spec
 
     ds = prepare_delayed(apply_normalization(frame, spec), (0, 2), (1, 3), EXO, "close")
-    for name in ("X", "Y_hist", "T", "timesteps"):
+    for name in ("X", "Y_hist", "T"):
         assert np.array_equal(getattr(prep.dataset, name), getattr(ds, name)), name
     assert (prep.dataset.d_u, prep.dataset.d_y, prep.dataset.first_usable_index) == \
         (ds.d_u, ds.d_y, ds.first_usable_index)
@@ -31,3 +33,47 @@ def test_prepare_rejects_an_empty_lag_set(d_u, d_y):
     frame, _ = synthetic_ohlcv_frame(40, seed=1234, noise_std=0.02)
     with pytest.raises(ValidationError, match="lag sets must be non-empty"):
         prepare(frame, d_u, d_y)
+
+
+@pytest.mark.parametrize("rows, d_y, got", [(3, (1,), 2), (4, (1, 2), 2), (2, (1,), 1)])
+def test_prepare_needs_three_samples(rows, d_y, got):
+    frame, _ = synthetic_ohlcv_frame(40, seed=1234, noise_std=0.02)
+    with pytest.raises(InsufficientDataError,
+                       match=f"^need at least 3 samples to split, got {got}$"):
+        prepare(frame.slice(0, rows), (0, 1), d_y)
+    assert prepare(frame.slice(0, rows + 3 - got), (0, 1), d_y).dataset.n_samples == 3
+
+
+# (exo channels, target, the message the CLI prints for them)
+BAD_CHANNELS = [
+    (("open", "price"), "close",
+     "unknown channel 'price'; valid channels: open, high, low, volume, close, adj_close"),
+    (EXO, "Close", "unknown channel 'Close'"),
+    (("open", "close"), "close", "target channel 'close' cannot be an exogenous channel"),
+    (("open", "open"), "close", "exogenous channels repeat a name: open,open"),
+    ((), "close", "need at least one exogenous channel"),
+]
+
+
+@pytest.mark.parametrize("exo, target, message", BAD_CHANNELS)
+def test_prepare_checks_the_channels(exo, target, message):
+    frame, _ = synthetic_ohlcv_frame(40, seed=1234, noise_std=0.02)
+    with pytest.raises(ValidationError) as prep_err:
+        prepare(frame, (0, 1), (1,), exo, target)
+    with pytest.raises(ValidationError) as delayed_err:
+        prepare_delayed(frame, (0, 1), (1,), exo, target)
+    for err in (prep_err, delayed_err):
+        assert message in str(err.value)
+
+
+@pytest.mark.parametrize("exo, target, message", BAD_CHANNELS)
+def test_sweep_checks_the_channels_before_any_point(exo, target, message, monkeypatch):
+    def no_point(packed):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(sweep, "_sweep_point", no_point)
+    frame, _ = synthetic_ohlcv_frame(40, seed=1234, noise_std=0.02)
+    grid = sweep.SweepGrid(((0, 1),), ((1,),), (2,), TrainParams(epochs=1, restarts=1))
+    with pytest.raises(ValidationError) as err:
+        sweep.run_sweep(grid, frame, exo, target)
+    assert message in str(err.value)

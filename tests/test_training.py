@@ -264,7 +264,6 @@ class TestTrain:
         _, _, _, ds = teacher_dataset(50, seed=9)
         bad = DelayedDataset(
             X=ds.X, Y_hist=ds.Y_hist, T=ds.T.copy(), d_u=ds.d_u, d_y=ds.d_y,
-            exo_channels=ds.exo_channels, target_channel=ds.target_channel,
             first_usable_index=ds.first_usable_index)
         bad.T[0] = np.inf
         splits = split_indices(ds.n_samples)
@@ -298,10 +297,7 @@ def reference_lm_step(J, F, lam, weights, xi, bias_mask):
 def reference_subset(ds, idx):
     return DelayedDataset(
         X=ds.X[idx], Y_hist=ds.Y_hist[idx], T=ds.T[idx], d_u=ds.d_u,
-        d_y=ds.d_y, exo_channels=ds.exo_channels,
-        target_channel=ds.target_channel,
-        first_usable_index=ds.first_usable_index,
-        timesteps=None if ds.timesteps is None else ds.timesteps[idx])
+        d_y=ds.d_y, first_usable_index=ds.first_usable_index)
 
 
 def reference_block_mse(net, ds, idx):
