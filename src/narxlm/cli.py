@@ -83,14 +83,6 @@ def _atomic_write(path, text: str):
         raise
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _environment() -> dict:
     """The Python, numpy and BLAS of this run, and its BLAS thread setting."""
     env = {"python": platform.python_version(), "numpy": np.__version__}
@@ -105,11 +97,12 @@ def _environment() -> dict:
     return env
 
 
-def _write_outputs(args, files: dict):
+def _write_outputs(args, input_sha256: str, files: dict):
     """Create ``--out``, write each {name: text} file, then the manifest of them.
 
     Commands call this once, after every result is computed, so a failed run
-    leaves no directory behind.
+    leaves no directory behind.  ``input_sha256`` is ``_load_frame``'s digest
+    of the bytes the run parsed.
     """
     os.makedirs(args.out, exist_ok=True)
     for name, text in files.items():
@@ -119,7 +112,7 @@ def _write_outputs(args, files: dict):
         "parameters": {k: v for k, v in sorted(vars(args).items())
                        if k not in ("func", "command")},
         "input_file": str(args.csv),
-        "input_sha256": _sha256(args.csv),
+        "input_sha256": input_sha256,
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": sorted(files),
@@ -181,12 +174,16 @@ def _thresholds_from(args) -> VerdictThresholds:
 
 
 def _load_frame(args):
-    frame = load_ohlcv(args.csv)
+    """(frame, SHA-256): ``--csv`` read once, the frame parsed from those
+    bytes and cut to ``--from``/``--to``, and the hex digest of the bytes."""
+    with open(args.csv, "rb") as fh:
+        raw = fh.read()
+    frame = load_ohlcv(args.csv, raw)
     t_from = parse_date(args.date_from) if args.date_from else None
     t_to = parse_date(args.date_to) if args.date_to else None
     if t_from is not None or t_to is not None:
         frame = frame.restrict(t_from, t_to)
-    return frame
+    return frame, hashlib.sha256(raw).hexdigest()
 
 
 def _exo_channels(args):
@@ -278,7 +275,7 @@ def cmd_train(args) -> int:
     params = _train_params_from(args)
     thresholds = _thresholds_from(args)
     exo = _exo_channels(args)
-    frame = _load_frame(args)
+    frame, digest = _load_frame(args)
     d_u = parse_lag_range(args.input_delays, len(frame))
     d_y = parse_lag_range(args.feedback_delays, len(frame))
     prep = prepare(frame, d_u, d_y, exo, args.target_channel)
@@ -289,7 +286,7 @@ def cmd_train(args) -> int:
     for r in report.records:
         lines.append(f"{r.epoch},{r.train_objective!r},{r.train_mse!r},"
                      f"{r.val_mse!r},{r.test_mse!r},{r.grad_norm!r},{r.lam!r}")
-    _write_outputs(args, {
+    _write_outputs(args, digest, {
         MODEL_FILE: report.network.to_json({
             "normalization": prep.norm_spec.to_dict(),
             "exo_channels": list(exo),
@@ -308,7 +305,7 @@ def cmd_train(args) -> int:
 def cmd_simulate(args) -> int:
     thresholds = _thresholds_from(args)
     net, norm_spec, exo_channels, target_channel = _load_model(args.model)
-    frame = _load_frame(args)
+    frame, digest = _load_frame(args)
     prep = prepare(frame, net.config.d_u, net.config.d_y, exo_channels, target_channel,
                    norm_spec=norm_spec)
     H = args.horizon
@@ -331,7 +328,7 @@ def cmd_simulate(args) -> int:
         diag_doc = diag.to_dict()
     else:
         diag_doc = {"note": "empty horizon", "accepted": True}
-    _write_outputs(args, {PREDICTIONS_FILE: "\n".join(lines) + "\n",
+    _write_outputs(args, digest, {PREDICTIONS_FILE: "\n".join(lines) + "\n",
                           DIAGNOSTICS_FILE: json.dumps(diag_doc, indent=2)})
     print(f"simulated {H} steps -> {os.path.join(args.out, PREDICTIONS_FILE)}")
     return EXIT_OK
@@ -339,7 +336,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     exo = _exo_channels(args)
-    frame = _load_frame(args)
+    frame, digest = _load_frame(args)
     target = args.target_channel
 
     def parse_axis(text):
@@ -381,7 +378,7 @@ def cmd_sweep(args) -> int:
         "xcorr_within_bounds": best.xcorr_within_bounds,
         "warning": best.warning,
     }
-    _write_outputs(args, {
+    _write_outputs(args, digest, {
         SWEEP_CSV_FILE: "\n".join(lines) + "\n",
         SWEEP_JSON_FILE: json.dumps([r.to_dict() for r in rows], indent=2),
         CHOSEN_CONFIG_FILE: json.dumps(chosen, indent=2),
@@ -393,11 +390,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     net, norm_spec, exo_channels, target_channel = _load_model(args.model)
-    frame = _load_frame(args)
+    frame, digest = _load_frame(args)
     prep = prepare(frame, net.config.d_u, net.config.d_y, exo_channels, target_channel,
                    norm_spec=norm_spec)
     diag = evaluate_open(net, prep, thresholds=_thresholds_from(args))
-    _write_outputs(args, {DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2)})
+    _write_outputs(args, digest, {DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2)})
     verdict = "accept" if diag.accepted else "reject"
     print(f"eval: R={diag.r_value:.5f} divergence={diag.max_divergence_pct:.3f}% "
           f"mse={diag.mse:.3e} verdict={verdict}")

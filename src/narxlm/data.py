@@ -260,7 +260,7 @@ def _bad_cell(path, lines, linenos, date_pos, cols, exc) -> DataFormatError:
     return _non_finite(path, values, linenos)
 
 
-def load_ohlcv(path) -> TimeSeriesFrame:
+def load_ohlcv(path, raw: bytes | None = None) -> TimeSeriesFrame:
     """Read an OHLCV CSV into a frame sorted by ascending date.
 
     The header must name Date, Open, High, Low, Close, Volume
@@ -278,9 +278,13 @@ def load_ohlcv(path) -> TimeSeriesFrame:
     One ``np.loadtxt`` call parses every row, and the date cells, integer
     and ISO alike, become day numbers in bulk.  Blank rows are dropped only
     if that fails, and rows are checked one by one only to name a bad one.
+
+    ``raw`` is the file's content when the caller has read it already (the
+    CLI hashes the bytes it parses); ``path`` then only names the file.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    if raw is None:
+        with open(path, "rb") as fh:
+            raw = fh.read()
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:

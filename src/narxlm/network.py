@@ -265,25 +265,31 @@ class ClosedLoopNarx:
         self.net = net
         self.config = net.config
 
-    def simulate(self, primer_y, taps) -> np.ndarray:
+    def simulate(self, primer_y, taps, innovations=None) -> np.ndarray:
         """Roll the network forward for H = len(taps) steps.
 
         primer_y: 1-D trailing true targets, at least max(d_y) values.
         taps: (H, n_input_taps) exogenous taps, one row per step, laid out
             as DelayedDataset.X's rows (``pipeline.simulate`` passes those).
+        innovations: optional (H,) values, one per step.  Value k is added to
+            output k before that output is fed back, so the later steps see
+            it; a forecast passes none, and ``synth.drive_teacher`` passes its
+            equation-error noise.
 
         The exogenous taps of every step are known up front, so their hidden
         drive taps @ W_ih.T + b_h for the whole horizon is one (H, N) matmul;
         only the |d_y|-wide feedback through ``net.feedback_matrix`` runs
-        step by step.  The loop steps over the drive rows with the index of
+        step by step.  The output bias and the innovations are folded into
+        one list of H output offsets (b_o itself when there are no
+        innovations).  The loop steps over the drive rows with the index of
         the output they produce: it adds the feedback product of the max(d_y)
         outputs before that index to the row in one (N,) hidden buffer,
         applies tanh there in place and writes the output unit's dot product
-        at that index of the output history.  The buffer is allocated once per call; the one
-        array a step creates is the (N,) feedback product that ``dot``
-        returns (a ``dot(..., out=)`` into a second buffer measured slower).
-        The ufuncs take the buffer as a positional ``out``, which parses
-        faster than the keyword.
+        plus the step's offset at that index of the output history.  The
+        buffer is allocated once per call; the one array a step creates is
+        the (N,) feedback product that ``dot`` returns (a ``dot(..., out=)``
+        into a second buffer measured slower).  The ufuncs take the buffer
+        as a positional ``out``, which parses faster than the keyword.
         """
         c = self.config
         net = self.net
@@ -293,6 +299,10 @@ class ClosedLoopNarx:
         taps = np.asarray(taps, dtype=float)
         if taps.ndim != 2 or taps.shape[1] != c.n_input_taps:
             raise ShapeError(f"taps shape {taps.shape} != (H, {c.n_input_taps})")
+        if innovations is not None and np.shape(innovations) != (len(taps),):
+            raise ShapeError(f"innovations shape {np.shape(innovations)} != ({len(taps)},)")
+        offsets = [net.b_o] * len(taps) if innovations is None else \
+            (net.b_o + np.asarray(innovations, dtype=float)).tolist()
         max_dy = max(c.d_y)
         if len(primer_y) < max_dy:
             raise InsufficientDataError(
@@ -303,11 +313,11 @@ class ClosedLoopNarx:
         y[:max_dy] = primer_y[len(primer_y) - max_dy:]
         # locals and ndarray.dot: on (N,) arrays a step is mostly call
         # overhead, which `@` and attribute lookups add to
-        W_fb, W_ho, b_o = net.feedback_matrix, net.W_ho, net.b_o
+        W_fb, W_ho = net.feedback_matrix, net.W_ho
         add, tanh = np.add, np.tanh
         a = np.empty(c.n_hidden)
-        for t, d in enumerate(drive, max_dy):
+        for t, (d, offset) in enumerate(zip(drive, offsets), max_dy):
             add(d, y[t - max_dy:t].dot(W_fb), a)
             tanh(a, a)
-            y[t] = a.dot(W_ho) + b_o
+            y[t] = a.dot(W_ho) + offset
         return y[max_dy:]

@@ -20,7 +20,7 @@ from .data import (
     frame_from_columns,
 )
 from .errors import ShapeError, ValidationError
-from .network import NarxConfig, NarxNetwork, init_weights
+from .network import ClosedLoopNarx, NarxConfig, NarxNetwork, init_weights
 
 
 def make_supervised(U: np.ndarray, y: np.ndarray, d_u, d_y) -> DelayedDataset:
@@ -37,24 +37,23 @@ def drive_teacher(net: NarxNetwork, U: np.ndarray, seed: int | None = None,
     """Iterate the teacher over exogenous rows U, feeding back its own output.
 
     U is (n, n_exo), or (n,) for one channel.  The first max-lag values of
-    y are zero (delay fill).  The exogenous taps of step k are row
-    k - max-lag of the tap matrix that ``data`` builds for a DelayedDataset.
-    Optional white measurement noise is added after each step, and fed back
-    with the output.
+    y are zero (delay fill); the rest are ``ClosedLoopNarx.simulate`` primed
+    with those zeros, on the rows k - max-lag of the tap matrix that
+    ``data`` builds for a DelayedDataset.  Optional white noise of standard
+    deviation noise_std (finite, >= 0), n values drawn from seed, is added
+    to each output as its innovation and fed back with it.
     """
     c = net.config
     U = np.column_stack([np.asarray(U, dtype=float)])  # a 1-D U is one column
     if U.ndim != 2 or U.shape[1] != c.n_exo:
         raise ShapeError(f"U shape {U.shape} != (n, {c.n_exo})")
+    if not 0.0 <= noise_std < np.inf:
+        raise ValidationError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     n = U.shape[0]
-    max_lag = max(max(c.d_u), max(c.d_y))
+    ks = np.arange(max(max(c.d_u), max(c.d_y)), n)  # the steps after the delay fill
+    noise = np.random.default_rng(seed).normal(0.0, noise_std, size=n)
     y = np.zeros(n)
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, noise_std, size=n) if noise_std > 0 else np.zeros(n)
-    d_y = np.asarray(c.d_y)
-    for k, x_row in enumerate(_taps(U.T, c.d_u, np.arange(max_lag, n)), max_lag):
-        a = np.tanh(x_row @ net.W_ih.T + y[k - d_y] @ net.W_yh.T + net.b_h)
-        y[k] = float(a @ net.W_ho + net.b_o) + noise[k]
+    y[ks] = ClosedLoopNarx(net).simulate(np.zeros(max(c.d_y)), _taps(U.T, c.d_u, ks), noise[ks])
     return y
 
 

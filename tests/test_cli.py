@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -231,8 +232,9 @@ class TestFixedModelSettings:
         rc = cli.main(["eval", "--csv", data_csv, "--model", str(model), "--out", str(out)])
         assert rc == cli.EXIT_REJECTED
         diag = json.loads((out / cli.DIAGNOSTICS_FILE).read_text())
-        # the values the previous release reported for this model and series
-        assert (diag["r_value"], diag["mse"]) == (0.23271891861841323, 0.047772115936865076)
+        # this model's values on this series, exact: the series moved in its
+        # last bits when the teacher began to run through ClosedLoopNarx.simulate
+        assert (diag["r_value"], diag["mse"]) == (0.2327189186184132, 0.04777211593686506)
 
     @pytest.mark.parametrize("block,key,value", [
         ("config", "hidden_transfer", "sigmoid"),
@@ -255,6 +257,37 @@ class TestFixedModelSettings:
 
 MANIFEST_KEYS = {"command", "parameters", "input_file", "input_sha256",
                  "tool_version", "timestamp", "outputs", "environment"}
+
+
+class TestManifestDigest:
+    @pytest.mark.parametrize("command, step, flags", [
+        ("train", "fit", ["--neurons", "2", "--epochs", "3", "--restarts", "1"]),
+        ("sweep", "run_sweep", ["--neurons", "2", "--epochs", "3", "--restarts", "1"]),
+        ("eval", "evaluate_open", ["--model"]),
+        ("simulate", "simulate", ["--horizon", "5", "--model"]),
+    ])
+    def test_digest_of_the_parsed_bytes(self, trained_dir, data_csv, tmp_path,
+                                        monkeypatch, command, step, flags):
+        # the CSV is rewritten while the command computes its results
+        csv = tmp_path / "input.csv"
+        with open(data_csv, "rb") as fh:
+            original = fh.read()
+        csv.write_bytes(original)
+        real = getattr(cli, step)
+
+        def rewrite_then_run(*args, **kwargs):
+            csv.write_bytes(original.replace(b"\n", b"\r\n"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, step, rewrite_then_run)
+        if flags[-1] == "--model":
+            flags = flags + [os.path.join(trained_dir, cli.MODEL_FILE)]
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", str(csv), "--out", str(out), *flags])
+        assert rc in (cli.EXIT_OK, cli.EXIT_REJECTED)
+        assert csv.read_bytes() != original
+        manifest = json.loads((out / cli.MANIFEST_FILE).read_text())
+        assert manifest["input_sha256"] == hashlib.sha256(original).hexdigest()
 
 
 class TestVerdictThresholds:

@@ -16,7 +16,12 @@ from narxlm.network import (
     init_weights,
     jacobian,
 )
-from narxlm.synth import drive_teacher, make_supervised, synthetic_ohlcv_frame
+from narxlm.synth import (
+    drive_teacher,
+    make_supervised,
+    synthetic_ohlcv_frame,
+    teacher_dataset,
+)
 
 
 def scalar_prediction(net, u_rows, y_hist, k):
@@ -424,6 +429,28 @@ class TestClosedLoop:
         with pytest.raises(ShapeError, match=re.escape(f"taps shape {shape} != (H, 8)")):
             ev.simulate([0.1], np.ones(shape))
 
+    @pytest.mark.parametrize("shape", [(4,), (6,), (0,), (), (5, 1), (1, 5)])
+    def test_innovations_of_wrong_shape(self, shape):
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=4)
+        ev = ClosedLoopNarx(init_weights(config, 0))
+        with pytest.raises(ShapeError,
+                           match=re.escape(f"innovations shape {shape} != (5,)")):
+            ev.simulate([0.1], np.ones((5, 8)), np.zeros(shape))
+
+    def test_innovations_are_fed_back(self):
+        # a single step's innovation moves its own output and every later one
+        config = NarxConfig(d_u=(0,), d_y=(1, 2), n_hidden=4, n_exo=2)
+        ev = ClosedLoopNarx(init_weights(config, 8))
+        taps = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 2))
+        base = ev.simulate([0.1, 0.2], taps)
+        assert np.array_equal(ev.simulate([0.1, 0.2], taps, np.zeros(6)), base)
+        kicked = ev.simulate([0.1, 0.2], taps, [0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
+        assert np.array_equal(kicked[:2], base[:2])
+        assert abs(kicked[2] - (base[2] + 0.5)) < 1e-15
+        assert np.all(kicked[3:] != base[3:])
+        again = ev.simulate(np.concatenate([[0.1, 0.2], kicked[:3]]), taps[3:])
+        assert np.array_equal(kicked[3:], again)
+
     def test_two_dimensional_primer_y(self):
         config = NarxConfig(d_u=(0,), d_y=(1, 2), n_hidden=3, n_exo=1)
         ev = ClosedLoopNarx(init_weights(config, 0))
@@ -447,7 +474,9 @@ class TestClosedLoop:
 def reference_drive_teacher(net, U, seed=None, noise_std=0.0):
     """synth.drive_teacher as it was, gathering each step's taps in Python.
 
-    Kept as the reference that the tap-matrix form must match bit for bit.
+    Kept as the reference that ``ClosedLoopNarx.simulate`` must match to
+    TEACHER_EPS_BOUND: it sums the hidden drive and adds the noise in another
+    order, so the last bit may differ.
     """
     c = net.config
     U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -462,6 +491,11 @@ def reference_drive_teacher(net, U, seed=None, noise_std=0.0):
         a = np.tanh(x_row @ net.W_ih.T + yh_row @ net.W_yh.T + net.b_h)
         y[k] = float(a @ net.W_ho + net.b_o) + noise[k]
     return y
+
+
+# |drive_teacher - reference_drive_teacher| bound, in ulps of 1.0 (the
+# teacher outputs are O(1)); 1 ulp was the largest seen over the 120 series
+TEACHER_EPS_BOUND = 4
 
 
 class TestDriveTeacher:
@@ -482,9 +516,39 @@ class TestDriveTeacher:
             seed = int(rng.integers(1 << 30))
             got = drive_teacher(teacher, U, seed=seed, noise_std=noise_std)
             want = reference_drive_teacher(teacher, U, seed=seed, noise_std=noise_std)
-            assert np.array_equal(got, want), (config, n)
+            assert got.shape == want.shape == (n,)
+            assert np.all(np.abs(got - want) <= TEACHER_EPS_BOUND * np.finfo(float).eps), \
+                (config, n)
             if n <= max_lag:
                 assert np.array_equal(got, np.zeros(n))
+
+    def test_noise_free_teacher_is_simulate(self):
+        rng = np.random.default_rng(95)
+        for _ in range(30):
+            config = NarxConfig(d_u=_lags(rng, 0, int(rng.integers(1, 4))),
+                                d_y=_lags(rng, 1, int(rng.integers(1, 4))),
+                                n_hidden=int(rng.integers(1, 23)),
+                                n_exo=int(rng.integers(1, 6)))
+            teacher = init_weights(config, int(rng.integers(1 << 30)))
+            max_lag = max(config.d_u[-1], config.d_y[-1])
+            U = rng.uniform(-1.0, 1.0, size=(max_lag + int(rng.integers(1, 120)),
+                                             config.n_exo))
+            got = drive_teacher(teacher, U, seed=int(rng.integers(1 << 30)))
+            want = ClosedLoopNarx(teacher).simulate(np.zeros(max(config.d_y)),
+                                                    _raw_taps(config, U, max_lag))
+            assert np.array_equal(got[:max_lag], np.zeros(max_lag)), config
+            assert np.array_equal(got[max_lag:], want), config
+
+    @pytest.mark.parametrize("noise_std", [-0.01, -np.inf, np.nan, np.inf])
+    def test_bad_noise_std(self, noise_std):
+        message = re.escape(f"noise_std must be finite and >= 0, got {noise_std!r}")
+        teacher = init_weights(NarxConfig(d_u=(0,), d_y=(1,), n_hidden=3, n_exo=2), 4)
+        with pytest.raises(ValidationError, match=message):
+            drive_teacher(teacher, np.zeros((50, 2)), seed=1, noise_std=noise_std)
+        with pytest.raises(ValidationError, match=message):
+            synthetic_ohlcv_frame(300, seed=1, noise_std=noise_std)
+        with pytest.raises(ValidationError, match=message):
+            teacher_dataset(100, seed=1, noise_std=noise_std)
 
     def test_one_dimensional_U_is_one_channel(self):
         teacher = init_weights(NarxConfig(d_u=(0, 2), d_y=(1,), n_hidden=3, n_exo=1), 4)
