@@ -20,14 +20,15 @@ report = fit(prep, n_hidden=5,
 horizon = 100
 start = len(frame) - horizon
 ts, preds, targets = simulate(report.network, prep, start, horizon)
+diag = simulate_diagnostics(preds, targets, prep, start)
+# the rollout is normalized; invert it to prices for printing
+preds, targets = (prep.norm_spec.invert_values(v, "close") for v in (preds, targets))
 
 print(f"simulated {horizon} days starting at timestep {ts[0]}")
 print("day  target   predicted  error")
 for i in (0, 1, 2, 49, 99):
     print(f"{i + 1:>3}  {targets[i]:.4f}  {preds[i]:.4f}   "
           f"{preds[i] - targets[i]:+.4f}")
-
-diag = simulate_diagnostics(preds, targets, prep, start)
 print(f"\nsimulation R:        {diag.r_value:.5f}")
 print(f"max divergence:      {diag.max_divergence_pct:.3f}%")
 print(f"mean absolute error: {np.mean(np.abs(preds - targets)):.4f} "

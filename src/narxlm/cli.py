@@ -206,7 +206,7 @@ def _add_train_options(p):
 def _add_simulate_options(p):
     _add_common(p)
     p.add_argument("--model", required=True, help="model.json from a train run")
-    p.add_argument("--horizon", type=int, default=100)
+    p.add_argument("--horizon", type=_int_at_least(0), default=100)
     _add_fields(p, VerdictThresholds, THRESHOLD_FLAGS)
 
 
@@ -309,8 +309,6 @@ def cmd_simulate(args) -> int:
     prep = prepare(frame, net.config.d_u, net.config.d_y, exo_channels, target_channel,
                    norm_spec=norm_spec)
     H = args.horizon
-    if H < 0:
-        raise ValidationError("horizon must be >= 0")
     priming = prep.dataset.first_usable_index
     if H > len(frame) - priming:
         raise InsufficientDataError(
@@ -320,8 +318,10 @@ def cmd_simulate(args) -> int:
     lines = ["timestep,target,prediction,error"]
     if H > 0:
         ts, preds, targs = simulate(net, prep, start_row, H)
+        preds_price, targs_price = (norm_spec.invert_values(v, target_channel)
+                                    for v in (preds, targs))
         # Python floats: numpy 2 writes np.float64(...) for a numpy scalar's repr
-        for t, p, y in zip(ts.tolist(), preds.tolist(), targs.tolist()):
+        for t, p, y in zip(ts.tolist(), preds_price.tolist(), targs_price.tolist()):
             lines.append(f"{t},{y!r},{p!r},{p - y!r}")
         diag = simulate_diagnostics(preds, targs, prep, start_row,
                                     thresholds=thresholds)

@@ -450,6 +450,9 @@ def _check_lags(d_u, d_y):
         raise ValidationError("input lags must be >= 0")
     if any(j < 1 for j in d_y):
         raise ValidationError("feedback lags must be >= 1 (lag 0 is the prediction itself)")
+    for kind, lags in (("input", d_u), ("feedback", d_y)):
+        if len(set(lags)) != len(lags):
+            raise ValidationError(f"{kind} lags repeat a lag: {','.join(map(str, lags))}")
     return d_u, d_y
 
 

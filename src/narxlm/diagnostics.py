@@ -154,7 +154,7 @@ def acceptance_verdict(r_value: float, max_divergence_pct: float, mse: float,
 @dataclass
 class DiagnosticsReport:
     mse: float
-    msereg: float
+    msereg: float | None
     r_value: float
     max_divergence_pct: float
     autocorr: np.ndarray = field(repr=False)
@@ -197,7 +197,7 @@ def diagnose(outputs_price, targets_price, errors_norm, exo_channels_norm,
     (``_residual_correlations``): it is centred once, and the
     autocorrelation and every channel's cross-correlation share one lag
     window.  ``msereg`` is the training objective on the same block (the
-    caller's ``training.msereg``); without it the report gives the MSE.
+    caller's ``training.msereg``); without it the report's msereg is None.
     """
     outputs_price = np.asarray(outputs_price, dtype=float)
     targets_price = np.asarray(targets_price, dtype=float)
@@ -215,7 +215,7 @@ def diagnose(outputs_price, targets_price, errors_norm, exo_channels_norm,
 
     accepted, reasons = acceptance_verdict(r, div, mse, thresholds)
     return DiagnosticsReport(
-        mse=mse, msereg=mse if msereg is None else msereg,
+        mse=mse, msereg=msereg,
         r_value=r, max_divergence_pct=div,
         autocorr=ac, autocorr_bound=bound,
         xcorr=xcorr, xcorr_bound=bound,

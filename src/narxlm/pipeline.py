@@ -1,8 +1,9 @@
 """End-to-end helpers: normalize, train, diagnose, and simulate on a frame.
 
-These glue the lower-level modules together the way the command-line front
-end (and most callers) want: normalization fitted on the rows that feed the
-training block only, diagnostics reported in de-normalized price units.
+Normalization is fitted on the rows that feed the training block only.
+Every series here is normalized, the closed-loop rollout included; open-
+and closed-loop runs are scored by one ``_score``, which inverts to prices
+only for R and the divergence.
 """
 
 from __future__ import annotations
@@ -69,25 +70,32 @@ def fit(prep: PreparedData, n_hidden: int, params: TrainParams, seed: int) -> Tr
     return train_with_restarts(config, prep.dataset, prep.splits, params, seed)
 
 
-def evaluate_open(net: NarxNetwork, prep: PreparedData, idx=None, xi: float = 1.0,
+def _score(prep: PreparedData, pred, targ, rows, msereg,
+           thresholds: VerdictThresholds) -> DiagnosticsReport:
+    """Diagnostics for normalized predictions ``pred`` of targets ``targ`` at frame ``rows``.
+
+    R and divergence are taken in prices; the residual ``pred - targ`` and
+    the exogenous channels at ``rows`` stay normalized.
+    """
+    spec, target = prep.norm_spec, prep.target_channel
+    exo = {ch: prep.frame.channel(ch)[rows] for ch in prep.exo_channels}
+    return diagnose(spec.invert_values(pred, target), spec.invert_values(targ, target),
+                    pred - targ, exo, msereg, thresholds)
+
+
+def evaluate_open(net: NarxNetwork, prep: PreparedData, idx=None, xi: float | None = None,
                   thresholds: VerdictThresholds = VerdictThresholds()) -> DiagnosticsReport:
     """Open-loop one-step diagnostics on a sample block (all samples if None).
 
-    The report's msereg is the training objective with ``xi`` on the block.
+    The report's msereg is the training objective with ``xi`` on the block,
+    or None without ``xi``.
     """
     dataset = prep.dataset
-    if idx is None:
-        idx = np.arange(dataset.n_samples)
-    idx = np.asarray(idx)
+    idx = np.arange(dataset.n_samples) if idx is None else np.asarray(idx)
     pred = forward_open(net, dataset)[idx]
     targ = dataset.T[idx]
-    err = pred - targ
-    pred_price = prep.norm_spec.invert_values(pred, prep.target_channel)
-    targ_price = prep.norm_spec.invert_values(targ, prep.target_channel)
-    exo = {ch: prep.frame.channel(ch)[dataset.first_usable_index:][idx]
-           for ch in prep.exo_channels}
-    return diagnose(pred_price, targ_price, err, exo,
-                    msereg(err, net.flatten(), xi, net.bias_mask()), thresholds)
+    reg = None if xi is None else msereg(pred - targ, net.flatten(), xi, net.bias_mask())
+    return _score(prep, pred, targ, dataset.first_usable_index + idx, reg, thresholds)
 
 
 def simulate(net: NarxNetwork, prep: PreparedData, start_row: int, horizon: int):
@@ -95,8 +103,9 @@ def simulate(net: NarxNetwork, prep: PreparedData, start_row: int, horizon: int)
 
     Targets before start_row prime the feedback taps; the exogenous taps of
     rows start_row.. are those rows of the prepared dataset's X, so ``net``
-    must have the dataset's lags.  Returns (timesteps, predictions_price,
-    targets_price); a negative horizon or one past the frame raises.
+    must have the dataset's lags.  Returns (timesteps, predictions,
+    targets), both normalized, the targets a copy of the frame's rows; a
+    negative horizon or one past the frame raises.
     """
     c = net.config
     frame, dataset = prep.frame, prep.dataset
@@ -113,20 +122,12 @@ def simulate(net: NarxNetwork, prep: PreparedData, start_row: int, horizon: int)
     y = frame.channel(prep.target_channel)
     preds = ClosedLoopNarx(net).simulate(y[start_row - max(c.d_y):start_row],
                                          dataset.X[k:k + horizon])
-    preds_price = prep.norm_spec.invert_values(preds, prep.target_channel)
-    targs_price = prep.norm_spec.invert_values(
-        y[start_row:start_row + horizon], prep.target_channel)
-    ts = frame.timesteps[start_row:start_row + horizon]
-    return ts, preds_price, targs_price
+    rows = slice(start_row, start_row + horizon)
+    return frame.timesteps[rows], preds, y[rows].copy()
 
 
-def simulate_diagnostics(preds_price, targs_price, prep: PreparedData,
-                         start_row: int,
+def simulate_diagnostics(preds, targs, prep: PreparedData, start_row: int,
                          thresholds: VerdictThresholds = VerdictThresholds()) -> DiagnosticsReport:
-    """Diagnostics for a closed-loop run over rows with known targets."""
-    err = prep.norm_spec.apply_values(preds_price, prep.target_channel) - \
-        prep.norm_spec.apply_values(targs_price, prep.target_channel)
-    horizon = len(preds_price)
-    exo = {ch: prep.frame.channel(ch)[start_row:start_row + horizon]
-           for ch in prep.exo_channels}
-    return diagnose(preds_price, targs_price, err, exo, thresholds=thresholds)
+    """Diagnostics for a normalized closed-loop run from ``simulate`` at ``start_row``."""
+    return _score(prep, preds, targs, slice(start_row, start_row + len(preds)), None,
+                  thresholds)

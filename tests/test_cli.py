@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 import narxlm
 from narxlm import cli, pipeline
+from narxlm.network import forward_open
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
+from narxlm.training import msereg
 
 FAST_FLAGS = ["--epochs", "40", "--restarts", "2", "--xi", "1.0",
               "--goal", "1e-9", "--min-grad", "1e-10"]
@@ -124,6 +126,8 @@ class TestSimulate:
         prep = pipeline.prepare(frame, net.config.d_u, net.config.d_y, exo, target,
                                 norm_spec=norm_spec)
         ts, preds, targs = pipeline.simulate(net, prep, len(frame) - 60, 60)
+        # the rollout is normalized; the file holds prices
+        preds, targs = (norm_spec.invert_values(v, target) for v in (preds, targs))
         assert np.array_equal(cells[:, 0], ts)
         for col, want in ((1, targs), (2, preds), (3, preds - targs)):
             assert cells[:, col].tobytes() == want.tobytes()
@@ -253,6 +257,44 @@ class TestFixedModelSettings:
         assert rc == cli.EXIT_VALIDATION
         assert f"model {key} {value!r} is not supported" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    @pytest.mark.parametrize("key,lags,message", [
+        ("d_u", [0, 0], "input lags repeat a lag: 0,0"),
+        ("d_y", [1, 1], "feedback lags repeat a lag: 1,1"),
+    ])
+    def test_repeated_lag_exits_4(self, data_csv, tmp_path, capsys, command, key, lags,
+                                  message):
+        doc = json.loads(json.dumps(PRIOR_MODEL))
+        doc["config"][key] = lags
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", data_csv, "--model", str(model), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_msereg_is_the_training_objective_or_null(data_csv, tmp_path):
+    # at the default xi the objective is not the MSE; eval and simulate have none
+    run = tmp_path / "run"
+    assert cli.main(["train", "--csv", data_csv, "--out", str(run), "--neurons", "4",
+                     "--epochs", "20", "--restarts", "1", "--seed", "3"]) == cli.EXIT_OK
+    model = str(run / cli.MODEL_FILE)
+    net, norm_spec, exo, target = cli._load_model(model)
+    prep = pipeline.prepare(cli.load_ohlcv(data_csv), net.config.d_u, net.config.d_y,
+                            exo, target, norm_spec=norm_spec)
+    err = forward_open(net, prep.dataset) - prep.dataset.T
+    diag = json.loads((run / cli.DIAGNOSTICS_FILE).read_text())
+    assert diag["msereg"] == msereg(err, net.flatten(), narxlm.TrainParams().xi,
+                                    net.bias_mask())
+    assert diag["msereg"] != diag["mse"]
+    for command, flags in (("eval", []), ("simulate", ["--horizon", "60"])):
+        out = tmp_path / command
+        rc = cli.main([command, "--csv", data_csv, "--model", model, "--out", str(out), *flags])
+        assert rc in (cli.EXIT_OK, cli.EXIT_REJECTED)
+        assert json.loads((out / cli.DIAGNOSTICS_FILE).read_text())["msereg"] is None
 
 
 MANIFEST_KEYS = {"command", "parameters", "input_file", "input_sha256",
@@ -425,6 +467,8 @@ class TestUsage:
         ("sweep", ["--neurons", "x"], cli.EXIT_VALIDATION, "bad neuron axis 'x'"),
         ("train", ["--seed", "-1"], cli.EXIT_USAGE, "--seed: must be >= 0, got -1"),
         ("sweep", ["--seed=-3"], cli.EXIT_USAGE, "--seed: must be >= 0, got -3"),
+        ("simulate", ["--model", "m.json", "--horizon", "-1"], cli.EXIT_USAGE,
+         "--horizon: must be >= 0, got -1"),
         ("train", ["--input-delays", "0:100000000"], cli.EXIT_VALIDATION,
          "lag 100000000 in '0:100000000' needs more than the 220 rows"),
         ("sweep", ["--feedback-delays", "1,1:220"], cli.EXIT_VALIDATION,
@@ -757,7 +801,7 @@ MALFORMED_ARGUMENTS = {
     "train": FIT_ARGUMENTS + THRESHOLD_ARGUMENTS,
     "sweep": FIT_ARGUMENTS + [("--jobs", LETTERED)],
     "eval": THRESHOLD_ARGUMENTS,
-    "simulate": THRESHOLD_ARGUMENTS + [("--horizon", LETTERED)],
+    "simulate": THRESHOLD_ARGUMENTS + [("--horizon", LETTERED), ("--horizon", NEGATIVE_INT)],
 }
 
 

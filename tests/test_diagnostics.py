@@ -266,7 +266,7 @@ def reference_diagnose(outputs, targets, errors, channels, thresholds=VerdictThr
     lags, rho, xc_bound = _reference_crosscorrelations(list(channels.values()), errors, lag)
     accepted, reasons = acceptance_verdict(r, div, mse, thresholds)
     return DiagnosticsReport(
-        mse=mse, msereg=mse, r_value=r, max_divergence_pct=div,
+        mse=mse, msereg=None, r_value=r, max_divergence_pct=div,
         autocorr=ac, autocorr_bound=ac_bound,
         xcorr={ch: (lags, row) for ch, row in zip(channels, rho)}, xcorr_bound=xc_bound,
         accepted=accepted, reasons=reasons)

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from narxlm import sweep
 from narxlm.data import apply_normalization, fit_normalization, prepare_delayed, split_indices
+from narxlm.diagnostics import diagnose
 from narxlm.errors import InsufficientDataError, ValidationError
-from narxlm.pipeline import prepare
+from narxlm.network import NarxConfig, init_weights
+from narxlm.pipeline import evaluate_open, prepare, simulate, simulate_diagnostics
 from narxlm.synth import synthetic_ohlcv_frame
 from narxlm.training import TrainParams
 
@@ -42,6 +46,66 @@ def test_prepare_needs_three_samples(rows, d_y, got):
                        match=f"^need at least 3 samples to split, got {got}$"):
         prepare(frame.slice(0, rows), (0, 1), d_y)
     assert prepare(frame.slice(0, rows + 3 - got), (0, 1), d_y).dataset.n_samples == 3
+
+
+@pytest.mark.parametrize("d_u, d_y, message", [
+    ((0, 0, 1), (1,), "input lags repeat a lag: 0,0,1"),
+    ((0, 1), (1, 1), "feedback lags repeat a lag: 1,1"),
+    ((2, 0, 2), (3, 1, 3), "input lags repeat a lag: 0,2,2"),
+])
+def test_repeated_lags_rejected(d_u, d_y, message):
+    frame, _ = synthetic_ohlcv_frame(40, seed=1234, noise_std=0.02)
+    for build in (lambda: prepare(frame, d_u, d_y),
+                  lambda: prepare_delayed(frame, d_u, d_y),
+                  lambda: NarxConfig(d_u=d_u, d_y=d_y, n_hidden=2, n_exo=4)):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
+
+
+def _assert_reports_equal(got, want, fields, tol=0.0):
+    for name in fields:
+        assert np.allclose(getattr(got, name), getattr(want, name), rtol=0, atol=tol), name
+    assert list(got.xcorr) == list(want.xcorr)
+    for ch, (lags, rho) in got.xcorr.items():
+        assert np.array_equal(lags, want.xcorr[ch][0])
+        assert np.allclose(rho, want.xcorr[ch][1], rtol=0, atol=tol), ch
+
+
+@pytest.mark.parametrize("d_u, d_y", [((0, 1), (1,)), ((1, 3), (1, 2, 4))])
+def test_closed_loop_residual_is_the_normalized_rollout(d_u, d_y):
+    # simulate returns normalized series, and their difference is the residual
+    frame, _ = synthetic_ohlcv_frame(300, seed=29, noise_std=0.01)
+    prep = prepare(frame, d_u, d_y)
+    net = init_weights(NarxConfig(d_u=d_u, d_y=d_y, n_hidden=6, n_exo=4), 3)
+    start, horizon = 200, 60
+    _, preds, targs = simulate(net, prep, start, horizon)
+    assert np.array_equal(targs, prep.frame.close[start:start + horizon])
+    got = simulate_diagnostics(preds, targs, prep, start)
+    exo = {ch: prep.frame.channel(ch)[start:start + horizon] for ch in EXO}
+    want = diagnose(prep.norm_spec.invert_values(preds, "close"),
+                    prep.norm_spec.invert_values(targs, "close"), preds - targs, exo)
+    _assert_reports_equal(got, want, ("mse", "r_value", "max_divergence_pct", "autocorr",
+                                      "autocorr_bound", "xcorr_bound"))
+    assert got.msereg is None and got.accepted == want.accepted
+
+
+@pytest.mark.parametrize("d_u, d_y", [((0, 1), (1,)), ((1, 3), (1, 2, 4))])
+def test_closed_loop_without_feedback_is_the_open_loop(d_u, d_y):
+    # with W_yh = 0 the fed-back outputs are never read, so a rollout over
+    # rows [s, s + H) predicts what the open loop predicts on those rows
+    frame, _ = synthetic_ohlcv_frame(300, seed=29, noise_std=0.01)
+    prep = prepare(frame, d_u, d_y)
+    net = init_weights(NarxConfig(d_u=d_u, d_y=d_y, n_hidden=6, n_exo=4), 3)
+    net = dataclasses.replace(net, W_yh=np.zeros_like(net.W_yh))
+    first = prep.dataset.first_usable_index
+    for start, horizon in ((first, 40), (200, 60), (len(frame) - 25, 25)):
+        _, preds, targs = simulate(net, prep, start, horizon)
+        closed = simulate_diagnostics(preds, targs, prep, start)
+        opened = evaluate_open(net, prep, idx=np.arange(start - first, start - first + horizon))
+        _assert_reports_equal(closed, opened, ("mse", "r_value", "max_divergence_pct",
+                                               "autocorr", "autocorr_bound", "xcorr_bound",
+                                               "accepted"), tol=1e-12)
+        assert closed.msereg is opened.msereg is None
 
 
 # (exo channels, target, the message the CLI prints for them)
