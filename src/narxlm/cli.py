@@ -24,24 +24,24 @@ import tempfile
 import numpy as np
 
 from . import BLAS_THREADS_DEFAULTED, __version__
-from .data import (
-    CHANNELS,
-    DEFAULT_EXO_CHANNELS,
-    NormalizationSpec,
-    load_ohlcv,
-    parse_date,
-)
+from .data import DEFAULT_EXO_CHANNELS, load_ohlcv, parse_date
 from .diagnostics import VerdictThresholds
 from .errors import (
     ConfigMismatchError,
-    DataFormatError,
     DivergedError,
     InsufficientDataError,
     NarxError,
     ValidationError,
 )
-from .network import NarxNetwork
-from .pipeline import evaluate_open, fit, prepare, simulate, simulate_diagnostics
+from .pipeline import (
+    evaluate_open,
+    fit,
+    load_model,
+    model_json,
+    prepare,
+    simulate,
+    simulate_diagnostics,
+)
 from .sweep import SweepGrid, parse_lag_range, run_sweep, select_best
 from .training import TrainParams
 
@@ -230,47 +230,6 @@ def _add_eval_options(p):
     _add_fields(p, VerdictThresholds, THRESHOLD_FLAGS)
 
 
-MODEL_KEYS = ("config", "weights", "normalization", "exo_channels", "target_channel")
-
-
-def _load_model(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read model: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"model is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataFormatError("model document is not a JSON object")
-    for key in MODEL_KEYS:
-        if key not in doc:
-            raise DataFormatError(f"model document has no {key!r}")
-    try:
-        net = NarxNetwork.from_dict(doc)
-        norm_spec = NormalizationSpec.from_dict(doc["normalization"])
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise DataFormatError(
-            f"malformed model document: {type(exc).__name__} {exc}") from exc
-    exo_channels, target_channel = doc["exo_channels"], doc["target_channel"]
-    if not (isinstance(exo_channels, list) and all(isinstance(ch, str) for ch in exo_channels)):
-        raise DataFormatError("malformed model document: 'exo_channels' must be a list of strings")
-    if not isinstance(target_channel, str):
-        raise DataFormatError("malformed model document: 'target_channel' must be a string")
-    exo_channels = tuple(exo_channels)
-    for ch in exo_channels + (target_channel,):
-        if ch not in CHANNELS:
-            raise ConfigMismatchError(f"model channel {ch!r} not present in OHLCV data")
-        mn, mx = norm_spec.ranges.get(ch, (np.nan, np.nan))
-        if not 0.0 < mx - mn < np.inf:
-            raise DataFormatError(f"model normalization has no usable range for {ch!r}")
-    if net.config.n_exo != len(exo_channels):
-        raise ConfigMismatchError(
-            f"model expects {net.config.n_exo} exogenous channels, "
-            f"manifest lists {len(exo_channels)}")
-    return net, norm_spec, exo_channels, target_channel
-
-
 def cmd_train(args) -> int:
     params = _train_params_from(args)
     thresholds = _thresholds_from(args)
@@ -287,10 +246,7 @@ def cmd_train(args) -> int:
         lines.append(f"{r.epoch},{r.train_objective!r},{r.train_mse!r},"
                      f"{r.val_mse!r},{r.test_mse!r},{r.grad_norm!r},{r.lam!r}")
     _write_outputs(args, digest, {
-        MODEL_FILE: report.network.to_json({
-            "normalization": prep.norm_spec.to_dict(),
-            "exo_channels": list(exo),
-            "target_channel": args.target_channel}),
+        MODEL_FILE: model_json(report.network, prep),
         TRAIN_REPORT_FILE: json.dumps(report.to_dict(), indent=2),
         EPOCHS_FILE: "\n".join(lines) + "\n",
         DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2),
@@ -304,10 +260,8 @@ def cmd_train(args) -> int:
 
 def cmd_simulate(args) -> int:
     thresholds = _thresholds_from(args)
-    net, norm_spec, exo_channels, target_channel = _load_model(args.model)
     frame, digest = _load_frame(args)
-    prep = prepare(frame, net.config.d_u, net.config.d_y, exo_channels, target_channel,
-                   norm_spec=norm_spec)
+    net, prep = load_model(args.model, frame)
     H = args.horizon
     priming = prep.dataset.first_usable_index
     if H > len(frame) - priming:
@@ -318,7 +272,7 @@ def cmd_simulate(args) -> int:
     lines = ["timestep,target,prediction,error"]
     if H > 0:
         ts, preds, targs = simulate(net, prep, start_row, H)
-        preds_price, targs_price = (norm_spec.invert_values(v, target_channel)
+        preds_price, targs_price = (prep.norm_spec.invert_values(v, prep.target_channel)
                                     for v in (preds, targs))
         # Python floats: numpy 2 writes np.float64(...) for a numpy scalar's repr
         for t, p, y in zip(ts.tolist(), preds_price.tolist(), targs_price.tolist()):
@@ -389,10 +343,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    net, norm_spec, exo_channels, target_channel = _load_model(args.model)
     frame, digest = _load_frame(args)
-    prep = prepare(frame, net.config.d_u, net.config.d_y, exo_channels, target_channel,
-                   norm_spec=norm_spec)
+    net, prep = load_model(args.model, frame)
     diag = evaluate_open(net, prep, thresholds=_thresholds_from(args))
     _write_outputs(args, digest, {DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2)})
     verdict = "accept" if diag.accepted else "reject"

@@ -1,6 +1,8 @@
 """End-to-end helpers: normalize, train, diagnose, and simulate on a frame.
 
 Normalization is fitted on the rows that feed the training block only.
+``model_json`` writes a trained model and ``load_model`` reads one back; no
+other code parses a ``model.json``.
 Every series here is normalized, the closed-loop rollout included; open-
 and closed-loop runs are scored by one ``_score``, which inverts to prices
 only for R and the divergence.
@@ -8,11 +10,13 @@ only for R and the divergence.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import (
+    CHANNELS,
     DEFAULT_EXO_CHANNELS,
     DEFAULT_TARGET_CHANNEL,
     DelayedDataset,
@@ -26,9 +30,16 @@ from .data import (
     split_indices,
 )
 from .diagnostics import DiagnosticsReport, VerdictThresholds, diagnose
-from .errors import InsufficientDataError, ValidationError
+from .errors import (
+    ConfigMismatchError,
+    DataFormatError,
+    InsufficientDataError,
+    ValidationError,
+)
 from .network import ClosedLoopNarx, NarxConfig, NarxNetwork, forward_open
-from .training import TrainParams, TrainReport, msereg, train_with_restarts
+from .training import TrainParams, TrainReport, _subset, msereg, train_with_restarts
+
+MODEL_KEYS = ("config", "weights", "normalization", "exo_channels", "target_channel")
 
 
 @dataclass
@@ -64,6 +75,60 @@ def prepare(raw_frame: TimeSeriesFrame, d_u, d_y,
     return PreparedData(frame, norm_spec, dataset, splits, exo_channels, target_channel)
 
 
+def model_json(net: NarxNetwork, prep: PreparedData) -> str:
+    """The ``model.json`` text of ``net`` trained on ``prep``: the network, the
+    normalization and the channel names, which ``load_model`` reads back."""
+    return net.to_json({
+        "normalization": prep.norm_spec.to_dict(),
+        "exo_channels": list(prep.exo_channels),
+        "target_channel": prep.target_channel})
+
+
+def load_model(path, raw_frame: TimeSeriesFrame):
+    """(network, prepared data): the ``model.json`` at ``path``, checked, and
+    ``raw_frame`` prepared with its lags, channels and normalization.
+
+    A document that is not UTF-8 JSON, lacks one of ``MODEL_KEYS`` or holds
+    a malformed value raises ``DataFormatError``; a channel that is not an
+    OHLCV channel, or a channel count the network does not take, raises
+    ``ConfigMismatchError``.  A file that cannot be read raises ``OSError``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad bytes, bad JSON, deep nesting
+            raise DataFormatError(f"model is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError("model document is not a JSON object")
+    for key in MODEL_KEYS:
+        if key not in doc:
+            raise DataFormatError(f"model document has no {key!r}")
+    try:
+        net = NarxNetwork.from_dict(doc)
+        norm_spec = NormalizationSpec.from_dict(doc["normalization"])
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise DataFormatError(
+            f"malformed model document: {type(exc).__name__} {exc}") from exc
+    exo_channels, target_channel = doc["exo_channels"], doc["target_channel"]
+    if not (isinstance(exo_channels, list) and all(isinstance(ch, str) for ch in exo_channels)):
+        raise DataFormatError("malformed model document: 'exo_channels' must be a list of strings")
+    if not isinstance(target_channel, str):
+        raise DataFormatError("malformed model document: 'target_channel' must be a string")
+    exo_channels = tuple(exo_channels)
+    for ch in exo_channels + (target_channel,):
+        if ch not in CHANNELS:
+            raise ConfigMismatchError(f"model channel {ch!r} not present in OHLCV data")
+        mn, mx = norm_spec.ranges.get(ch, (np.nan, np.nan))
+        if not 0.0 < mx - mn < np.inf:
+            raise DataFormatError(f"model normalization has no usable range for {ch!r}")
+    if net.config.n_exo != len(exo_channels):
+        raise ConfigMismatchError(
+            f"model expects {net.config.n_exo} exogenous channels, "
+            f"model lists {len(exo_channels)}")
+    return net, prepare(raw_frame, net.config.d_u, net.config.d_y, exo_channels,
+                        target_channel, norm_spec=norm_spec)
+
+
 def fit(prep: PreparedData, n_hidden: int, params: TrainParams, seed: int) -> TrainReport:
     config = NarxConfig(d_u=prep.dataset.d_u, d_y=prep.dataset.d_y,
                         n_hidden=n_hidden, n_exo=len(prep.exo_channels))
@@ -87,13 +152,14 @@ def evaluate_open(net: NarxNetwork, prep: PreparedData, idx=None, xi: float | No
                   thresholds: VerdictThresholds = VerdictThresholds()) -> DiagnosticsReport:
     """Open-loop one-step diagnostics on a sample block (all samples if None).
 
-    The report's msereg is the training objective with ``xi`` on the block,
-    or None without ``xi``.
+    The network runs on the block's samples only, the forward pass ``train``
+    scores its blocks with.  The report's msereg is the training objective
+    with ``xi`` on the block, or None without ``xi``.
     """
     dataset = prep.dataset
+    block = dataset if idx is None else _subset(dataset, idx)
     idx = np.arange(dataset.n_samples) if idx is None else np.asarray(idx)
-    pred = forward_open(net, dataset)[idx]
-    targ = dataset.T[idx]
+    pred, targ = forward_open(net, block), block.T
     reg = None if xi is None else msereg(pred - targ, net.flatten(), xi, net.bias_mask())
     return _score(prep, pred, targ, dataset.first_usable_index + idx, reg, thresholds)
 

@@ -121,13 +121,12 @@ class TestSimulate:
         header, *rows = (out / cli.PREDICTIONS_FILE).read_text().splitlines()
         cells = np.array([[float(cell) for cell in row.split(",")] for row in rows])
 
-        net, norm_spec, exo, target = cli._load_model(model)
         frame = cli.load_ohlcv(data_csv)
-        prep = pipeline.prepare(frame, net.config.d_u, net.config.d_y, exo, target,
-                                norm_spec=norm_spec)
+        net, prep = pipeline.load_model(model, frame)
         ts, preds, targs = pipeline.simulate(net, prep, len(frame) - 60, 60)
         # the rollout is normalized; the file holds prices
-        preds, targs = (norm_spec.invert_values(v, target) for v in (preds, targs))
+        preds, targs = (prep.norm_spec.invert_values(v, prep.target_channel)
+                        for v in (preds, targs))
         assert np.array_equal(cells[:, 0], ts)
         for col, want in ((1, targs), (2, preds), (3, preds - targs)):
             assert cells[:, col].tobytes() == want.tobytes()
@@ -228,10 +227,7 @@ class TestFixedModelSettings:
         text = json.dumps(PRIOR_MODEL, indent=2)
         model = tmp_path / "model.json"
         model.write_text(text)
-        net, norm_spec, exo, target = cli._load_model(str(model))
-        assert net.to_json({"normalization": norm_spec.to_dict(),
-                            "exo_channels": list(exo),
-                            "target_channel": target}) == text
+        assert pipeline.model_json(*pipeline.load_model(model, cli.load_ohlcv(data_csv))) == text
         out = tmp_path / "eval"
         rc = cli.main(["eval", "--csv", data_csv, "--model", str(model), "--out", str(out)])
         assert rc == cli.EXIT_REJECTED
@@ -282,9 +278,7 @@ def test_msereg_is_the_training_objective_or_null(data_csv, tmp_path):
     assert cli.main(["train", "--csv", data_csv, "--out", str(run), "--neurons", "4",
                      "--epochs", "20", "--restarts", "1", "--seed", "3"]) == cli.EXIT_OK
     model = str(run / cli.MODEL_FILE)
-    net, norm_spec, exo, target = cli._load_model(model)
-    prep = pipeline.prepare(cli.load_ohlcv(data_csv), net.config.d_u, net.config.d_y,
-                            exo, target, norm_spec=norm_spec)
+    net, prep = pipeline.load_model(model, cli.load_ohlcv(data_csv))
     err = forward_open(net, prep.dataset) - prep.dataset.T
     diag = json.loads((run / cli.DIAGNOSTICS_FILE).read_text())
     assert diag["msereg"] == msereg(err, net.flatten(), narxlm.TrainParams().xi,
@@ -579,7 +573,7 @@ class TestInputValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "eval"])
-    @pytest.mark.parametrize("key", cli.MODEL_KEYS)
+    @pytest.mark.parametrize("key", pipeline.MODEL_KEYS)
     def test_model_missing_key(self, trained_dir, data_csv, tmp_path, capsys,
                                command, key):
         with open(os.path.join(trained_dir, cli.MODEL_FILE)) as fh:
@@ -717,7 +711,7 @@ class TestInputValidation:
          "target channel 'close' cannot be an exogenous channel"),
         (["open", "high", "open", "volume"], cli.EXIT_VALIDATION,
          "exogenous channels repeat a name: open,high,open,volume"),
-        # _load_model rejects an unknown name before prepare sees it
+        # load_model rejects an unknown name before prepare sees it
         (["open", "high", "low", "price"], cli.EXIT_MISMATCH,
          "model channel 'price' not present in OHLCV data"),
     ])
@@ -733,6 +727,62 @@ class TestInputValidation:
                        "--out", str(out)])
         assert rc == code
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    @pytest.mark.parametrize("name", ["missing.json", "a_directory"])
+    def test_unreadable_model_exits_3(self, data_csv, tmp_path, capsys, command, name):
+        (tmp_path / "a_directory").mkdir()
+        model = tmp_path / name
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", data_csv, "--model", str(model), "--out", str(out)])
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and str(model) in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    def test_csv_is_read_before_model(self, tmp_path, capsys, command):
+        # with both inputs bad, the CSV's error is the one reported
+        bad = tmp_path / "empty.csv"
+        bad.write_text("Date,Open,High,Low,Close,Volume\n")
+        model = tmp_path / "model.json"
+        model.write_text("[]")
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", str(bad), "--model", str(model), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {bad}: no data rows\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    @pytest.mark.parametrize("data, code, message", [
+        (b'{"config": ', cli.EXIT_VALIDATION,
+         "model is not valid JSON: Expecting value: line 1 column 12 (char 11)"),
+        (b"\xff{}", cli.EXIT_VALIDATION, "model is not valid JSON: 'utf-8' codec can't decode "
+         "byte 0xff in position 0: invalid start byte"),
+        # the parser's recursion limit, whose message varies with the Python
+        (b"[" * 200000, cli.EXIT_VALIDATION, "model is not valid JSON: "),
+        (b"[]", cli.EXIT_VALIDATION, "model document is not a JSON object"),
+        (json.dumps({**PRIOR_MODEL, "normalization": {
+            "lo": -1.0, "hi": 1.0, "ranges": {"close": [20.0, 22.0], "open": [21.0, 21.0]}}
+         }).encode(), cli.EXIT_VALIDATION, "model normalization has no usable range for 'open'"),
+        (json.dumps({**PRIOR_MODEL, "normalization": {
+            "lo": -1.0, "hi": 1.0, "ranges": {"close": [20.0, 22.0]}}
+         }).encode(), cli.EXIT_VALIDATION, "model normalization has no usable range for 'open'"),
+        (json.dumps({**PRIOR_MODEL, "exo_channels": ["open", "high"], "normalization": {
+            "lo": -1.0, "hi": 1.0,
+            "ranges": {"close": [20.0, 22.0], "open": [20.0, 22.0], "high": [20.0, 22.0]}}
+         }).encode(), cli.EXIT_MISMATCH, "model expects 1 exogenous channels, model lists 2"),
+    ], ids=["bad-json", "non-utf8", "deep", "not-object", "flat-range", "no-range",
+            "channel-count"])
+    def test_model_loader_message(self, data_csv, tmp_path, capsys, command, data, code,
+                                  message):
+        model = tmp_path / "model.json"
+        model.write_bytes(data)
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", data_csv, "--model", str(model), "--out", str(out)])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -832,7 +882,8 @@ class TestMalformedInputProperty:
         with open(os.path.join(trained_dir, cli.MODEL_FILE), encoding="utf-8") as fh:
             text = fh.read()
         doc = json.loads(text)
-        kind = data.draw(st.sampled_from(["drop", "replace", "replace-config", "truncate"]))
+        kind = data.draw(st.sampled_from(["drop", "replace", "replace-config", "truncate",
+                                          "non-utf8", "deep"]))
         key = data.draw(st.sampled_from(sorted(doc)))
         if kind == "drop":
             del doc[key]
@@ -847,13 +898,22 @@ class TestMalformedInputProperty:
             config[key] = data.draw(JSON_JUNK.filter(
                 lambda v: not isinstance(v, list) and v != config[key]))
             text = json.dumps(doc)
-        else:
+        elif kind == "deep":
+            # a value nested deeper than the JSON parser recurses
+            depth = data.draw(st.integers(100_000, 200_000))
+            doc[key] = "NEST"
+            text = json.dumps(doc).replace('"NEST"', "[" * depth + "]" * depth)
+        elif kind == "truncate":
             text = text[:data.draw(st.integers(0, len(text) - 1))]
+        raw = text.encode("utf-8")
+        if kind == "non-utf8":
+            at = data.draw(st.integers(0, len(raw)))
+            raw = raw[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + raw[at:]
         command = data.draw(st.sampled_from(["simulate", "eval"]))
         with tempfile.TemporaryDirectory() as tmp:
             model = os.path.join(tmp, "model.json")
-            with open(model, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(model, "wb") as fh:
+                fh.write(raw)
             out = os.path.join(tmp, "out")
             rc, err = _run_quietly([command, "--csv", data_csv, "--model", model,
                                     "--out", out])

@@ -461,8 +461,11 @@ def test_reported_msereg_is_training_objective():
     report = fit(prep, n_hidden=4, params=params, seed=8)
     diag = evaluate_open(report.network, prep, idx=prep.splits[0], xi=params.xi)
     expected = report.records[report.best_epoch].train_objective
-    assert diag.msereg == pytest.approx(expected, rel=0, abs=1e-12)
+    # evaluate_open runs the network on the block alone, as training does
+    assert diag.msereg == expected
     assert diag.msereg != pytest.approx(diag.mse, rel=0, abs=1e-12)
+    assert evaluate_open(report.network, prep, idx=prep.splits[1]).mse == report.best_val_mse
+    assert evaluate_open(report.network, prep, idx=prep.splits[2]).mse == report.best_test_mse
 
 
 @settings(max_examples=40, deadline=None)
@@ -480,7 +483,10 @@ def test_reported_msereg_is_training_objective_property(
     report = fit(prep, n_hidden=n_hidden, params=params, seed=seed)
     diag = evaluate_open(report.network, prep, idx=prep.splits[0], xi=xi)
     expected = report.records[report.best_epoch].train_objective
-    assert diag.msereg == pytest.approx(expected, rel=0, abs=1e-12)
+    assert diag.msereg == expected
+    # the val and test MSE that chose the best epoch, bit for bit
+    assert evaluate_open(report.network, prep, idx=prep.splits[1]).mse == report.best_val_mse
+    assert evaluate_open(report.network, prep, idx=prep.splits[2]).mse == report.best_test_mse
 
 
 def test_training_loads_no_scipy():
