@@ -5,8 +5,9 @@ output files and environment (Python, numpy, BLAS and its thread setting);
 all output files are written atomically (temp + rename) so a failed run
 leaves no partial artifacts.
 
-Exit codes: 0 success, 2 usage, 3 I/O, 4 validation/format, 5 divergence,
-6 model/data mismatch, 7 verdict rejected.
+Exit codes: 0 success, 2 usage, 3 I/O, 4 validation/format (and a network
+too large for memory), 5 divergence, 6 model/data mismatch, 7 verdict
+rejected.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -58,6 +60,7 @@ ERROR_EXITS = (
     (DivergedError, EXIT_DIVERGED),
     (ConfigMismatchError, EXIT_MISMATCH),
     (NarxError, EXIT_VALIDATION),
+    (MemoryError, EXIT_VALIDATION),
 )
 
 MODEL_FILE = "model.json"
@@ -102,14 +105,17 @@ def _write_outputs(args, input_sha256: str, files: dict):
 
     Commands call this once, after every result is computed, so a failed run
     leaves no directory behind.  ``input_sha256`` is ``_load_frame``'s digest
-    of the bytes the run parsed.
+    of the bytes the run parsed.  The manifest is strict JSON: a non-finite
+    parameter (``--mse-max`` defaults to inf) is the string ``float()`` reads
+    back, such as ``"inf"``.
     """
     os.makedirs(args.out, exist_ok=True)
     for name, text in files.items():
         _atomic_write(os.path.join(args.out, name), text)
     manifest = {
         "command": args.command,
-        "parameters": {k: v for k, v in sorted(vars(args).items())
+        "parameters": {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+                       for k, v in sorted(vars(args).items())
                        if k not in ("func", "command")},
         "input_file": str(args.csv),
         "input_sha256": input_sha256,
@@ -188,7 +194,9 @@ def _load_frame(args):
 
 def _exo_channels(args):
     """The --exo-channels names; ``prepare`` checks them and the target's."""
-    return tuple(args.exo_channels.split(",")) if args.exo_channels else DEFAULT_EXO_CHANNELS
+    if args.exo_channels is None:
+        return DEFAULT_EXO_CHANNELS
+    return tuple(args.exo_channels.split(","))
 
 
 def _add_train_options(p):
@@ -393,8 +401,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, NarxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except tuple(kind for kind, _ in ERROR_EXITS) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return next(code for kind, code in ERROR_EXITS if isinstance(exc, kind))
 
 

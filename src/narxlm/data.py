@@ -357,23 +357,36 @@ def load_ohlcv(path, raw: bytes | None = None) -> TimeSeriesFrame:
 
 @dataclass(frozen=True)
 class NormalizationSpec:
-    """Per-channel affine maps of observed [min, max] onto [NORM_LO, NORM_HI]."""
+    """Per-channel affine maps of observed [min, max] onto [NORM_LO, NORM_HI].
+
+    The spec owns the range rule: every channel's range must satisfy
+    ``0 < max - min < inf``, so a constant, reversed, NaN or infinite range,
+    or one whose width overflows, raises ``ValidationError`` however the
+    spec is built (``fit_normalization``, ``from_dict`` or directly).  The
+    maps divide by the width before they scale, so no finite value within
+    the range overflows.
+    """
 
     ranges: dict  # channel -> (min, max)
+
+    def __post_init__(self):
+        for ch, (mn, mx) in self.ranges.items():
+            if not 0.0 < float(mx) - float(mn) < np.inf:  # a numpy scalar would warn
+                raise ValidationError(f"channel {ch!r} has no usable range [{mn}, {mx}]")
 
     def apply_values(self, values, channel: str) -> np.ndarray:
         if channel not in self.ranges:
             raise KeyError(f"channel {channel!r} not in normalization spec")
         mn, mx = self.ranges[channel]
         values = np.asarray(values, dtype=float)
-        return NORM_LO + (values - mn) * (NORM_HI - NORM_LO) / (mx - mn)
+        return NORM_LO + (values - mn) / (mx - mn) * (NORM_HI - NORM_LO)
 
     def invert_values(self, values, channel: str) -> np.ndarray:
         if channel not in self.ranges:
             raise KeyError(f"channel {channel!r} not in normalization spec")
         mn, mx = self.ranges[channel]
         values = np.asarray(values, dtype=float)
-        return mn + (values - NORM_LO) * (mx - mn) / (NORM_HI - NORM_LO)
+        return mn + (values - NORM_LO) / (NORM_HI - NORM_LO) * (mx - mn)
 
     def to_dict(self) -> dict:
         return {
@@ -393,15 +406,14 @@ def fit_normalization(frame: TimeSeriesFrame, channels,
                       fit_rows: int | None = None) -> NormalizationSpec:
     """Fit per-channel min/max over the first ``fit_rows`` rows (all by default).
 
-    Constant channels have no usable range and are rejected.
+    ``NormalizationSpec`` checks the ranges: a channel that is constant over
+    the window, or whose values span more than a float holds, is rejected.
     """
     stop = len(frame) if fit_rows is None else fit_rows
     ranges = {}
     for ch in channels:
         vals = frame.channel(ch)[:stop]
         mn, mx = float(np.min(vals)), float(np.max(vals))
-        if mx <= mn:
-            raise ValidationError(f"channel {ch!r} is constant over the fit window")
         ranges[ch] = (mn, mx)
     return NormalizationSpec(ranges=ranges)
 

@@ -60,7 +60,9 @@ def prepare(raw_frame: TimeSeriesFrame, d_u, d_y,
 
     The channels are checked first.  Without ``norm_spec`` the normalization
     is fitted on the rows that feed the training block; a given spec (a
-    saved model's) is applied as is.
+    saved model's) is applied as is, and must hold a range for every
+    channel the dataset reads, else ``ValidationError`` names the first
+    missing one.  ``NormalizationSpec`` itself checks each range.
     """
     exo_channels = _check_channels(exo_channels, target_channel)
     d_u, d_y = _check_lags(d_u, d_y)
@@ -70,6 +72,9 @@ def prepare(raw_frame: TimeSeriesFrame, d_u, d_y,
         # rows feeding the training samples: everything up to the last train target
         norm_spec = fit_normalization(raw_frame, sorted(set(exo_channels) | {target_channel}),
                                       fit_rows=max_lag + len(splits[0]))
+    for ch in exo_channels + (target_channel,):
+        if ch not in norm_spec.ranges:
+            raise ValidationError(f"normalization spec has no range for channel {ch!r}")
     frame = apply_normalization(raw_frame, norm_spec)
     dataset = prepare_delayed(frame, d_u, d_y, exo_channels, target_channel)
     return PreparedData(frame, norm_spec, dataset, splits, exo_channels, target_channel)
@@ -92,6 +97,8 @@ def load_model(path, raw_frame: TimeSeriesFrame):
     a malformed value raises ``DataFormatError``; a channel that is not an
     OHLCV channel, or a channel count the network does not take, raises
     ``ConfigMismatchError``.  A file that cannot be read raises ``OSError``.
+    A bad range (``NormalizationSpec``) or a channel without one
+    (``prepare``) raises ``ValidationError``.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -118,9 +125,6 @@ def load_model(path, raw_frame: TimeSeriesFrame):
     for ch in exo_channels + (target_channel,):
         if ch not in CHANNELS:
             raise ConfigMismatchError(f"model channel {ch!r} not present in OHLCV data")
-        mn, mx = norm_spec.ranges.get(ch, (np.nan, np.nan))
-        if not 0.0 < mx - mn < np.inf:
-            raise DataFormatError(f"model normalization has no usable range for {ch!r}")
     if net.config.n_exo != len(exo_channels):
         raise ConfigMismatchError(
             f"model expects {net.config.n_exo} exogenous channels, "

@@ -8,6 +8,7 @@ filters on that band first, then maximizes R.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -29,6 +30,7 @@ class SweepGrid:
     seed: int = 0
 
     def __post_init__(self):
+        """Sort each lag set; reject an empty axis or one that repeats a candidate."""
         if not (self.d_u_candidates and self.d_y_candidates and self.neuron_candidates):
             raise ValidationError("every grid axis must be non-empty")
         object.__setattr__(self, "d_u_candidates",
@@ -37,6 +39,12 @@ class SweepGrid:
                            tuple(tuple(sorted(d)) for d in self.d_y_candidates))
         object.__setattr__(self, "neuron_candidates",
                            tuple(int(n) for n in self.neuron_candidates))
+        for name, axis in (("input-delay", self.d_u_candidates),
+                           ("feedback-delay", self.d_y_candidates),
+                           ("neuron", self.neuron_candidates)):
+            for k, value in enumerate(axis):
+                if value in axis[:k]:
+                    raise ValidationError(f"{name} axis repeats the candidate {value}")
 
     def points(self):
         return list(product(self.d_u_candidates, self.d_y_candidates,
@@ -57,13 +65,20 @@ class SweepRow:
     warning: str = ""
 
     def to_dict(self) -> dict:
+        """The row for ``sweep.json``, strict JSON: a missing (NaN) or
+        non-finite number is None, which ``json`` writes as null."""
         return {
             "d_u": list(self.d_u), "d_y": list(self.d_y), "n_hidden": self.n_hidden,
-            "performance": self.performance, "mse": self.mse, "r_value": self.r_value,
+            "performance": _number(self.performance), "mse": _number(self.mse),
+            "r_value": _number(self.r_value),
             "xcorr_within_bounds": self.xcorr_within_bounds,
             "wall_time": self.wall_time, "diverged": self.diverged,
             "warning": self.warning,
         }
+
+
+def _number(value):
+    return value if math.isfinite(value) else None
 
 
 def parse_lag_range(token: str, n_rows: int) -> tuple:

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import narxlm
-from narxlm import cli, pipeline
+from narxlm import cli, pipeline, sweep
+from narxlm.errors import DivergedError
 from narxlm.network import forward_open
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
 from narxlm.training import msereg
@@ -470,6 +471,9 @@ class TestUsage:
         # an infinite cap would let the damping loop run forever at lam=inf
         ("train", ["--mu-max", "inf"], cli.EXIT_VALIDATION,
          "need 0 < mu0 < mu_max < inf"),
+        # a repeated candidate would train one configuration twice
+        ("sweep", ["--neurons", "2,2", "--input-delays", "0:1,0:1"], cli.EXIT_VALIDATION,
+         "input-delay axis repeats the candidate (0, 1)"),
     ])
     def test_malformed_argument_message(self, data_csv, tmp_path, capsys,
                                         command, flags, code, message):
@@ -545,6 +549,7 @@ class TestInputValidation:
         ("train", ["--target-channel", "price"]),
         ("sweep", ["--exo-channels", "open,,high"]),
         ("sweep", ["--target-channel", "Close"]),
+        ("train", ["--exo-channels", ""]),
     ])
     def test_unknown_channel(self, data_csv, tmp_path, capsys, command, flags):
         out = tmp_path / "out"
@@ -764,10 +769,10 @@ class TestInputValidation:
         (b"[]", cli.EXIT_VALIDATION, "model document is not a JSON object"),
         (json.dumps({**PRIOR_MODEL, "normalization": {
             "lo": -1.0, "hi": 1.0, "ranges": {"close": [20.0, 22.0], "open": [21.0, 21.0]}}
-         }).encode(), cli.EXIT_VALIDATION, "model normalization has no usable range for 'open'"),
+         }).encode(), cli.EXIT_VALIDATION, "channel 'open' has no usable range [21.0, 21.0]"),
         (json.dumps({**PRIOR_MODEL, "normalization": {
             "lo": -1.0, "hi": 1.0, "ranges": {"close": [20.0, 22.0]}}
-         }).encode(), cli.EXIT_VALIDATION, "model normalization has no usable range for 'open'"),
+         }).encode(), cli.EXIT_VALIDATION, "normalization spec has no range for channel 'open'"),
         (json.dumps({**PRIOR_MODEL, "exo_channels": ["open", "high"], "normalization": {
             "lo": -1.0, "hi": 1.0,
             "ranges": {"close": [20.0, 22.0], "open": [20.0, 22.0], "high": [20.0, 22.0]}}
@@ -784,6 +789,107 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("column, cells, code, message", [
+        # the fitted range of open is wider than a float holds
+        ("Open", ("1.7e308", "-1.7e308"), cli.EXIT_VALIDATION,
+         "error: channel 'open' has no usable range [-1.7e+308, 1.7e+308]\n"),
+        # a finite range: dividing before scaling keeps every value finite
+        ("Volume", ("1.7e308", "1e308"), cli.EXIT_OK, ""),
+    ], ids=["open-overflowing-range", "volume-extreme-range"])
+    def test_extreme_finite_values(self, data_csv, tmp_path, capsys, column, cells, code,
+                                   message):
+        header, *rows = open(data_csv).read().splitlines()
+        j = header.split(",").index(column)
+        for i, cell in zip((10, 20), cells):
+            row = rows[i].split(",")
+            row[j] = cell
+            rows[i] = ",".join(row)
+        extreme = tmp_path / "extreme.csv"
+        extreme.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["train", "--csv", str(extreme), "--out", str(out),
+                           "--neurons", "3", "--epochs", "5", "--restarts", "1"])
+        assert not caught
+        assert rc == code
+        assert capsys.readouterr().err == message
+        if code == cli.EXIT_OK:
+            for name in (cli.MODEL_FILE, cli.TRAIN_REPORT_FILE, cli.DIAGNOSTICS_FILE):
+                _strict_json((out / name).read_text())
+        else:
+            assert not out.exists()
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 1.00 TiB"), "error: Unable to allocate 1.00 TiB\n"),
+    ], ids=["bare", "numpy-message"])
+    def test_network_too_large_for_memory(self, data_csv, tmp_path, capsys, monkeypatch,
+                                          error, message):
+        def fit(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "fit", fit)
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--csv", data_csv, "--out", str(out), *FAST_FLAGS])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON literal {name}")
+
+
+def _strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: NaN, Infinity and -Infinity raise."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+class TestStrictJson:
+    def test_every_output_is_strict_json(self, trained_dir, data_csv, tmp_path):
+        model = os.path.join(trained_dir, cli.MODEL_FILE)
+        runs = [trained_dir]
+        for command, flags in (("simulate", ["--model", model, "--horizon", "40"]),
+                               ("eval", ["--model", model])):
+            out = str(tmp_path / command)
+            assert cli.main([command, "--csv", data_csv, "--out", out, *flags]) in (
+                cli.EXIT_OK, cli.EXIT_REJECTED)
+            runs.append(out)
+        parsed = 0
+        for out in runs:
+            for name in os.listdir(out):
+                if name.endswith(".json"):
+                    _strict_json(open(os.path.join(out, name)).read())
+                    parsed += 1
+        assert parsed == 8  # train writes four JSON files, simulate and eval two each
+        manifest = _strict_json(open(os.path.join(trained_dir, cli.MANIFEST_FILE)).read())
+        assert manifest["parameters"]["mse_max"] == "inf"
+        assert float(manifest["parameters"]["mse_max"]) == float("inf")
+
+    def test_diverged_sweep_row_is_null(self, data_csv, tmp_path, monkeypatch):
+        real_fit = sweep.fit
+
+        def fit(prep, n_hidden, params, seed):
+            if n_hidden == 2:
+                raise DivergedError("all 1 restarts diverged")
+            return real_fit(prep, n_hidden, params, seed)
+        monkeypatch.setattr(sweep, "fit", fit)
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--csv", data_csv, "--out", str(out), "--neurons", "2,3",
+                       "--epochs", "10", "--restarts", "1"])
+        assert rc == cli.EXIT_OK
+        for name in os.listdir(out):
+            if name.endswith(".json"):
+                _strict_json((out / name).read_text())
+        dead, live = _strict_json((out / cli.SWEEP_JSON_FILE).read_text())
+        assert dead["diverged"] and (dead["performance"], dead["mse"], dead["r_value"]) == (
+            None, None, None)
+        assert not live["diverged"] and None not in (live["performance"], live["mse"],
+                                                     live["r_value"])
+        # the CSV keeps nan for a missing number
+        assert (out / cli.SWEEP_CSV_FILE).read_text().splitlines()[1].split(",")[3:6] == [
+            "nan", "nan", "nan"]
 
 
 def _run_quietly(argv):

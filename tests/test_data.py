@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from narxlm.data import (
     CHANNELS,
+    NORM_HI,
+    NORM_LO,
+    NormalizationSpec,
     apply_normalization,
     fit_normalization,
     frame_from_columns,
@@ -564,6 +567,85 @@ class TestReferenceLoader:
         _assert_same_frame(load_ohlcv(path), reference_load_ohlcv(path))
 
 
+def reference_apply(spec, values, channel):
+    """The map as written before it divided first: it scales, then divides."""
+    mn, mx = spec.ranges[channel]
+    return NORM_LO + (np.asarray(values, dtype=float) - mn) * (NORM_HI - NORM_LO) / (mx - mn)
+
+
+def reference_invert(spec, values, channel):
+    mn, mx = spec.ranges[channel]
+    return mn + (np.asarray(values, dtype=float) - NORM_LO) * (mx - mn) / (NORM_HI - NORM_LO)
+
+
+def _assert_maps_match_reference(spec, channel, values):
+    for got, want in ((spec.apply_values(values, channel), reference_apply(spec, values, channel)),
+                      (spec.invert_values(values, channel), reference_invert(spec, values, channel))):
+        assert np.array_equal(got, want)
+
+
+BAD_RANGES = {
+    "constant": (5.0, 5.0), "reversed": (6.0, 5.0), "nan-min": (np.nan, 5.0),
+    "nan-max": (5.0, np.nan), "infinite-min": (-np.inf, 5.0), "infinite-max": (5.0, np.inf),
+    "overflowing-width": (-1.7e308, 1.7e308),
+    "numpy-overflowing-width": (np.float64(-1.7e308), np.float64(1.7e308)),
+}
+
+
+class TestNormalizationRules:
+    def test_divide_first_matches_reference_on_random_ranges(self):
+        # scaling by NORM_HI - NORM_LO = 2 is exact, so dividing first gives the same bits
+        rng = np.random.default_rng(2021)
+        for _ in range(400):
+            width = 10.0 ** rng.uniform(-5, 9)
+            mn = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-5, 9)
+            spec = NormalizationSpec({"close": (mn, mn + width)})
+            mn, mx = spec.ranges["close"]
+            values = np.concatenate([[mn, mx], rng.uniform(mn - width, mx + width, 200)])
+            _assert_maps_match_reference(spec, "close", values)
+            _assert_maps_match_reference(spec, "close", rng.uniform(-1.5, 1.5, 200))
+
+    @pytest.mark.parametrize("rows, seed, noise_std", [(220, 99, 0.02), (1065, 16, 0.01),
+                                                       (5000, 16, 0.01)],
+                             ids=["ci", "benchmark", "benchmark-score"])
+    def test_divide_first_matches_reference_on_fitted_specs(self, rows, seed, noise_std):
+        frame, _ = synthetic_ohlcv_frame(rows, seed=seed, noise_std=noise_std)
+        spec = fit_normalization(frame, CHANNELS, fit_rows=rows * 7 // 10)
+        for ch in CHANNELS:
+            _assert_maps_match_reference(spec, ch, frame.channel(ch))
+            _assert_maps_match_reference(spec, ch, spec.apply_values(frame.channel(ch), ch))
+
+    def test_extreme_finite_range_does_not_overflow(self):
+        spec = NormalizationSpec({"volume": (1e3, 1.7e308)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = spec.apply_values([1e3, 1e308, 1.7e308], "volume")
+            back = spec.invert_values(norm, "volume")
+        assert norm[0] == -1.0 and norm[2] == 1.0 and -1.0 < norm[1] < 1.0
+        assert np.isfinite(back).all() and back[2] == 1.7e308
+
+    @pytest.mark.parametrize("mn, mx", BAD_RANGES.values(), ids=BAD_RANGES.keys())
+    def test_bad_range_rejected_however_built(self, mn, mx):
+        message = re.escape(f"channel 'open' has no usable range [{mn}, {mx}]")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                NormalizationSpec({"close": (20.0, 22.0), "open": (mn, mx)})
+            with pytest.raises(ValidationError, match=message):
+                NormalizationSpec.from_dict(
+                    {"lo": -1.0, "hi": 1.0, "ranges": {"open": [mn, mx], "close": [20.0, 22.0]}})
+
+    def test_fit_rejects_a_range_wider_than_a_float(self):
+        frame = frame_from_columns(
+            timesteps=[1, 2, 3], open=[1.7e308, 5.0, -1.7e308], high=[6, 6, 6], low=[4, 4, 4],
+            volume=[1, 2, 3], close=[1, 2, 3])
+        message = re.escape("channel 'open' has no usable range [-1.7e+308, 1.7e+308]")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                fit_normalization(frame, ["close", "open"])
+
+
 class TestNormalization:
     def test_midpoint_symmetry(self):
         frame = frame_from_columns(
@@ -608,7 +690,8 @@ class TestNormalization:
         frame = frame_from_columns(
             timesteps=[1, 2], open=[5, 5], high=[6, 6], low=[4, 4],
             volume=[1, 2], close=[1, 2])
-        with pytest.raises(ValidationError, match="constant"):
+        with pytest.raises(ValidationError,
+                           match=re.escape("channel 'open' has no usable range [5.0, 5.0]")):
             fit_normalization(frame, ["open"])
 
     def test_unknown_channel_error(self, sample_frame):

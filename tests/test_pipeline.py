@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from narxlm import sweep
-from narxlm.data import apply_normalization, fit_normalization, prepare_delayed, split_indices
+from narxlm.data import (NormalizationSpec, apply_normalization, fit_normalization,
+                          prepare_delayed, split_indices)
 from narxlm.diagnostics import diagnose
 from narxlm.errors import InsufficientDataError, ValidationError
 from narxlm.network import NarxConfig, init_weights
@@ -30,6 +31,20 @@ def test_prepare_applies_a_given_spec_without_refitting():
         (ds.d_u, ds.d_y, ds.first_usable_index)
     for got, want in zip(prep.splits, split_indices(ds.n_samples), strict=True):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("channels, exo, target, missing", [
+    (("close",), EXO, "close", "open"),
+    (("close", "open"), EXO, "close", "high"),
+    (("close", "open"), ("open",), "adj_close", "adj_close"),
+])
+def test_prepare_rejects_a_spec_without_a_channel(channels, exo, target, missing):
+    # without the check, the taps of the missing channel would hold raw prices
+    frame, _ = synthetic_ohlcv_frame(60, seed=1234, noise_std=0.02)
+    spec = NormalizationSpec({ch: (19.0, 23.0) for ch in channels})
+    with pytest.raises(ValidationError,
+                       match=f"normalization spec has no range for channel '{missing}'$"):
+        prepare(frame, (0, 1), (1,), exo, target, norm_spec=spec)
 
 
 @pytest.mark.parametrize("d_u, d_y", [((), (1,)), ((0,), ())])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -125,9 +126,21 @@ class TestRunSweep:
             assert rs.performance == rp.performance
             assert rs.r_value == rp.r_value
 
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValidationError):
-            SweepGrid((), ((1,),), (3,), FAST)
+    @pytest.mark.parametrize("axes", [
+        ((), ((1,),), (3,)), (((0, 1),), (), (3,)), (((0, 1),), ((1,),), ()),
+    ], ids=["input-delay", "feedback-delay", "neuron"])
+    def test_empty_axis_rejected(self, axes):
+        with pytest.raises(ValidationError, match="every grid axis must be non-empty"):
+            SweepGrid(*axes, FAST)
+
+    @pytest.mark.parametrize("axes, message", [
+        ((((0, 1), (1, 0)), ((1,),), (3,)), "input-delay axis repeats the candidate (0, 1)"),
+        ((((0, 1),), ((1,), (2,), (1,)), (3,)), "feedback-delay axis repeats the candidate (1,)"),
+        ((((0, 1),), ((1,),), (2, 3, 2.0)), "neuron axis repeats the candidate 2"),
+    ], ids=["input-delay", "feedback-delay", "neuron"])
+    def test_repeated_candidate_rejected(self, axes, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SweepGrid(*axes, FAST)
 
 
 class TestSelectBest:
