@@ -68,6 +68,14 @@ def parse_date(token: str) -> int:
         raise DataFormatError(f"unparseable date {token!r}") from None
 
 
+def _not_bool(value):
+    """``value`` of a model document, unless it is a JSON boolean, which
+    Python would read as the number 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return value
+
+
 def _check_fixed(key: str, value, fixed):
     """Reject a saved model whose ``key`` differs from the value the design fixes."""
     if value != fixed:
@@ -397,9 +405,10 @@ class NormalizationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationSpec":
-        _check_fixed("lo", float(d["lo"]), NORM_LO)
-        _check_fixed("hi", float(d["hi"]), NORM_HI)
-        return cls(ranges={c: (float(mn), float(mx)) for c, (mn, mx) in d["ranges"].items()})
+        _check_fixed("lo", float(_not_bool(d["lo"])), NORM_LO)
+        _check_fixed("hi", float(_not_bool(d["hi"])), NORM_HI)
+        return cls(ranges={c: (float(_not_bool(mn)), float(_not_bool(mx)))
+                           for c, (mn, mx) in d["ranges"].items()})
 
 
 def fit_normalization(frame: TimeSeriesFrame, channels,

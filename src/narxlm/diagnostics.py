@@ -25,7 +25,11 @@ def confidence_bound(n: int) -> float:
 
 
 def regression_r(outputs, targets) -> float:
-    """Pearson correlation coefficient between outputs and targets."""
+    """Pearson correlation coefficient between outputs and targets.
+
+    Zero variance, or a product of variances that overflows, leaves R
+    undefined and raises ``UndefinedStatisticError``.
+    """
     outputs = np.asarray(outputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if outputs.shape != targets.shape or outputs.size == 0:
@@ -35,6 +39,8 @@ def regression_r(outputs, targets) -> float:
     denom = math.sqrt((o @ o) * (t @ t))
     if denom == 0.0:
         raise UndefinedStatisticError("zero variance: R undefined")
+    if denom == math.inf:  # a NaN output leaves R NaN, which the verdict rejects
+        raise UndefinedStatisticError("variance overflows: R undefined")
     return float((o @ t) / denom)
 
 
@@ -198,12 +204,16 @@ def diagnose(outputs_price, targets_price, errors_norm, exo_channels_norm,
     autocorrelation and every channel's cross-correlation share one lag
     window.  ``msereg`` is the training objective on the same block (the
     caller's ``training.msereg``); without it the report's msereg is None.
+    An MSE or a variance that overflows raises ``UndefinedStatisticError``,
+    so no report holds an inf or a NaN made from one.
     """
     outputs_price = np.asarray(outputs_price, dtype=float)
     targets_price = np.asarray(targets_price, dtype=float)
     errors_norm = np.asarray(errors_norm, dtype=float)
     n = errors_norm.size
     mse = float((errors_norm ** 2).sum() / n)
+    if n and not math.isfinite(mse):  # no errors: regression_r says so below
+        raise UndefinedStatisticError(f"MSE overflows: {mse} over {n} normalized errors")
     r = regression_r(outputs_price, targets_price)
     div = max_divergence(outputs_price, targets_price)
 

@@ -7,6 +7,11 @@ OUTPUT_TRANSFER); a saved model records them.  Open-loop (series-parallel)
 evaluation reads true lagged targets from the dataset; the closed-loop form
 replays its own predictions into the feedback taps for multi-step-ahead
 forecasting.
+
+A network holds its weights once, as the flat vector ``theta`` that
+Levenberg-Marquardt trains; the weight blocks are read-only views of it.
+``_blocks`` is the one statement of the layout: the blocks, the Jacobian's
+columns, the bias mask and the init all read their slices from it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import _check_fixed, _check_lags
+from .data import _check_fixed, _check_lags, _not_bool
 from .errors import InsufficientDataError, ShapeError, ValidationError
 
 FORMAT_VERSION = 1
@@ -26,8 +31,9 @@ OUTPUT_TRANSFER = "linear"
 
 
 def _integer(value) -> int:
-    """An integer field of a model document: ``5.5``, ``"5"`` and inf are not one."""
-    number = int(value)
+    """An integer field of a model document: ``5.5``, ``"5"``, ``true`` and inf
+    are not one."""
+    number = int(_not_bool(value))
     if number != value:
         raise ValueError(f"{value!r} is not an integer")
     return number
@@ -55,8 +61,7 @@ class NarxConfig:
 
     @property
     def n_params(self) -> int:
-        n = self.n_hidden
-        return n * (self.n_input_taps + len(self.d_y) + 1) + n + 1
+        return _blocks(self)[-1].stop
 
     def to_dict(self) -> dict:
         return {
@@ -82,63 +87,56 @@ class NarxConfig:
         )
 
 
+def _blocks(config: NarxConfig) -> tuple:
+    """The slices of W_ih, W_yh, b_h, W_ho and b_o in the flat weight vector,
+    in that order: hidden-input weights, feedback weights, hidden biases,
+    output weights, output bias."""
+    n, blocks, start = config.n_hidden, [], 0
+    for size in (n * config.n_input_taps, n * len(config.d_y), n, n, 1):
+        blocks.append(slice(start, start + size))
+        start += size
+    return tuple(blocks)
+
+
 @dataclass(frozen=True)
 class NarxNetwork:
-    """Weight arrays plus config.
+    """A config and its flat weight vector ``theta``, the one copy of the weights.
+
+    ``theta`` is a read-only copy, laid out as ``_blocks`` says; the blocks
+    are read-only views of it:
 
     W_ih: (n_hidden, n_exo * |d_u|) hidden weights on exogenous taps, column
           order (channel, lag) matching DelayedDataset.X.
     W_yh: (n_hidden, |d_y|) hidden weights on feedback taps.
     b_h:  (n_hidden,) hidden biases.
     W_ho: (n_hidden,) output weights.
-    b_o:  scalar output bias.
+    b_o:  scalar output bias (a float).
     """
 
     config: NarxConfig
-    W_ih: np.ndarray
-    W_yh: np.ndarray
-    b_h: np.ndarray
-    W_ho: np.ndarray
-    b_o: float
+    theta: np.ndarray
 
     def __post_init__(self):
         c = self.config
-        if self.W_ih.shape != (c.n_hidden, c.n_input_taps):
-            raise ShapeError(f"W_ih shape {self.W_ih.shape} != {(c.n_hidden, c.n_input_taps)}")
-        if self.W_yh.shape != (c.n_hidden, len(c.d_y)):
-            raise ShapeError(f"W_yh shape {self.W_yh.shape} != {(c.n_hidden, len(c.d_y))}")
-        if self.b_h.shape != (c.n_hidden,) or self.W_ho.shape != (c.n_hidden,):
-            raise ShapeError("bias/output weight shape mismatch")
-        for arr in (self.W_ih, self.W_yh, self.b_h, self.W_ho):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError("non-finite weight")
-        if not np.isfinite(self.b_o):
-            raise ValidationError("non-finite output bias")
-
-    # Canonical flattening: hidden-input weights, feedback weights, hidden
-    # biases, output weights, output bias.  Jacobian columns use this order.
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([
-            self.W_ih.ravel(),
-            self.W_yh.ravel(),
-            self.b_h,
-            self.W_ho,
-            [self.b_o],
-        ])
+        theta = np.array(self.theta, dtype=float)
+        if theta.shape != (c.n_params,):
+            raise ShapeError(f"parameter vector length {theta.shape} != {c.n_params}")
+        if not np.all(np.isfinite(theta)):
+            raise ValidationError("non-finite weight")
+        theta.flags.writeable = False
+        W_ih, W_yh, b_h, W_ho, b_o = _blocks(c)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "W_ih", theta[W_ih].reshape(c.n_hidden, c.n_input_taps))
+        object.__setattr__(self, "W_yh", theta[W_yh].reshape(c.n_hidden, len(c.d_y)))
+        object.__setattr__(self, "b_h", theta[b_h])
+        object.__setattr__(self, "W_ho", theta[W_ho])
+        object.__setattr__(self, "b_o", float(theta[b_o.start]))
 
     @classmethod
     def from_flat(cls, config: NarxConfig, theta: np.ndarray) -> "NarxNetwork":
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (config.n_params,):
-            raise ShapeError(f"parameter vector length {theta.shape} != {config.n_params}")
-        n, ni, ny = config.n_hidden, config.n_input_taps, len(config.d_y)
-        pos = 0
-        W_ih = theta[pos:pos + n * ni].reshape(n, ni); pos += n * ni
-        W_yh = theta[pos:pos + n * ny].reshape(n, ny); pos += n * ny
-        b_h = theta[pos:pos + n]; pos += n
-        W_ho = theta[pos:pos + n]; pos += n
-        b_o = float(theta[pos])
-        return cls(config, W_ih.copy(), W_yh.copy(), b_h.copy(), W_ho.copy(), b_o)
+        """``cls(config, theta)``: ``train`` builds each candidate through it,
+        so perfbench's tracer counts the candidates as its calls."""
+        return cls(config, theta)
 
     @cached_property
     def feedback_matrix(self) -> np.ndarray:
@@ -153,27 +151,24 @@ class NarxNetwork:
 
     def bias_mask(self) -> np.ndarray:
         """Boolean vector over the flat parameters, True at bias positions."""
-        c = self.config
-        n = c.n_hidden
-        mask = np.zeros(c.n_params, dtype=bool)
-        start = n * (c.n_input_taps + len(c.d_y))
-        mask[start:start + n] = True  # hidden biases
-        mask[-1] = True               # output bias
+        _, _, b_h, _, b_o = _blocks(self.config)
+        mask = np.zeros(self.config.n_params, dtype=bool)
+        mask[b_h] = mask[b_o] = True
         return mask
 
     def to_dict(self) -> dict:
         return {
             "format_version": FORMAT_VERSION,
             "config": self.config.to_dict(),
-            "weights": [format(w, ".17g") for w in self.flatten()],
+            "weights": [format(w, ".17g") for w in self.theta],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "NarxNetwork":
-        if d.get("format_version") != FORMAT_VERSION:
+        if _not_bool(d.get("format_version")) != FORMAT_VERSION:
             raise ValidationError(f"unsupported model format version {d.get('format_version')}")
         config = NarxConfig.from_dict(d["config"])
-        theta = np.array([float(w) for w in d["weights"]])
+        theta = np.array([float(_not_bool(w)) for w in d["weights"]])
         return cls.from_flat(config, theta)
 
     def to_json(self, extra: dict | None = None) -> str:
@@ -186,17 +181,13 @@ class NarxNetwork:
 def init_weights(config: NarxConfig, seed: int) -> NarxNetwork:
     """Uniform [-r, +r] init with r = 1/sqrt(fan-in), deterministic in seed."""
     rng = np.random.default_rng(seed)
-    n, ni, ny = config.n_hidden, config.n_input_taps, len(config.d_y)
-    r_hidden = 1.0 / np.sqrt(ni + ny)
-    r_out = 1.0 / np.sqrt(n)
-    return NarxNetwork(
-        config=config,
-        W_ih=rng.uniform(-r_hidden, r_hidden, size=(n, ni)),
-        W_yh=rng.uniform(-r_hidden, r_hidden, size=(n, ny)),
-        b_h=rng.uniform(-r_hidden, r_hidden, size=n),
-        W_ho=rng.uniform(-r_out, r_out, size=n),
-        b_o=float(rng.uniform(-r_out, r_out)),
-    )
+    r_hidden = 1.0 / np.sqrt(config.n_input_taps + len(config.d_y))
+    r_out = 1.0 / np.sqrt(config.n_hidden)
+    # W_ih, W_yh, b_h, then W_ho, b_o: one draw per fan-in, in layout order
+    split = _blocks(config)[2].stop
+    return NarxNetwork(config, np.concatenate([
+        rng.uniform(-r_hidden, r_hidden, size=split),
+        rng.uniform(-r_out, r_out, size=config.n_params - split)]))
 
 
 def _check_dataset(net: NarxNetwork, X: np.ndarray, Y_hist: np.ndarray):
@@ -225,7 +216,7 @@ def forward_open(net: NarxNetwork, dataset) -> np.ndarray:
 def jacobian(net: NarxNetwork, dataset):
     """Residuals F = yhat - T and the exact Jacobian dF/dtheta.
 
-    Columns follow the canonical flattening.  Row k is the gradient of
+    Columns follow the weight layout (``_blocks``).  Row k is the gradient of
     residual k; rows are independent because open-loop evaluation is a static
     feedforward pass.
     """
@@ -235,21 +226,18 @@ def jacobian(net: NarxNetwork, dataset):
     yhat = a @ net.W_ho + net.b_o
     F = yhat - dataset.T
 
-    S = X.shape[0]
-    c = net.config
-    n, ni, ny = c.n_hidden, c.n_input_taps, len(c.d_y)
+    S, c = X.shape[0], net.config
+    W_ih, W_yh, b_h, W_ho, b_o = _blocks(c)
     # back-prop through the linear output and tanh hidden layer
     da = (1.0 - a * a) * net.W_ho                        # (S, N): dyhat/dz_h
     # one (S, P) array filled block by block; the weight blocks are written
     # through (S, N, taps) views of their columns
     J = np.empty((S, c.n_params))
-    w = n * ni
-    np.einsum("si,sp->sip", da, X, out=J[:, :w].reshape(S, n, ni))
-    np.einsum("si,sp->sip", da, Y_hist, out=J[:, w:w + n * ny].reshape(S, n, ny))
-    w += n * ny
-    J[:, w:w + n] = da                                   # hidden biases
-    J[:, w + n:w + 2 * n] = a                            # output weights
-    J[:, -1] = 1.0                                       # output bias
+    np.einsum("si,sp->sip", da, X, out=J[:, W_ih].reshape(S, *net.W_ih.shape))
+    np.einsum("si,sp->sip", da, Y_hist, out=J[:, W_yh].reshape(S, *net.W_yh.shape))
+    J[:, b_h] = da
+    J[:, W_ho] = a
+    J[:, b_o] = 1.0
     return J, F
 
 

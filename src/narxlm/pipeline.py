@@ -164,7 +164,7 @@ def evaluate_open(net: NarxNetwork, prep: PreparedData, idx=None, xi: float | No
     block = dataset if idx is None else _subset(dataset, idx)
     idx = np.arange(dataset.n_samples) if idx is None else np.asarray(idx)
     pred, targ = forward_open(net, block), block.T
-    reg = None if xi is None else msereg(pred - targ, net.flatten(), xi, net.bias_mask())
+    reg = None if xi is None else msereg(pred - targ, net.theta, xi, net.bias_mask())
     return _score(prep, pred, targ, dataset.first_usable_index + idx, reg, thresholds)
 
 

@@ -176,11 +176,15 @@ def _subset(dataset, idx):
 
 
 def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -> TrainReport:
-    """One LM run from a seeded random init, with early stopping."""
+    """One LM run from a seeded random init, with early stopping.
+
+    The loop's weights are one immutable network, ``net``: a candidate is a
+    new network on ``net.theta + d``, and the best epoch's network is kept
+    as it is, with no copy.
+    """
     train_set, val_set, test_set = (_subset(dataset, idx) for idx in splits)
 
     net = init_weights(config, seed)
-    theta = net.flatten()
     bias_mask = net.bias_mask()
     lam = params.mu0
     xi = params.xi
@@ -188,21 +192,20 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
     def objective(th):
         candidate = NarxNetwork.from_flat(config, th)
         err = forward_open(candidate, train_set) - train_set.T
-        return msereg(err, th, xi, bias_mask), candidate, err
+        return msereg(err, candidate.theta, xi, bias_mask), candidate, err
 
     records = []
     best_epoch = -1
     best_val = np.inf
-    best_theta = theta.copy()
     fails = 0
     stop_reason = "epochs-exhausted"
-    obj, net, err = objective(theta)
+    obj, net, err = objective(net.theta)
 
     for epoch in range(params.epochs):
         if not np.isfinite(obj):
             raise DivergedError(f"non-finite objective at epoch {epoch}", epoch=epoch)
         # J is not kept: only A (P x P) stays alive through the damping loop
-        A, b, grad = normal_equations(*jacobian(net, train_set), theta, xi, ~bias_mask)
+        A, b, grad = normal_equations(*jacobian(net, train_set), net.theta, xi, ~bias_mask)
         grad_norm = float(np.max(np.abs(grad)))
 
         # propose steps until one lowers the objective or damping tops out
@@ -213,9 +216,8 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
             except StepFailure:
                 lam *= params.mu_inc
                 continue
-            cand_obj, cand_net, cand_err = objective(theta + d)
+            cand_obj, cand_net, cand_err = objective(net.theta + d)
             if np.isfinite(cand_obj) and cand_obj < obj:
-                theta = theta + d
                 obj, net, err = cand_obj, cand_net, cand_err
                 lam *= params.mu_dec
                 accepted = True
@@ -230,7 +232,7 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
-            best_theta = theta.copy()
+            best = net
             fails = 0
         else:
             fails += 1
@@ -250,13 +252,13 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
 
     if best_epoch < 0:
         best_epoch = len(records) - 1
-        best_theta = theta.copy()
+        best = net
 
     return TrainReport(
         records=records,
         stop_reason=stop_reason,
         best_epoch=best_epoch,
-        network=NarxNetwork.from_flat(config, best_theta),
+        network=best,
         seed=seed,
         splits=tuple(np.asarray(idx) for idx in splits),
     )

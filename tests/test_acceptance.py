@@ -66,7 +66,7 @@ def test_jacobian_vs_finite_differences():
     for _ in range(100):
         net, ds = _random_setup(rng)
         J, F = jacobian(net, ds)
-        theta = net.flatten()
+        theta = net.theta
         h = 1e-6
         J_fd = np.empty_like(J)
         for p in range(theta.size):

@@ -256,6 +256,37 @@ class TestFixedModelSettings:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "eval"])
+    @pytest.mark.parametrize("path, value, literal", [
+        (("format_version",), True, True),
+        (("config", "d_u"), [False, True], False),
+        (("config", "d_y"), [True], True),
+        (("config", "n_hidden"), True, True),
+        (("config", "n_exo"), True, True),
+        (("normalization", "lo"), False, False),
+        (("normalization", "hi"), True, True),
+        (("normalization", "ranges", "open", 0), True, True),
+        (("weights", 0), True, True),
+    ], ids=["format_version", "d_u", "d_y", "n_hidden", "n_exo", "lo", "hi", "range-bound",
+            "weight"])
+    def test_boolean_is_not_a_number(self, data_csv, tmp_path, capsys, command, path, value,
+                                     literal):
+        # Python reads a JSON true as 1, which every one of these keys would accept
+        doc = json.loads(json.dumps(PRIOR_MODEL))
+        *parents, key = path
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", data_csv, "--model", str(model), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"error: malformed model document: ValueError {literal!r} is not a number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
     @pytest.mark.parametrize("key,lags,message", [
         ("d_u", [0, 0], "input lags repeat a lag: 0,0"),
         ("d_y", [1, 1], "feedback lags repeat a lag: 1,1"),
@@ -282,7 +313,7 @@ def test_msereg_is_the_training_objective_or_null(data_csv, tmp_path):
     net, prep = pipeline.load_model(model, cli.load_ohlcv(data_csv))
     err = forward_open(net, prep.dataset) - prep.dataset.T
     diag = json.loads((run / cli.DIAGNOSTICS_FILE).read_text())
-    assert diag["msereg"] == msereg(err, net.flatten(), narxlm.TrainParams().xi,
+    assert diag["msereg"] == msereg(err, net.theta, narxlm.TrainParams().xi,
                                     net.bias_mask())
     assert diag["msereg"] != diag["mse"]
     for command, flags in (("eval", []), ("simulate", ["--horizon", "60"])):
@@ -821,6 +852,32 @@ class TestInputValidation:
         else:
             assert not out.exists()
 
+    # numpy warns as the squares overflow; the command then stops on the statistic
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command, flags, n_errors", [
+        ("train", ["--neurons", "3", "--epochs", "5", "--restarts", "1"], 219),
+        ("eval", ["--model"], 219),
+        ("simulate", ["--horizon", "50", "--model"], 50),
+    ])
+    def test_overflowing_statistic_exits_4(self, trained_dir, data_csv, tmp_path, capsys,
+                                           command, flags, n_errors):
+        # a last close far outside the fitted range: its normalized error is
+        # finite, its square is not
+        header, *rows = open(data_csv).read().splitlines()
+        row = rows[-1].split(",")
+        row[header.split(",").index("Close")] = "1e200"
+        rows[-1] = ",".join(row)
+        csv = tmp_path / "overflow.csv"
+        csv.write_text("\n".join([header, *rows]) + "\n")
+        if flags[-1] == "--model":
+            flags = flags + [os.path.join(trained_dir, cli.MODEL_FILE)]
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", str(csv), "--out", str(out), *flags])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"error: MSE overflows: inf over {n_errors} normalized errors\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("error, message", [
         (MemoryError(), "error: out of memory\n"),
         (MemoryError("Unable to allocate 1.00 TiB"), "error: Unable to allocate 1.00 TiB\n"),
@@ -962,7 +1019,7 @@ MALFORMED_ARGUMENTS = {
 
 
 JSON_JUNK = st.one_of(
-    st.none(), st.text(alphabet="xyz!", max_size=4), st.floats(),
+    st.none(), st.booleans(), st.text(alphabet="xyz!", max_size=4), st.floats(),
     st.lists(st.integers(-3, 3), max_size=3),
     st.dictionaries(st.text(alphabet="abc", max_size=3), st.integers(), max_size=2))
 
@@ -995,7 +1052,9 @@ class TestMalformedInputProperty:
             del doc[key]
             text = json.dumps(doc)
         elif kind == "replace":
-            doc[key] = data.draw(JSON_JUNK.filter(lambda v: v != doc[key]))
+            # true == 1, yet a boolean is never a model value
+            doc[key] = data.draw(JSON_JUNK.filter(
+                lambda v: isinstance(v, bool) or v != doc[key]))
             text = json.dumps(doc)
         elif kind == "replace-config":
             config = doc["config"]

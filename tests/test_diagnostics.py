@@ -44,6 +44,19 @@ class TestRegressionR:
             r = regression_r(rng.normal(size=20), rng.normal(size=20))
             assert -1.0 <= r <= 1.0
 
+    @pytest.mark.parametrize("scale", [1e100, 1e155, 1e300])
+    def test_overflowing_variance(self, scale):
+        # from 1e100 on the product of the two sums of squares overflows, and
+        # from 1e155 each sum does
+        x = np.linspace(-1.0, 1.0, 50) * scale
+        with np.errstate(over="ignore"), \
+                pytest.raises(UndefinedStatisticError, match="^variance overflows: R undefined$"):
+            regression_r(x, x[::-1])
+
+    def test_zero_variance_message(self):
+        with pytest.raises(UndefinedStatisticError, match="^zero variance: R undefined$"):
+            regression_r(np.arange(10.0), np.ones(10))
+
 
 class TestMaxDivergence:
     def test_zero_on_equal(self):
@@ -198,6 +211,16 @@ class TestCorrelationReference:
         with pytest.raises(UndefinedStatisticError):
             diagnose(targets, targets, errors,
                      {"open": rng.normal(size=40), "high": np.ones(40)})
+
+    def test_diagnose_rejects_an_overflowing_mse(self):
+        rng = np.random.default_rng(14)
+        targets = 20.0 + rng.normal(size=40)
+        errors = rng.normal(size=40)
+        errors[-1] = 1e200
+        with np.errstate(over="ignore"), \
+                pytest.raises(UndefinedStatisticError,
+                              match=r"^MSE overflows: inf over 40 normalized errors$"):
+            diagnose(targets, targets + errors, errors, {"open": rng.normal(size=40)})
 
 
 def _reference_lagged_products(e, x, max_lag):

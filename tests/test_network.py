@@ -12,6 +12,7 @@ from narxlm.network import (
     ClosedLoopNarx,
     NarxConfig,
     NarxNetwork,
+    _blocks,
     forward_open,
     init_weights,
     jacobian,
@@ -112,19 +113,105 @@ def _lags(rng, first, n):
                         rng.choice(np.arange(first, first + 6), size=n, replace=False)))
 
 
+def reference_init_weights(config, seed):
+    """init_weights as it was: one draw per block, in layout order.
+
+    Kept as the reference that the two-draw init must match bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    n, ni, ny = config.n_hidden, config.n_input_taps, len(config.d_y)
+    r_hidden = 1.0 / np.sqrt(ni + ny)
+    r_out = 1.0 / np.sqrt(n)
+    return np.concatenate([rng.uniform(-r_hidden, r_hidden, size=(n, ni)).ravel(),
+                           rng.uniform(-r_hidden, r_hidden, size=(n, ny)).ravel(),
+                           rng.uniform(-r_hidden, r_hidden, size=n),
+                           rng.uniform(-r_out, r_out, size=n),
+                           [float(rng.uniform(-r_out, r_out))]])
+
+
+BLOCK_NAMES = ("W_ih", "W_yh", "b_h", "W_ho", "b_o")
+
+
+class TestWeightLayout:
+    def test_blocks_partition_the_vector_in_order(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            net, *_ = random_setup(rng)
+            c = net.config
+            blocks = _blocks(c)
+            assert len(blocks) == 5 and blocks[0].start == 0
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert blocks[-1].stop == c.n_params
+            sizes = [b.stop - b.start for b in blocks]
+            assert sizes == [np.size(getattr(net, name)) for name in BLOCK_NAMES]
+            mask = net.bias_mask()
+            want = np.zeros(c.n_params, dtype=bool)
+            want[blocks[2]] = want[blocks[4]] = True
+            assert np.array_equal(mask, want)
+            assert np.count_nonzero(mask) == c.n_hidden + 1
+
+    def test_blocks_are_read_only_views_of_theta(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            net, *_ = random_setup(rng)
+            assert not net.theta.flags.writeable
+            for name, block in zip(BLOCK_NAMES[:4], _blocks(net.config)):
+                view = getattr(net, name)
+                assert np.shares_memory(view, net.theta), name
+                assert np.array_equal(view.ravel(), net.theta[block]), name
+                with pytest.raises(ValueError, match="read-only"):
+                    view[(0,) * view.ndim] = 1.0
+            assert type(net.b_o) is float and net.b_o == net.theta[-1]
+            with pytest.raises(ValueError, match="read-only"):
+                net.theta[0] = 1.0
+
+    def test_constructor_copies_theta(self):
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
+        th = np.linspace(-1.0, 1.0, config.n_params)
+        net = NarxNetwork(config, th)
+        assert not np.shares_memory(net.theta, th) and th.flags.writeable
+        th[:] = 0.0
+        assert np.array_equal(net.theta, np.linspace(-1.0, 1.0, config.n_params))
+        assert np.array_equal(NarxNetwork.from_flat(config, net.theta).theta, net.theta)
+
+    def test_init_matches_per_block_draws(self):
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            net, *_ = random_setup(rng)
+            seed = int(rng.integers(1 << 30))
+            assert np.array_equal(init_weights(net.config, seed).theta,
+                                  reference_init_weights(net.config, seed))
+
+    @pytest.mark.parametrize("size", [0, 5, 7])
+    def test_wrong_length_rejected(self, size):
+        config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=1, n_exo=2)  # P = 6
+        with pytest.raises(ShapeError, match=re.escape(
+                f"parameter vector length ({size},) != {config.n_params}")):
+            NarxNetwork(config, np.zeros(size))
+
+    @pytest.mark.parametrize("block", range(5))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, block, value):
+        config = NarxConfig(d_u=(0, 1), d_y=(1, 2), n_hidden=2, n_exo=2)
+        theta = np.zeros(config.n_params)
+        theta[_blocks(config)[block].start] = value
+        with pytest.raises(ValidationError, match="non-finite weight"):
+            NarxNetwork(config, theta)
+
+
 class TestInit:
     def test_deterministic(self):
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=4)
         a = init_weights(config, 123)
         b = init_weights(config, 123)
-        assert np.array_equal(a.flatten(), b.flatten())
+        assert np.array_equal(a.theta, b.theta)
         c = init_weights(config, 124)
-        assert not np.array_equal(a.flatten(), c.flatten())
+        assert not np.array_equal(a.theta, c.theta)
 
     def test_parameter_count_example(self):
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=22, n_exo=4)
         assert config.n_params == 22 * (2 * 4 + 1 + 1) + 22 + 1 == 243
-        assert init_weights(config, 0).flatten().size == 243
+        assert init_weights(config, 0).theta.size == 243
 
     def test_parameter_count_formula(self):
         rng = np.random.default_rng(5)
@@ -133,7 +220,7 @@ class TestInit:
             c = net.config
             expected = c.n_hidden * (len(c.d_u) * c.n_exo + len(c.d_y) + 1) \
                 + c.n_hidden + 1
-            assert net.flatten().size == expected == c.n_params
+            assert net.theta.size == expected == c.n_params
 
     def test_weight_range(self):
         config = NarxConfig(d_u=(0, 1, 2), d_y=(1, 2), n_hidden=7, n_exo=3)
@@ -156,8 +243,9 @@ class TestInit:
 class TestForwardOpen:
     def test_zero_network_outputs_bias(self):
         config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=3, n_exo=2)
-        net = NarxNetwork.from_flat(config, np.zeros(config.n_params))
-        net = NarxNetwork(config, net.W_ih, net.W_yh, net.b_h, net.W_ho, 0.7)
+        theta = np.zeros(config.n_params)
+        theta[_blocks(config)[4]] = 0.7  # b_o
+        net = NarxNetwork(config, theta)
         rng = np.random.default_rng(0)
         ds = make_supervised(rng.normal(size=(10, 2)), rng.normal(size=10),
                              (0,), (1,))
@@ -219,7 +307,7 @@ class TestJacobian:
             net, U, y, ds = random_setup(rng, n_samples=8)
             J, F = jacobian(net, ds)
             assert np.allclose(F, forward_open(net, ds) - ds.T)
-            theta = net.flatten()
+            theta = net.theta
             h = 1e-6
             J_fd = np.empty_like(J)
             for p in range(theta.size):
@@ -579,7 +667,7 @@ class TestSerialization:
             net, *_ = random_setup(rng)
             restored = NarxNetwork.from_dict(json.loads(net.to_json()))
             assert restored.config == net.config
-            assert np.array_equal(restored.flatten(), net.flatten())
+            assert np.array_equal(restored.theta, net.theta)
 
     def test_format_version_checked(self):
         config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=1, n_exo=1)

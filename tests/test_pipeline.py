@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from narxlm.data import (NormalizationSpec, apply_normalization, fit_normalizati
                           prepare_delayed, split_indices)
 from narxlm.diagnostics import diagnose
 from narxlm.errors import InsufficientDataError, ValidationError
-from narxlm.network import NarxConfig, init_weights
+from narxlm.network import NarxConfig, NarxNetwork, _blocks, init_weights
 from narxlm.pipeline import evaluate_open, prepare, simulate, simulate_diagnostics
 from narxlm.synth import synthetic_ohlcv_frame
 from narxlm.training import TrainParams
@@ -111,7 +109,9 @@ def test_closed_loop_without_feedback_is_the_open_loop(d_u, d_y):
     frame, _ = synthetic_ohlcv_frame(300, seed=29, noise_std=0.01)
     prep = prepare(frame, d_u, d_y)
     net = init_weights(NarxConfig(d_u=d_u, d_y=d_y, n_hidden=6, n_exo=4), 3)
-    net = dataclasses.replace(net, W_yh=np.zeros_like(net.W_yh))
+    theta = net.theta.copy()
+    theta[_blocks(net.config)[1]] = 0.0  # W_yh
+    net = NarxNetwork(net.config, theta)
     first = prep.dataset.first_usable_index
     for start, horizon in ((first, 40), (200, 60), (len(frame) - 25, 25)):
         _, preds, targs = simulate(net, prep, start, horizon)

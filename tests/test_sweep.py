@@ -74,7 +74,7 @@ class TestRunSweep:
         diag = diagnose(spec.invert_values(pred, "close"),
                         spec.invert_values(ds.T, "close"),
                         pred - ds.T, exo,
-                        msereg=msereg(pred - ds.T, report.network.flatten(), FAST.xi,
+                        msereg=msereg(pred - ds.T, report.network.theta, FAST.xi,
                                       report.network.bias_mask()))
         assert row.performance == report.records[report.best_epoch].train_objective
         assert row.mse == diag.mse

@@ -153,7 +153,7 @@ class TestGradient:
         _, _, _, ds = teacher_dataset(40, seed=9, n_hidden=2)
         J, F = jacobian(net, ds)
         analytic = (2.0 / ds.n_samples) * (J.T @ F)
-        fd = _msereg_gradient_fd(config, net.flatten(), ds)
+        fd = _msereg_gradient_fd(config, net.theta, ds)
         assert np.max(np.abs(analytic - fd)) / (1 + np.max(np.abs(fd))) < 1e-6
 
     def test_regularized_gradient_matches_finite_differences(self):
@@ -162,7 +162,7 @@ class TestGradient:
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         net = init_weights(config, 77)
         _, _, _, ds = teacher_dataset(40, seed=9, n_hidden=2)
-        theta, bias_mask, xi = net.flatten(), net.bias_mask(), 0.9
+        theta, bias_mask, xi = net.theta, net.bias_mask(), 0.9
         grad = normal_equations(*jacobian(net, ds), theta, xi, ~bias_mask)[2]
         fd = _msereg_gradient_fd(config, theta, ds, xi, bias_mask)
         assert np.max(np.abs(grad - fd)) / (1 + np.max(np.abs(fd))) < 1e-6
@@ -258,7 +258,7 @@ class TestTrain:
             report = train(config, ds, splits, params, seed)
             assert report.stop_reason in {"goal-met", "min-grad", "max-fail",
                                           "epochs-exhausted", "mu-max"}
-            assert np.all(np.isfinite(report.network.flatten()))
+            assert np.all(np.isfinite(report.network.theta))
 
     def test_non_finite_target_diverges(self):
         _, _, _, ds = teacher_dataset(50, seed=9)
@@ -315,7 +315,7 @@ def reference_train(config, dataset, splits, params, seed):
     train_set = reference_subset(dataset, train_idx)
     n_train = train_set.n_samples
     net = init_weights(config, seed)
-    theta = net.flatten()
+    theta = net.theta
     bias_mask = net.bias_mask()
     lam, xi = params.mu0, params.xi
 
@@ -391,7 +391,7 @@ class TestMatchesReferenceLoop:
             report = train(config, prep.dataset, prep.splits, params, seed)
             theta, records, stop_reason, best_epoch = reference_train(
                 config, prep.dataset, prep.splits, params, seed)
-            assert np.array_equal(report.network.flatten(), theta)
+            assert np.array_equal(report.network.theta, theta)
             assert report.records == records
             assert (report.stop_reason, report.best_epoch) == (stop_reason, best_epoch)
 
@@ -405,7 +405,7 @@ class TestRestarts:
         a = train_with_restarts(config, ds, splits, params, seed=11)
         b = train(config, ds, splits, params, seed=11)
         assert a.seed == b.seed
-        assert np.array_equal(a.network.flatten(), b.network.flatten())
+        assert np.array_equal(a.network.theta, b.network.theta)
 
     def test_best_not_worse_than_median(self):
         _, _, _, ds = teacher_dataset(120, seed=12, noise_std=0.1)
@@ -427,7 +427,7 @@ class TestRestarts:
         a = train_with_restarts(config, ds, splits, params, seed=15)
         b = train_with_restarts(config, ds, splits, params, seed=15)
         assert a.seed == b.seed
-        assert np.array_equal(a.network.flatten(), b.network.flatten())
+        assert np.array_equal(a.network.theta, b.network.theta)
 
 
 class TestParams:
