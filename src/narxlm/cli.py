@@ -137,28 +137,29 @@ def _add_common(p):
     p.add_argument("--seed", type=_int_at_least(0), default=42)
 
 
-# (flag, dataclass field) of every training and verdict option: the dest is
-# the flag's name (--mu-dec -> mu_dec), the type and default the field's
-TRAIN_FLAGS = (
-    ("--mu", "mu0"), ("--mu-dec", "mu_dec"), ("--mu-inc", "mu_inc"),
-    ("--mu-max", "mu_max"), ("--epochs", "epochs"), ("--goal", "goal"),
-    ("--min-grad", "min_grad"), ("--max-fail", "max_fail"), ("--xi", "xi"),
-    ("--restarts", "restarts"),
-)
-THRESHOLD_FLAGS = (
-    ("--r-min", "r_min"), ("--divergence-max", "divergence_max_pct"),
-    ("--mse-max", "mse_max"),
-)
+# the flag of a training or verdict option is "--" and its dataclass field's
+# name with "-" for "_", except for these fields
+FLAG_NAMES = {"mu0": "--mu", "divergence_max_pct": "--divergence-max"}
 
 
-def _add_fields(p, cls, flags):
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    for flag, name in flags:
-        p.add_argument(flag, type=type(defaults[name]), default=defaults[name])
+def _flag(name: str) -> str:
+    return FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
 
 
-def _from_fields(args, cls, flags):
-    return cls(**{name: getattr(args, flag[2:].replace("-", "_")) for flag, name in flags})
+def _add_fields(p, cls):
+    """Add one option per field of the dataclass ``cls``, in field order.
+
+    ``_flag`` names it, its dest is the flag's name (``--mu-dec`` ->
+    ``mu_dec``), and its type and default are the field's.
+    """
+    for f in dataclasses.fields(cls):
+        p.add_argument(_flag(f.name), type=type(f.default), default=f.default)
+
+
+def _from_fields(args, cls):
+    """``cls`` built from the options ``_add_fields`` added for it."""
+    return cls(**{f.name: getattr(args, _flag(f.name)[2:].replace("-", "_"))
+                  for f in dataclasses.fields(cls)})
 
 
 def _int_at_least(low):
@@ -169,14 +170,6 @@ def _int_at_least(low):
         return value
     parse.__name__ = "int"  # argparse says "invalid int value" on a non-integer
     return parse
-
-
-def _train_params_from(args) -> TrainParams:
-    return _from_fields(args, TrainParams, TRAIN_FLAGS)
-
-
-def _thresholds_from(args) -> VerdictThresholds:
-    return _from_fields(args, VerdictThresholds, THRESHOLD_FLAGS)
 
 
 def _load_frame(args):
@@ -207,15 +200,15 @@ def _add_train_options(p):
     p.add_argument("--exo-channels", default=None,
                    help="comma-separated channel names (default open,high,low,volume)")
     p.add_argument("--target-channel", default="close")
-    _add_fields(p, TrainParams, TRAIN_FLAGS)
-    _add_fields(p, VerdictThresholds, THRESHOLD_FLAGS)
+    _add_fields(p, TrainParams)
+    _add_fields(p, VerdictThresholds)
 
 
 def _add_simulate_options(p):
     _add_common(p)
     p.add_argument("--model", required=True, help="model.json from a train run")
     p.add_argument("--horizon", type=_int_at_least(0), default=100)
-    _add_fields(p, VerdictThresholds, THRESHOLD_FLAGS)
+    _add_fields(p, VerdictThresholds)
 
 
 def _add_sweep_options(p):
@@ -229,18 +222,18 @@ def _add_sweep_options(p):
     p.add_argument("--target-channel", default="close")
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes (>= 1)")
-    _add_fields(p, TrainParams, TRAIN_FLAGS)
+    _add_fields(p, TrainParams)
 
 
 def _add_eval_options(p):
     _add_common(p)
     p.add_argument("--model", required=True)
-    _add_fields(p, VerdictThresholds, THRESHOLD_FLAGS)
+    _add_fields(p, VerdictThresholds)
 
 
 def cmd_train(args) -> int:
-    params = _train_params_from(args)
-    thresholds = _thresholds_from(args)
+    params = _from_fields(args, TrainParams)
+    thresholds = _from_fields(args, VerdictThresholds)
     exo = _exo_channels(args)
     frame, digest = _load_frame(args)
     d_u = parse_lag_range(args.input_delays, len(frame))
@@ -250,9 +243,7 @@ def cmd_train(args) -> int:
     diag = evaluate_open(report.network, prep, xi=params.xi, thresholds=thresholds)
 
     lines = ["epoch,train_objective,train_mse,val_mse,test_mse,grad_norm,lambda"]
-    for r in report.records:
-        lines.append(f"{r.epoch},{r.train_objective!r},{r.train_mse!r},"
-                     f"{r.val_mse!r},{r.test_mse!r},{r.grad_norm!r},{r.lam!r}")
+    lines += [",".join(map(repr, dataclasses.astuple(r))) for r in report.records]
     _write_outputs(args, digest, {
         MODEL_FILE: model_json(report.network, prep),
         TRAIN_REPORT_FILE: json.dumps(report.to_dict(), indent=2),
@@ -267,7 +258,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    thresholds = _thresholds_from(args)
+    thresholds = _from_fields(args, VerdictThresholds)
     frame, digest = _load_frame(args)
     net, prep = load_model(args.model, frame)
     H = args.horizon
@@ -302,10 +293,7 @@ def cmd_sweep(args) -> int:
     target = args.target_channel
 
     def parse_axis(text):
-        tokens = [t for t in text.split(",") if t.strip()]
-        if not tokens:
-            raise ValidationError("empty grid axis")
-        return tuple(parse_lag_range(t, len(frame)) for t in tokens)
+        return tuple(parse_lag_range(t, len(frame)) for t in text.split(",") if t.strip())
 
     d_u_axis = parse_axis(args.input_delays)
     d_y_axis = parse_axis(args.feedback_delays)
@@ -313,11 +301,9 @@ def cmd_sweep(args) -> int:
         neurons = tuple(int(t) for t in args.neurons.split(",") if t.strip())
     except ValueError:
         raise ValidationError(f"bad neuron axis {args.neurons!r}: want integers") from None
-    if not neurons:
-        raise ValidationError("empty neuron axis")
 
     grid = SweepGrid(d_u_axis, d_y_axis, neurons,
-                     _train_params_from(args), args.seed)
+                     _from_fields(args, TrainParams), args.seed)
     rows = run_sweep(grid, frame, exo, target, jobs=args.jobs)
     best = select_best(rows)
 
@@ -353,7 +339,7 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     frame, digest = _load_frame(args)
     net, prep = load_model(args.model, frame)
-    diag = evaluate_open(net, prep, thresholds=_thresholds_from(args))
+    diag = evaluate_open(net, prep, thresholds=_from_fields(args, VerdictThresholds))
     _write_outputs(args, digest, {DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2)})
     verdict = "accept" if diag.accepted else "reject"
     print(f"eval: R={diag.r_value:.5f} divergence={diag.max_divergence_pct:.3f}% "

@@ -92,7 +92,13 @@ def _broken_price_invariant(high, low, volume):
 
 @dataclass(frozen=True)
 class TimeSeriesFrame:
-    """Daily OHLCV rows, column-major as float arrays keyed by channel name."""
+    """Daily OHLCV rows, column-major as float arrays keyed by channel name.
+
+    This is the one frame constructor, and it takes any sequences: the
+    timesteps become int64 and each channel float64 through ``np.asarray``,
+    so an array that has that dtype already is kept, not copied.  An
+    omitted ``adj_close`` is a copy of ``close``.
+    """
 
     timesteps: np.ndarray
     open: np.ndarray
@@ -100,9 +106,14 @@ class TimeSeriesFrame:
     low: np.ndarray
     volume: np.ndarray
     close: np.ndarray
-    adj_close: np.ndarray
+    adj_close: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.adj_close is None:
+            object.__setattr__(self, "adj_close", np.array(self.close, dtype=float))
+        object.__setattr__(self, "timesteps", np.asarray(self.timesteps, dtype=np.int64))
+        for name in CHANNELS:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = len(self.timesteps)
         if n < 1:
             raise ValidationError("frame must contain at least one row")
@@ -145,20 +156,6 @@ class TimeSeriesFrame:
             raise InsufficientDataError("date range selects no rows")
         idx = np.flatnonzero(mask)
         return self.slice(int(idx[0]), int(idx[-1]) + 1)
-
-
-def frame_from_columns(timesteps, open, high, low, volume, close, adj_close=None):
-    """Build a frame from plain sequences; adj_close defaults to close."""
-    close = np.asarray(close, dtype=float)
-    return TimeSeriesFrame(
-        timesteps=np.asarray(timesteps, dtype=np.int64),
-        open=np.asarray(open, dtype=float),
-        high=np.asarray(high, dtype=float),
-        low=np.asarray(low, dtype=float),
-        volume=np.asarray(volume, dtype=float),
-        close=close,
-        adj_close=close.copy() if adj_close is None else np.asarray(adj_close, dtype=float),
-    )
 
 
 def _split_lines(text: str) -> list:
@@ -316,7 +313,7 @@ def load_ohlcv(path, raw: bytes | None = None) -> TimeSeriesFrame:
         if required not in colmap:
             raise DataFormatError(f"{path}: missing column {required!r}")
 
-    # frame_from_columns' argument order; adj_close falls back to close
+    # TimeSeriesFrame's argument order; adj_close falls back to close
     cols = [colmap.get(ch, colmap["close"]) for ch in CHANNELS]
     date_pos = colmap["date"]
     linenos = range(2, len(lines) + 1)
@@ -360,7 +357,7 @@ def load_ohlcv(path, raw: bytes | None = None) -> TimeSeriesFrame:
         raise ValidationError(f"{path}: date {cells[date_pos].strip()} on row {row}"
                               f" repeats row {linenos[order[k]]}")
     columns = np.ascontiguousarray(values[order].T)
-    return frame_from_columns(dates, *columns)
+    return TimeSeriesFrame(dates, *columns)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,11 @@ def confidence_bound(n: int) -> float:
 def regression_r(outputs, targets) -> float:
     """Pearson correlation coefficient between outputs and targets.
 
-    Zero variance, or a product of variances that overflows, leaves R
-    undefined and raises ``UndefinedStatisticError``.
+    Zero variance leaves R undefined and raises ``UndefinedStatisticError``.
+    The denominator is ``sqrt(a * b)`` of the two sums of squares; when only
+    that product overflows it is ``sqrt(a) * sqrt(b)``, and R, which may
+    then round past 1, is clipped to [-1, 1].  A sum of squares that
+    overflows itself raises too.
     """
     outputs = np.asarray(outputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -36,12 +39,16 @@ def regression_r(outputs, targets) -> float:
         raise ValidationError("outputs and targets must be equal-length, non-empty")
     o = outputs - outputs.sum() / outputs.size
     t = targets - targets.sum() / targets.size
-    denom = math.sqrt((o @ o) * (t @ t))
+    a, b = float(o @ o), float(t @ t)  # Python floats overflow to inf without a warning
+    denom = math.sqrt(a * b)
     if denom == 0.0:
         raise UndefinedStatisticError("zero variance: R undefined")
-    if denom == math.inf:  # a NaN output leaves R NaN, which the verdict rejects
-        raise UndefinedStatisticError("variance overflows: R undefined")
-    return float((o @ t) / denom)
+    if denom == math.inf:
+        denom = math.sqrt(a) * math.sqrt(b)
+        if denom == math.inf:
+            raise UndefinedStatisticError("variance overflows: R undefined")
+        return min(max(float((o @ t) / denom), -1.0), 1.0)
+    return float((o @ t) / denom)  # a NaN output leaves R NaN, which the verdict rejects
 
 
 def max_divergence(outputs, targets) -> float:

@@ -98,12 +98,14 @@ def _blocks(config: NarxConfig) -> tuple:
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NarxNetwork:
     """A config and its flat weight vector ``theta``, the one copy of the weights.
 
     ``theta`` is a read-only copy, laid out as ``_blocks`` says; the blocks
-    are read-only views of it:
+    are read-only views of it.  A copy or an unpickled network is built
+    through the constructor too, so the same holds for it.  Networks compare
+    and hash by identity.
 
     W_ih: (n_hidden, n_exo * |d_u|) hidden weights on exogenous taps, column
           order (channel, lag) matching DelayedDataset.X.
@@ -131,6 +133,9 @@ class NarxNetwork:
         object.__setattr__(self, "b_h", theta[b_h])
         object.__setattr__(self, "W_ho", theta[W_ho])
         object.__setattr__(self, "b_o", float(theta[b_o.start]))
+
+    def __reduce__(self):
+        return type(self), (self.config, self.theta)
 
     @classmethod
     def from_flat(cls, config: NarxConfig, theta: np.ndarray) -> "NarxNetwork":

@@ -17,12 +17,21 @@ import numpy as np
 
 from .data import _check_channels
 from .errors import DivergedError, InsufficientDataError, ValidationError
+from .network import NarxConfig
 from .pipeline import evaluate_open, fit, prepare
 from .training import TrainParams
 
 
 @dataclass(frozen=True)
 class SweepGrid:
+    """The candidates of a sweep, checked before any point trains.
+
+    Each lag set is sorted.  An empty axis, an axis that repeats a
+    candidate, or a point that is no network (``NarxConfig``'s lag and size
+    rules: a negative input lag, a feedback lag below 1, fewer than one
+    hidden unit) raises ``ValidationError``.
+    """
+
     d_u_candidates: tuple       # tuple of lag tuples
     d_y_candidates: tuple       # tuple of lag tuples
     neuron_candidates: tuple    # tuple of ints
@@ -30,7 +39,6 @@ class SweepGrid:
     seed: int = 0
 
     def __post_init__(self):
-        """Sort each lag set; reject an empty axis or one that repeats a candidate."""
         if not (self.d_u_candidates and self.d_y_candidates and self.neuron_candidates):
             raise ValidationError("every grid axis must be non-empty")
         object.__setattr__(self, "d_u_candidates",
@@ -45,6 +53,8 @@ class SweepGrid:
             for k, value in enumerate(axis):
                 if value in axis[:k]:
                     raise ValidationError(f"{name} axis repeats the candidate {value}")
+        for d_u, d_y, n in self.points():
+            NarxConfig(d_u, d_y, n, n_exo=1)  # n_exo plays no part in these rules
 
     def points(self):
         return list(product(self.d_u_candidates, self.d_y_candidates,

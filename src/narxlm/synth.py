@@ -17,7 +17,6 @@ from .data import (
     _delayed,
     _taps,
     fit_normalization,
-    frame_from_columns,
 )
 from .errors import ShapeError, ValidationError
 from .network import ClosedLoopNarx, NarxConfig, NarxNetwork, init_weights
@@ -106,7 +105,7 @@ def synthetic_ohlcv_frame(n_rows: int, seed: int, n_hidden: int = 5,
     low = np.minimum(open_, base) - spread
     volume = rng.uniform(2e7, 1e8, size=n_rows)
 
-    frame0 = frame_from_columns(
+    frame0 = TimeSeriesFrame(
         timesteps=734506 + np.arange(n_rows),
         open=open_, high=high, low=low, volume=volume, close=base,
     )
@@ -123,7 +122,7 @@ def synthetic_ohlcv_frame(n_rows: int, seed: int, n_hidden: int = 5,
         raise ValidationError("degenerate teacher output")
     close = lo + (y - np.min(y)) * (hi - lo) / span
 
-    frame = frame_from_columns(
+    frame = TimeSeriesFrame(
         timesteps=734506 + np.arange(n_rows),
         open=open_, high=high, low=low, volume=volume, close=close,
     ).validate_prices()

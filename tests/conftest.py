@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from narxlm.data import frame_from_columns
+from narxlm.data import TimeSeriesFrame
 
 # Five days of INTC-like OHLCV rows used across the data tests.
 TABLE_ROWS = {
@@ -17,7 +17,7 @@ TABLE_ROWS = {
 
 @pytest.fixture
 def sample_frame():
-    return frame_from_columns(**TABLE_ROWS)
+    return TimeSeriesFrame(**TABLE_ROWS)
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def random_frame(rng, n):
     base = 20 + np.cumsum(rng.normal(0, 0.2, n))
     spread = np.abs(rng.normal(0, 0.1, n))
     open_ = base + rng.normal(0, 0.1, n)
-    return frame_from_columns(
+    return TimeSeriesFrame(
         timesteps=np.arange(n) * 1 + 1000,
         open=open_,
         high=np.maximum(open_, base) + spread,

@@ -11,10 +11,7 @@ import numpy as np
 import pytest
 
 from narxlm import cli
-from narxlm.data import (
-    frame_from_columns,
-    split_indices,
-)
+from narxlm.data import TimeSeriesFrame, split_indices
 from narxlm.diagnostics import confidence_bound
 from narxlm.network import NarxConfig, NarxNetwork, forward_open, init_weights, jacobian
 from narxlm.pipeline import evaluate_open, fit, prepare, simulate, simulate_diagnostics
@@ -55,8 +52,8 @@ def _noisy_analogue(seed=2024, noise_seed=55, n_rows=800):
     rng = np.random.default_rng(noise_seed)
     sigma = 0.02 * np.std(frame0.close)
     noisy_close = frame0.close + rng.normal(0, sigma, len(frame0))
-    return frame_from_columns(frame0.timesteps, frame0.open, frame0.high,
-                              frame0.low, frame0.volume, noisy_close)
+    return TimeSeriesFrame(frame0.timesteps, frame0.open, frame0.high,
+                           frame0.low, frame0.volume, noisy_close)
 
 
 def test_jacobian_vs_finite_differences():

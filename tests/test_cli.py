@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -443,11 +444,28 @@ class TestSweep:
         diag = json.loads((tmp_path / "train" / cli.DIAGNOSTICS_FILE).read_text())
         assert (row["mse"], row["r_value"]) == (diag["mse"], diag["r_value"])
 
-    def test_empty_axis_usage_error(self, data_csv, tmp_path):
-        rc = cli.main(["sweep", "--csv", data_csv,
-                       "--out", str(tmp_path / "sweep3"),
-                       "--neurons", ""])
-        assert rc != 0
+    @pytest.mark.parametrize("axis", [["--neurons", ""], ["--input-delays", ","]])
+    def test_empty_axis_usage_error(self, data_csv, tmp_path, axis):
+        out = tmp_path / "sweep3"
+        rc, err = _run_quietly(["sweep", "--csv", data_csv, "--out", str(out), *axis])
+        assert rc == cli.EXIT_VALIDATION
+        assert err == "error: every grid axis must be non-empty\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axes, message", [
+        (["--neurons", "2,0"], "n_hidden must be >= 1"),
+        (["--input-delays", "0:1,-1:0"], "input lags must be >= 0"),
+        (["--feedback-delays", "1,0"], "feedback lags must be >= 1"),
+    ])
+    def test_bad_last_candidate_fails_before_any_fit(self, data_csv, tmp_path, monkeypatch,
+                                                      axes, message):
+        fits = []
+        monkeypatch.setattr(sweep, "fit", lambda *a: fits.append(a))
+        out = tmp_path / "sweep4"
+        rc, err = _run_quietly(["sweep", "--csv", data_csv, "--out", str(out), *axes,
+                                "--epochs", "5", "--restarts", "1"])
+        assert rc == cli.EXIT_VALIDATION and err.startswith(f"error: {message}")
+        assert fits == [] and not out.exists()
 
 
 class TestOptionDefaults:
@@ -459,9 +477,29 @@ class TestOptionDefaults:
         argv = [command, "--csv", "p.csv", "--out", "o", *model]
         args = cli._build_parser(argv).parse_args(argv)
         if command in ("train", "sweep"):
-            assert cli._train_params_from(args) == narxlm.TrainParams()
+            assert cli._from_fields(args, narxlm.TrainParams) == narxlm.TrainParams()
         if command != "sweep":
-            assert cli._thresholds_from(args) == narxlm.VerdictThresholds()
+            assert cli._from_fields(args, narxlm.VerdictThresholds) == narxlm.VerdictThresholds()
+
+    def test_every_field_has_its_flag(self):
+        # a field renamed without its FLAG_NAMES entry gets another flag,
+        # which this argv would not set
+        params = narxlm.TrainParams(mu0=0.01, mu_dec=0.5, mu_inc=3.0, mu_max=1e8, epochs=7,
+                                    goal=1e-3, min_grad=1e-4, max_fail=2, xi=0.99,
+                                    restarts=3)
+        thresholds = narxlm.VerdictThresholds(r_min=0.5, divergence_max_pct=1.0,
+                                              mse_max=2.0)
+        argv = ["train", "--csv", "p.csv", "--out", "o",
+                "--mu", "0.01", "--mu-dec", "0.5", "--mu-inc", "3", "--mu-max", "1e8",
+                "--epochs", "7", "--goal", "1e-3", "--min-grad", "1e-4", "--max-fail", "2",
+                "--xi", "0.99", "--restarts", "3",
+                "--r-min", "0.5", "--divergence-max", "1", "--mse-max", "2"]
+        args = cli._build_parser(argv).parse_args(argv)
+        assert cli._from_fields(args, narxlm.TrainParams) == params
+        assert cli._from_fields(args, narxlm.VerdictThresholds) == thresholds
+        for cls, obj in ((narxlm.TrainParams, params), (narxlm.VerdictThresholds, thresholds)):
+            for f in dataclasses.fields(cls):
+                assert getattr(obj, f.name) != f.default, f.name
 
 
 class TestUsage:

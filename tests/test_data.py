@@ -15,9 +15,9 @@ from narxlm.data import (
     NORM_HI,
     NORM_LO,
     NormalizationSpec,
+    TimeSeriesFrame,
     apply_normalization,
     fit_normalization,
-    frame_from_columns,
     load_ohlcv,
     parse_date,
     prepare_delayed,
@@ -27,7 +27,7 @@ from narxlm.data import _COLUMN_ALIASES
 from narxlm.errors import DataFormatError, InsufficientDataError, ValidationError
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
 
-from conftest import random_frame
+from conftest import TABLE_ROWS, random_frame
 
 
 class TestLoadOhlcv:
@@ -408,7 +408,7 @@ def reference_load_ohlcv(path):
     values = np.array(rows)
     order = np.argsort(dates, kind="stable")
     columns = np.ascontiguousarray(values[order].T)
-    return frame_from_columns(np.asarray(dates)[order], *columns).validate_prices()
+    return TimeSeriesFrame(np.asarray(dates)[order], *columns).validate_prices()
 
 
 FLOAT_FORMATS = [repr, "{:.6g}".format, "{:.4e}".format, "{:.2f}".format, "{:.17g}".format,
@@ -584,6 +584,29 @@ def _assert_maps_match_reference(spec, channel, values):
         assert np.array_equal(got, want)
 
 
+class TestFrameConstructor:
+    def test_sequences_become_int64_and_float64_columns(self):
+        frame = TimeSeriesFrame(**TABLE_ROWS)
+        assert frame.timesteps.dtype == np.int64
+        for name in CHANNELS:
+            assert frame.channel(name).dtype == np.float64, name
+            assert np.array_equal(frame.channel(name), TABLE_ROWS[name]), name
+
+    def test_omitted_adj_close_is_a_copy_of_close(self):
+        close = np.array([1.0, 2.0, 3.0])
+        frame = TimeSeriesFrame([1, 2, 3], open=close, high=close, low=close,
+                                volume=close, close=close)
+        assert np.array_equal(frame.adj_close, frame.close)
+        assert not np.shares_memory(frame.adj_close, frame.close)
+
+    def test_float64_column_is_kept(self):
+        days, close = np.arange(3, dtype=np.int64), np.array([1.0, 2.0, 3.0])
+        frame = TimeSeriesFrame(days, close, close, close, close, close, close)
+        assert np.shares_memory(frame.timesteps, days)
+        for name in CHANNELS:
+            assert np.shares_memory(frame.channel(name), close), name
+
+
 BAD_RANGES = {
     "constant": (5.0, 5.0), "reversed": (6.0, 5.0), "nan-min": (np.nan, 5.0),
     "nan-max": (5.0, np.nan), "infinite-min": (-np.inf, 5.0), "infinite-max": (5.0, np.inf),
@@ -636,7 +659,7 @@ class TestNormalizationRules:
                     {"lo": -1.0, "hi": 1.0, "ranges": {"open": [mn, mx], "close": [20.0, 22.0]}})
 
     def test_fit_rejects_a_range_wider_than_a_float(self):
-        frame = frame_from_columns(
+        frame = TimeSeriesFrame(
             timesteps=[1, 2, 3], open=[1.7e308, 5.0, -1.7e308], high=[6, 6, 6], low=[4, 4, 4],
             volume=[1, 2, 3], close=[1, 2, 3])
         message = re.escape("channel 'open' has no usable range [-1.7e+308, 1.7e+308]")
@@ -648,7 +671,7 @@ class TestNormalizationRules:
 
 class TestNormalization:
     def test_midpoint_symmetry(self):
-        frame = frame_from_columns(
+        frame = TimeSeriesFrame(
             timesteps=[1, 2, 3], open=[0, 5, 10], high=[1, 6, 11],
             low=[0, 5, 10], volume=[1, 1, 1], close=[0, 5, 10])
         spec = fit_normalization(frame, ["open"])
@@ -656,7 +679,7 @@ class TestNormalization:
         assert np.allclose(out, [-1, 0, 1])
 
     def test_symmetric_range(self):
-        frame = frame_from_columns(
+        frame = TimeSeriesFrame(
             timesteps=[1, 2], open=[-3, 3], high=[3, 4], low=[-4, 3],
             volume=[1, 1], close=[-3, 3])
         spec = fit_normalization(frame, ["close"])
@@ -687,7 +710,7 @@ class TestNormalization:
         assert np.allclose(back, sample_frame.close, rtol=1e-12)
 
     def test_constant_channel_error(self):
-        frame = frame_from_columns(
+        frame = TimeSeriesFrame(
             timesteps=[1, 2], open=[5, 5], high=[6, 6], low=[4, 4],
             volume=[1, 2], close=[1, 2])
         with pytest.raises(ValidationError,
@@ -706,7 +729,7 @@ class TestNormalization:
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, values):
         n = len(values)
-        frame = frame_from_columns(
+        frame = TimeSeriesFrame(
             timesteps=np.arange(n), open=values, high=np.ones(n),
             low=np.zeros(n), volume=np.ones(n), close=values)
         spec = fit_normalization(frame, ["open"])

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 import tracemalloc
 
@@ -181,6 +183,25 @@ class TestWeightLayout:
             seed = int(rng.integers(1 << 30))
             assert np.array_equal(init_weights(net.config, seed).theta,
                                   reference_init_weights(net.config, seed))
+
+    @pytest.mark.parametrize("copier", [
+        copy.copy, copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copy_goes_through_the_constructor(self, copier):
+        config = NarxConfig(d_u=(0, 1), d_y=(1, 2), n_hidden=3, n_exo=2)
+        net = init_weights(config, 4)
+        net.feedback_matrix  # cached in the instance __dict__
+        other = copier(net)
+        assert "feedback_matrix" not in vars(other)  # rebuilt, not copied
+        assert other.config == config and np.array_equal(other.theta, net.theta)
+        assert not other.theta.flags.writeable
+        for name in BLOCK_NAMES[:4]:
+            view = getattr(other, name)
+            assert np.shares_memory(view, other.theta) and not view.flags.writeable, name
+        assert other.b_o == net.b_o
+        assert np.array_equal(other.feedback_matrix, net.feedback_matrix)
+        assert other != net and other == other  # identity
+        assert len({net, other}) == 2
 
     @pytest.mark.parametrize("size", [0, 5, 7])
     def test_wrong_length_rejected(self, size):

@@ -134,6 +134,16 @@ class TestRunSweep:
             SweepGrid(*axes, FAST)
 
     @pytest.mark.parametrize("axes, message", [
+        ((((0, 1),), ((1,),), (3, 0)), "n_hidden must be >= 1"),
+        ((((0, 1), (-1, 0)), ((1,),), (3,)), "input lags must be >= 0"),
+        ((((0, 1),), ((1,), (0, 1)), (3,)), "feedback lags must be >= 1"),
+        ((((0, 1),), ((1,), ()), (3,)), "lag sets must be non-empty"),
+    ], ids=["neurons", "input-delay", "feedback-delay", "empty-lag-set"])
+    def test_bad_candidate_rejected(self, axes, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SweepGrid(*axes, FAST)
+
+    @pytest.mark.parametrize("axes, message", [
         ((((0, 1), (1, 0)), ((1,),), (3,)), "input-delay axis repeats the candidate (0, 1)"),
         ((((0, 1),), ((1,), (2,), (1,)), (3,)), "feedback-delay axis repeats the candidate (1,)"),
         ((((0, 1),), ((1,),), (2, 3, 2.0)), "neuron axis repeats the candidate 2"),
