@@ -97,7 +97,8 @@ class TimeSeriesFrame:
     This is the one frame constructor, and it takes any sequences: the
     timesteps become int64 and each channel float64 through ``np.asarray``,
     so an array that has that dtype already is kept, not copied.  An
-    omitted ``adj_close`` is a copy of ``close``.
+    omitted ``adj_close`` is a copy of ``close``.  A column that is not 1-D
+    raises ``ValidationError`` naming it.
     """
 
     timesteps: np.ndarray
@@ -111,9 +112,12 @@ class TimeSeriesFrame:
     def __post_init__(self):
         if self.adj_close is None:
             object.__setattr__(self, "adj_close", np.array(self.close, dtype=float))
-        object.__setattr__(self, "timesteps", np.asarray(self.timesteps, dtype=np.int64))
-        for name in CHANNELS:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("timesteps",) + CHANNELS:
+            column = np.asarray(getattr(self, name),
+                                dtype=np.int64 if name == "timesteps" else float)
+            if column.ndim != 1:
+                raise ValidationError(f"column {name!r} of shape {column.shape} is not 1-D")
+            object.__setattr__(self, name, column)
         n = len(self.timesteps)
         if n < 1:
             raise ValidationError("frame must contain at least one row")
@@ -369,7 +373,8 @@ class NormalizationSpec:
     or one whose width overflows, raises ``ValidationError`` however the
     spec is built (``fit_normalization``, ``from_dict`` or directly).  The
     maps divide by the width before they scale, so no finite value within
-    the range overflows.
+    the range overflows; a value so far outside it that its image is not
+    finite raises ``ValidationError`` naming the channel and its range.
     """
 
     ranges: dict  # channel -> (min, max)
@@ -384,7 +389,12 @@ class NormalizationSpec:
             raise KeyError(f"channel {channel!r} not in normalization spec")
         mn, mx = self.ranges[channel]
         values = np.asarray(values, dtype=float)
-        return NORM_LO + (values - mn) / (mx - mn) * (NORM_HI - NORM_LO)
+        with np.errstate(over="ignore"):
+            mapped = NORM_LO + (values - mn) / (mx - mn) * (NORM_HI - NORM_LO)
+        if not np.isfinite(mapped).all():
+            raise ValidationError(f"channel {channel!r} has a value too far outside its range"
+                                  f" [{mn}, {mx}] to normalize")
+        return mapped
 
     def invert_values(self, values, channel: str) -> np.ndarray:
         if channel not in self.ranges:

@@ -9,6 +9,7 @@ MAX_LAG = 20 against the 95% white-noise band +/- 1.96 / sqrt(n).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,14 +25,21 @@ def confidence_bound(n: int) -> float:
     return Z_95 / math.sqrt(n)
 
 
+def _mse(errors) -> float:
+    """mean(errors^2): the one MSE, of ``diagnose``, ``training.msereg`` and
+    ``training.train``'s epoch log."""
+    return float(np.mean(errors ** 2))
+
+
 def regression_r(outputs, targets) -> float:
     """Pearson correlation coefficient between outputs and targets.
 
     Zero variance leaves R undefined and raises ``UndefinedStatisticError``.
-    The denominator is ``sqrt(a * b)`` of the two sums of squares; when only
-    that product overflows it is ``sqrt(a) * sqrt(b)``, and R, which may
-    then round past 1, is clipped to [-1, 1].  A sum of squares that
-    overflows itself raises too.
+    The denominator is ``sqrt(a * b)`` of the two sums of squares; when that
+    product overflows, or underflows below the normal floats (where its root
+    loses bits or is 0), it is ``sqrt(a) * sqrt(b)``, and R, which may then
+    round past 1, is clipped to [-1, 1].  A sum of squares that overflows
+    itself raises too.
     """
     outputs = np.asarray(outputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -40,15 +48,15 @@ def regression_r(outputs, targets) -> float:
     o = outputs - outputs.sum() / outputs.size
     t = targets - targets.sum() / targets.size
     a, b = float(o @ o), float(t @ t)  # Python floats overflow to inf without a warning
-    denom = math.sqrt(a * b)
-    if denom == 0.0:
+    if a == 0.0 or b == 0.0:
         raise UndefinedStatisticError("zero variance: R undefined")
-    if denom == math.inf:
+    ab = a * b
+    if ab == math.inf or ab < sys.float_info.min:  # a NaN passes neither test
         denom = math.sqrt(a) * math.sqrt(b)
         if denom == math.inf:
             raise UndefinedStatisticError("variance overflows: R undefined")
         return min(max(float((o @ t) / denom), -1.0), 1.0)
-    return float((o @ t) / denom)  # a NaN output leaves R NaN, which the verdict rejects
+    return float((o @ t) / math.sqrt(ab))  # a NaN output leaves R NaN, which the verdict rejects
 
 
 def max_divergence(outputs, targets) -> float:
@@ -218,9 +226,10 @@ def diagnose(outputs_price, targets_price, errors_norm, exo_channels_norm,
     targets_price = np.asarray(targets_price, dtype=float)
     errors_norm = np.asarray(errors_norm, dtype=float)
     n = errors_norm.size
-    mse = float((errors_norm ** 2).sum() / n)
-    if n and not math.isfinite(mse):  # no errors: regression_r says so below
-        raise UndefinedStatisticError(f"MSE overflows: {mse} over {n} normalized errors")
+    if n:  # an empty residual raises below, before mse is read
+        mse = _mse(errors_norm)
+        if not math.isfinite(mse):
+            raise UndefinedStatisticError(f"MSE overflows: {mse} over {n} normalized errors")
     r = regression_r(outputs_price, targets_price)
     div = max_divergence(outputs_price, targets_price)
 

@@ -195,27 +195,24 @@ def init_weights(config: NarxConfig, seed: int) -> NarxNetwork:
         rng.uniform(-r_out, r_out, size=config.n_params - split)]))
 
 
-def _check_dataset(net: NarxNetwork, X: np.ndarray, Y_hist: np.ndarray):
-    c = net.config
+def _forward(net: NarxNetwork, dataset):
+    """(a, yhat): the open loop's hidden activations (S, N) and outputs (S,),
+    with true lagged targets in the feedback taps.  The one open-loop pass:
+    ``forward_open`` returns its outputs and ``jacobian`` differentiates it."""
+    X, Y_hist, c = dataset.X, dataset.Y_hist, net.config
     if X.ndim != 2 or X.shape[1] != c.n_input_taps:
         raise ShapeError(f"X width {X.shape} != {c.n_input_taps} input taps")
     if Y_hist.ndim != 2 or Y_hist.shape[1] != len(c.d_y):
         raise ShapeError(f"Y_hist width {Y_hist.shape} != {len(c.d_y)} feedback taps")
     if X.shape[0] != Y_hist.shape[0]:
         raise ShapeError("X and Y_hist row counts differ")
-
-
-def _hidden_activation(net: NarxNetwork, X, Y_hist):
-    z = X @ net.W_ih.T + Y_hist @ net.W_yh.T + net.b_h
-    return np.tanh(z)
+    a = np.tanh(X @ net.W_ih.T + Y_hist @ net.W_yh.T + net.b_h)
+    return a, a @ net.W_ho + net.b_o
 
 
 def forward_open(net: NarxNetwork, dataset) -> np.ndarray:
     """One-step predictions with true lagged targets in the feedback taps."""
-    X, Y_hist = dataset.X, dataset.Y_hist
-    _check_dataset(net, X, Y_hist)
-    a = _hidden_activation(net, X, Y_hist)
-    return a @ net.W_ho + net.b_o
+    return _forward(net, dataset)[1]
 
 
 def jacobian(net: NarxNetwork, dataset):
@@ -225,21 +222,18 @@ def jacobian(net: NarxNetwork, dataset):
     residual k; rows are independent because open-loop evaluation is a static
     feedforward pass.
     """
-    X, Y_hist = dataset.X, dataset.Y_hist
-    _check_dataset(net, X, Y_hist)
-    a = _hidden_activation(net, X, Y_hist)               # (S, N)
-    yhat = a @ net.W_ho + net.b_o
+    a, yhat = _forward(net, dataset)                     # a: (S, N)
     F = yhat - dataset.T
 
-    S, c = X.shape[0], net.config
+    S, c = a.shape[0], net.config
     W_ih, W_yh, b_h, W_ho, b_o = _blocks(c)
     # back-prop through the linear output and tanh hidden layer
     da = (1.0 - a * a) * net.W_ho                        # (S, N): dyhat/dz_h
     # one (S, P) array filled block by block; the weight blocks are written
     # through (S, N, taps) views of their columns
     J = np.empty((S, c.n_params))
-    np.einsum("si,sp->sip", da, X, out=J[:, W_ih].reshape(S, *net.W_ih.shape))
-    np.einsum("si,sp->sip", da, Y_hist, out=J[:, W_yh].reshape(S, *net.W_yh.shape))
+    np.einsum("si,sp->sip", da, dataset.X, out=J[:, W_ih].reshape(S, *net.W_ih.shape))
+    np.einsum("si,sp->sip", da, dataset.Y_hist, out=J[:, W_yh].reshape(S, *net.W_yh.shape))
     J[:, b_h] = da
     J[:, W_ho] = a
     J[:, b_o] = 1.0
@@ -261,7 +255,8 @@ class ClosedLoopNarx:
     def simulate(self, primer_y, taps, innovations=None) -> np.ndarray:
         """Roll the network forward for H = len(taps) steps.
 
-        primer_y: 1-D trailing true targets, at least max(d_y) values.
+        primer_y: 1-D true targets before the first step, at least max(d_y)
+            values; the last max(d_y) of them prime the feedback taps.
         taps: (H, n_input_taps) exogenous taps, one row per step, laid out
             as DelayedDataset.X's rows (``pipeline.simulate`` passes those).
         innovations: optional (H,) values, one per step.  Value k is added to

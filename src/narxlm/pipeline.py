@@ -190,8 +190,7 @@ def simulate(net: NarxNetwork, prep: PreparedData, start_row: int, horizon: int)
         raise InsufficientDataError(
             f"horizon {horizon} from row {start_row} exceeds frame length {len(frame)}")
     y = frame.channel(prep.target_channel)
-    preds = ClosedLoopNarx(net).simulate(y[start_row - max(c.d_y):start_row],
-                                         dataset.X[k:k + horizon])
+    preds = ClosedLoopNarx(net).simulate(y[:start_row], dataset.X[k:k + horizon])
     rows = slice(start_row, start_row + horizon)
     return frame.timesteps[rows], preds, y[rows].copy()
 

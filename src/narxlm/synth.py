@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import (
+    DEFAULT_EXO_CHANNELS,
     DelayedDataset,
     TimeSeriesFrame,
     _delayed,
@@ -109,7 +110,7 @@ def synthetic_ohlcv_frame(n_rows: int, seed: int, n_hidden: int = 5,
         timesteps=734506 + np.arange(n_rows),
         open=open_, high=high, low=low, volume=volume, close=base,
     )
-    exo = ("open", "high", "low", "volume")
+    exo = DEFAULT_EXO_CHANNELS
     spec = fit_normalization(frame0, exo)
     U = np.column_stack([spec.apply_values(frame0.channel(ch), ch) for ch in exo])
 

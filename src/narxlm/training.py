@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .diagnostics import _mse
 from .errors import DivergedError, ValidationError
 from .network import NarxConfig, NarxNetwork, forward_open, init_weights, jacobian
 
@@ -101,7 +102,7 @@ def msereg(errors, weights, xi, bias_mask=None):
     weights = np.asarray(weights, dtype=float)
     if errors.size == 0 or weights.size == 0:
         raise ValidationError("msereg needs non-empty errors and weights")
-    mse = float(np.mean(errors ** 2))
+    mse = _mse(errors)
     if xi == 1.0:
         return mse
     if bias_mask is not None:
@@ -168,7 +169,7 @@ def lm_step(A, b, lam):
 def _block_mse(net, block):
     if block.n_samples == 0:
         return 0.0
-    return float(np.mean((forward_open(net, block) - block.T) ** 2))
+    return _mse(forward_open(net, block) - block.T)
 
 
 def _subset(dataset, idx):
@@ -224,7 +225,7 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
                 break
             lam *= params.mu_inc
 
-        train_mse = float(np.mean(err ** 2))  # err: net's train-block residual
+        train_mse = _mse(err)  # err: net's train-block residual
         val_mse = _block_mse(net, val_set)
         test_mse = _block_mse(net, test_set)
         records.append(EpochRecord(epoch, obj, train_mse, val_mse, test_mse, grad_norm, lam))

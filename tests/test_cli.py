@@ -6,6 +6,7 @@ import io
 import json
 import os
 import platform
+import re
 import tempfile
 import warnings
 
@@ -672,6 +673,24 @@ class TestInputValidation:
         rc = cli.main(["train", "--csv", str(bad), "--out", str(out), *FAST_FLAGS])
         assert rc == cli.EXIT_VALIDATION
         assert "non-finite close" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_value_too_far_outside_its_range(self, tmp_path, capsys):
+        frame, _ = synthetic_ohlcv_frame(220, seed=99, noise_std=0.02)
+        open_ = 1e308 + (frame.open - frame.open.min()) / np.ptp(frame.open) * 0.5e308
+        open_[-1] = -1.7e308  # past the fitted rows, too far below their range to map
+        bad = tmp_path / "far.csv"
+        frame_to_csv(dataclasses.replace(frame, open=open_), bad)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["train", "--csv", str(bad), "--out", str(out), "--neurons", "3",
+                           "--epochs", "5", "--restarts", "1"])
+        assert not caught
+        assert rc == cli.EXIT_VALIDATION
+        assert re.fullmatch(r"error: channel 'open' has a value too far outside its range"
+                            r" \[1\.\d+e\+308, 1\.5e\+308\] to normalize\n",
+                            capsys.readouterr().err)
         assert not out.exists()
 
     def test_byte_order_mark(self, trained_dir, data_csv, tmp_path):

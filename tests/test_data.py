@@ -606,6 +606,15 @@ class TestFrameConstructor:
         for name in CHANNELS:
             assert np.shares_memory(frame.channel(name), close), name
 
+    @pytest.mark.parametrize("columns, message", [
+        ((5, 1, 1, 1, 1, 1), "column 'timesteps' of shape () is not 1-D"),
+        (([1, 2], [[1, 2], [3, 4]], [2, 2], [1, 1], [1, 1], [1, 2]),
+         "column 'open' of shape (2, 2) is not 1-D"),
+    ], ids=["scalar", "two-dimensional"])
+    def test_column_that_is_not_1d_rejected(self, columns, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            TimeSeriesFrame(*columns)
+
 
 BAD_RANGES = {
     "constant": (5.0, 5.0), "reversed": (6.0, 5.0), "nan-min": (np.nan, 5.0),
@@ -646,6 +655,17 @@ class TestNormalizationRules:
             back = spec.invert_values(norm, "volume")
         assert norm[0] == -1.0 and norm[2] == 1.0 and -1.0 < norm[1] < 1.0
         assert np.isfinite(back).all() and back[2] == 1.7e308
+
+    def test_value_too_far_outside_its_range_rejected(self):
+        # -5e307 maps to a finite -7; -1.7e308 - 1e308 overflows to -inf
+        spec = NormalizationSpec({"close": (20.0, 22.0), "open": (1e308, 1.5e308)})
+        message = re.escape("channel 'open' has a value too far outside its range"
+                            " [1e+308, 1.5e+308] to normalize")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spec.apply_values([-5e307], "open")[0] == pytest.approx(-7.0)
+            with pytest.raises(ValidationError, match=message):
+                spec.apply_values([1.2e308, -1.7e308], "open")
 
     @pytest.mark.parametrize("mn, mx", BAD_RANGES.values(), ids=BAD_RANGES.keys())
     def test_bad_range_rejected_however_built(self, mn, mx):

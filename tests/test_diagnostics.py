@@ -60,6 +60,14 @@ class TestRegressionR:
         assert regression_r(x, np.linspace(-1.0, 1.0, 50) ** 3 * 1e100) == pytest.approx(
             regression_r(x / 1e100, np.linspace(-1.0, 1.0, 50) ** 3), rel=1e-14)
 
+    @pytest.mark.parametrize("scale", [1e-80, 1e-100])
+    def test_underflowing_product_of_variances(self, scale):
+        # at 1e-100 each sum of squares (about 1.7e-199) is non-zero, their product
+        # rounds to 0; at 1e-80 it is subnormal and its root lost bits (R read -1.0000003)
+        x = np.linspace(-1.0, 1.0, 50) * scale
+        assert regression_r(x, x[::-1]) == -1.0
+        assert regression_r(x, x) == 1.0
+
     def test_zero_variance_message(self):
         with pytest.raises(UndefinedStatisticError, match="^zero variance: R undefined$"):
             regression_r(np.arange(10.0), np.ones(10))
@@ -218,6 +226,11 @@ class TestCorrelationReference:
         with pytest.raises(UndefinedStatisticError):
             diagnose(targets, targets, errors,
                      {"open": rng.normal(size=40), "high": np.ones(40)})
+
+    def test_diagnose_rejects_an_empty_residual(self):
+        # the MSE of no errors is not taken, so no 0 / 0 warns first
+        with pytest.raises(ValidationError):
+            diagnose([], [], [], {})
 
     def test_diagnose_rejects_an_overflowing_mse(self):
         rng = np.random.default_rng(14)
