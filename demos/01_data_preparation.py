@@ -14,7 +14,6 @@ from narxlm.data import (
     apply_normalization,
     load_ohlcv,
     prepare_delayed,
-    split_indices,
 )
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
 
@@ -40,6 +39,7 @@ print(f"supervised samples: {dataset.n_samples}")
 print(f"regressor width: {dataset.X.shape[1]} exogenous + "
       f"{dataset.Y_hist.shape[1]} feedback taps")
 
-train_idx, val_idx, test_idx = split_indices(dataset.n_samples)
+# the dataset owns its 70/15/15 blocks, which training and scoring read
+train_idx, val_idx, test_idx = dataset.splits
 print(f"split sizes: train {len(train_idx)}, val {len(val_idx)}, "
       f"test {len(test_idx)} (contiguous temporal blocks)")

@@ -244,9 +244,11 @@ def cmd_train(args) -> int:
 
     lines = ["epoch,train_objective,train_mse,val_mse,test_mse,grad_norm,lambda"]
     lines += [",".join(map(repr, dataclasses.astuple(r))) for r in report.records]
+    splits = {name: [int(idx[0]), int(idx[-1]) + 1]
+              for name, idx in zip(("train", "val", "test"), prep.dataset.splits)}
     _write_outputs(args, digest, {
         MODEL_FILE: model_json(report.network, prep),
-        TRAIN_REPORT_FILE: json.dumps(report.to_dict(), indent=2),
+        TRAIN_REPORT_FILE: json.dumps({**report.to_dict(), "splits": splits}, indent=2),
         EPOCHS_FILE: "\n".join(lines) + "\n",
         DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2),
     })

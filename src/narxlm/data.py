@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import string
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -98,7 +99,8 @@ class TimeSeriesFrame:
     timesteps become int64 and each channel float64 through ``np.asarray``,
     so an array that has that dtype already is kept, not copied.  An
     omitted ``adj_close`` is a copy of ``close``.  A column that is not 1-D
-    raises ``ValidationError`` naming it.
+    raises ``ValidationError`` naming it, and so does a NaN or infinite
+    channel value, with its row.
     """
 
     timesteps: np.ndarray
@@ -122,8 +124,14 @@ class TimeSeriesFrame:
         if n < 1:
             raise ValidationError("frame must contain at least one row")
         for name in CHANNELS:
-            if len(getattr(self, name)) != n:
+            column = getattr(self, name)
+            if len(column) != n:
                 raise ValidationError(f"channel {name!r} length mismatch")
+            bad = ~np.isfinite(column)
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise ValidationError(f"channel {name!r} has non-finite value {column[row]}"
+                                      f" at row {row}")
         # compared, not subtracted: a difference of int64 days can overflow
         if n > 1 and not np.all(self.timesteps[1:] > self.timesteps[:-1]):
             raise ValidationError("timesteps must be strictly increasing")
@@ -467,6 +475,25 @@ class DelayedDataset:
     def n_samples(self) -> int:
         return len(self.T)
 
+    @cached_property
+    def splits(self) -> tuple:
+        """The (train, validation, test) sample blocks, ``split_indices`` of
+        the samples, built once per dataset and cached in its ``__dict__``."""
+        return split_indices(self.n_samples)
+
+    def subset(self, idx) -> "DelayedDataset":
+        """The samples ``idx`` for a forward pass over them alone.  The lags
+        and ``first_usable_index`` are this dataset's, so sample k of the
+        subset is frame row ``first_usable_index + idx[k]``, not ``+ k``.
+        A block that is not a non-empty 1-D array of integer sample indices
+        in [0, n_samples) raises ``ValidationError``."""
+        idx = np.asarray(idx)
+        if not (idx.ndim == 1 and idx.size and idx.dtype.kind in "iu"
+                and 0 <= idx.min() and idx.max() < self.n_samples):
+            raise ValidationError(
+                f"a block must be non-empty integer sample indices in [0, {self.n_samples})")
+        return replace(self, X=self.X[idx], Y_hist=self.Y_hist[idx], T=self.T[idx])
+
 
 def _check_lags(d_u, d_y):
     """(d_u, d_y) as sorted int tuples, after checking the NARX lag rules."""
@@ -508,6 +535,14 @@ def _taps(cols, lags, ks) -> np.ndarray:
     return np.column_stack([u[ks - lag] for u in cols for lag in lags])
 
 
+def _sample_count(n_rows: int, max_lag: int) -> int:
+    """The samples that ``n_rows`` frame rows give at largest lag ``max_lag``."""
+    if n_rows <= max_lag:
+        raise InsufficientDataError(
+            f"frame has {n_rows} rows but max lag {max_lag} needs at least {max_lag + 1}")
+    return n_rows - max_lag
+
+
 def _delayed(exo_cols, y, d_u, d_y) -> DelayedDataset:
     """Tapped delay lines over the exogenous columns and the target ``y``.
 
@@ -515,12 +550,7 @@ def _delayed(exo_cols, y, d_u, d_y) -> DelayedDataset:
     """
     d_u, d_y = _check_lags(d_u, d_y)
     max_lag = max(max(d_u), max(d_y))
-    n = len(y)
-    if n <= max_lag:
-        raise InsufficientDataError(
-            f"frame has {n} rows but max lag {max_lag} needs at least {max_lag + 1}"
-        )
-    ks = np.arange(max_lag, n)
+    ks = max_lag + np.arange(_sample_count(len(y), max_lag))
     return DelayedDataset(X=_taps(exo_cols, d_u, ks), Y_hist=_taps([y], d_y, ks),
                           T=y[ks].copy(), d_u=d_u, d_y=d_y, first_usable_index=max_lag)
 

@@ -24,6 +24,7 @@ from .data import (
     TimeSeriesFrame,
     _check_channels,
     _check_lags,
+    _sample_count,
     apply_normalization,
     fit_normalization,
     prepare_delayed,
@@ -37,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .network import ClosedLoopNarx, NarxConfig, NarxNetwork, forward_open
-from .training import TrainParams, TrainReport, _subset, msereg, train_with_restarts
+from .training import TrainParams, TrainReport, msereg, train_with_restarts
 
 MODEL_KEYS = ("config", "weights", "normalization", "exo_channels", "target_channel")
 
@@ -47,9 +48,13 @@ class PreparedData:
     frame: TimeSeriesFrame          # normalized
     norm_spec: NormalizationSpec
     dataset: DelayedDataset
-    splits: tuple
     exo_channels: tuple
     target_channel: str
+
+    @property
+    def splits(self) -> tuple:
+        """The dataset's (train, validation, test) sample blocks."""
+        return self.dataset.splits
 
 
 def prepare(raw_frame: TimeSeriesFrame, d_u, d_y,
@@ -67,17 +72,19 @@ def prepare(raw_frame: TimeSeriesFrame, d_u, d_y,
     exo_channels = _check_channels(exo_channels, target_channel)
     d_u, d_y = _check_lags(d_u, d_y)
     max_lag = max(d_u[-1], d_y[-1])
-    splits = split_indices(len(raw_frame) - max_lag)  # rejects fewer than 3 samples
+    # the split rule sizes the fit window, before the normalized dataset exists;
+    # it rejects fewer than 3 samples
+    train_idx = split_indices(_sample_count(len(raw_frame), max_lag))[0]
     if norm_spec is None:
         # rows feeding the training samples: everything up to the last train target
         norm_spec = fit_normalization(raw_frame, sorted(set(exo_channels) | {target_channel}),
-                                      fit_rows=max_lag + len(splits[0]))
+                                      fit_rows=max_lag + len(train_idx))
     for ch in exo_channels + (target_channel,):
         if ch not in norm_spec.ranges:
             raise ValidationError(f"normalization spec has no range for channel {ch!r}")
     frame = apply_normalization(raw_frame, norm_spec)
     dataset = prepare_delayed(frame, d_u, d_y, exo_channels, target_channel)
-    return PreparedData(frame, norm_spec, dataset, splits, exo_channels, target_channel)
+    return PreparedData(frame, norm_spec, dataset, exo_channels, target_channel)
 
 
 def model_json(net: NarxNetwork, prep: PreparedData) -> str:
@@ -136,7 +143,7 @@ def load_model(path, raw_frame: TimeSeriesFrame):
 def fit(prep: PreparedData, n_hidden: int, params: TrainParams, seed: int) -> TrainReport:
     config = NarxConfig(d_u=prep.dataset.d_u, d_y=prep.dataset.d_y,
                         n_hidden=n_hidden, n_exo=len(prep.exo_channels))
-    return train_with_restarts(config, prep.dataset, prep.splits, params, seed)
+    return train_with_restarts(config, prep.dataset, params, seed)
 
 
 def _score(prep: PreparedData, pred, targ, rows, msereg,
@@ -157,11 +164,12 @@ def evaluate_open(net: NarxNetwork, prep: PreparedData, idx=None, xi: float | No
     """Open-loop one-step diagnostics on a sample block (all samples if None).
 
     The network runs on the block's samples only, the forward pass ``train``
-    scores its blocks with.  The report's msereg is the training objective
-    with ``xi`` on the block, or None without ``xi``.
+    scores its blocks with; ``DelayedDataset.subset`` checks the block.
+    The report's msereg is the training objective with ``xi`` on the block,
+    or None without ``xi``.
     """
     dataset = prep.dataset
-    block = dataset if idx is None else _subset(dataset, idx)
+    block = dataset if idx is None else dataset.subset(idx)
     idx = np.arange(dataset.n_samples) if idx is None else np.asarray(idx)
     pred, targ = forward_open(net, block), block.T
     reg = None if xi is None else msereg(pred - targ, net.theta, xi, net.bias_mask())

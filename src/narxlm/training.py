@@ -10,7 +10,7 @@ stopping with best-weights restoration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class TrainReport:
     best_epoch: int
     network: NarxNetwork
     seed: int
-    splits: tuple = field(repr=False, default=None)  # train, val, test indices
 
     @property
     def best_val_mse(self) -> float:
@@ -88,8 +87,6 @@ class TrainReport:
             "best_val_mse": self.best_val_mse,
             "best_test_mse": self.best_test_mse,
             "final_train_objective": self.records[-1].train_objective,
-            "splits": {name: [int(idx[0]), int(idx[-1]) + 1]
-                       for name, idx in zip(("train", "val", "test"), self.splits)},
         }
 
 
@@ -167,23 +164,21 @@ def lm_step(A, b, lam):
 
 
 def _block_mse(net, block):
-    if block.n_samples == 0:
-        return 0.0
     return _mse(forward_open(net, block) - block.T)
 
 
-def _subset(dataset, idx):
-    return replace(dataset, X=dataset.X[idx], Y_hist=dataset.Y_hist[idx], T=dataset.T[idx])
-
-
-def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -> TrainReport:
+def train(config: NarxConfig, dataset, params: TrainParams, seed: int) -> TrainReport:
     """One LM run from a seeded random init, with early stopping.
+
+    It fits the dataset's training block, stops early on its validation
+    block and scores its test block (``dataset.splits``); the network runs
+    on one block at a time.
 
     The loop's weights are one immutable network, ``net``: a candidate is a
     new network on ``net.theta + d``, and the best epoch's network is kept
     as it is, with no copy.
     """
-    train_set, val_set, test_set = (_subset(dataset, idx) for idx in splits)
+    train_set, val_set, test_set = (dataset.subset(idx) for idx in dataset.splits)
 
     net = init_weights(config, seed)
     bias_mask = net.bias_mask()
@@ -261,11 +256,10 @@ def train(config: NarxConfig, dataset, splits, params: TrainParams, seed: int) -
         best_epoch=best_epoch,
         network=best,
         seed=seed,
-        splits=tuple(np.asarray(idx) for idx in splits),
     )
 
 
-def train_with_restarts(config: NarxConfig, dataset, splits, params: TrainParams,
+def train_with_restarts(config: NarxConfig, dataset, params: TrainParams,
                         seed: int) -> TrainReport:
     """Run ``params.restarts`` trainings with derived seeds; keep the best.
 
@@ -276,7 +270,7 @@ def train_with_restarts(config: NarxConfig, dataset, splits, params: TrainParams
     failures = []
     for i in range(params.restarts):
         try:
-            report = train(config, dataset, splits, params, seed + i)
+            report = train(config, dataset, params, seed + i)
         except DivergedError as exc:
             failures.append((seed + i, exc))
             continue

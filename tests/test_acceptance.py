@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from narxlm import cli
-from narxlm.data import TimeSeriesFrame, split_indices
+from narxlm.data import TimeSeriesFrame
 from narxlm.diagnostics import confidence_bound
 from narxlm.network import NarxConfig, NarxNetwork, forward_open, init_weights, jacobian
 from narxlm.pipeline import evaluate_open, fit, prepare, simulate, simulate_diagnostics
@@ -99,13 +99,12 @@ def test_teacher_student_recovery():
     t0 = time.perf_counter()
     _, _, _, ds = teacher_dataset(500, seed=103, n_hidden=5,
                                   d_u=(0, 1), d_y=(1,))
-    splits = split_indices(ds.n_samples)
     config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=5, n_exo=2)
     params = TrainParams(xi=1.0, goal=1e-8, min_grad=1e-12, epochs=1000,
                          max_fail=1000)
     recovered = 0
     for i in range(10):
-        report = train(config, ds, splits, params, seed=500 + i)
+        report = train(config, ds, params, seed=500 + i)
         final = report.records[-1]
         if final.train_mse < 1e-6:
             recovered += 1

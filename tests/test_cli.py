@@ -65,6 +65,16 @@ class TestTrain:
                                          "epochs-exhausted", "mu-max"}
         assert report["best_epoch"] <= report["n_epochs"] - 1
 
+    def test_splits_are_the_datasets_blocks(self, trained_dir, data_csv):
+        with open(os.path.join(trained_dir, cli.TRAIN_REPORT_FILE)) as fh:
+            report = json.load(fh)
+        _, prep = pipeline.load_model(os.path.join(trained_dir, cli.MODEL_FILE),
+                                      narxlm.load_ohlcv(data_csv))
+        a, b, _ = map(len, prep.dataset.splits)
+        n = prep.dataset.n_samples
+        assert list(report)[-1] == "splits"
+        assert report["splits"] == {"train": [0, a], "val": [a, a + b], "test": [a + b, n]}
+
     def test_epochs_csv_shape(self, trained_dir):
         lines = open(os.path.join(trained_dir, cli.EPOCHS_FILE)).read().splitlines()
         assert lines[0].startswith("epoch,train_objective")

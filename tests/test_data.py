@@ -615,6 +615,20 @@ class TestFrameConstructor:
         with pytest.raises(ValidationError, match=re.escape(message)):
             TimeSeriesFrame(*columns)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", CHANNELS)
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_non_finite_channel_value_rejected(self, name, value, row):
+        # without the rule, a NaN high passed validate_prices and a NaN open
+        # reached prepare as a value outside its normalization range
+        columns = {k: np.array(v, dtype=np.int64 if k == "timesteps" else float)
+                   for k, v in TABLE_ROWS.items()}
+        columns[name][row] = value
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"channel {name!r} has non-finite value {value}"
+                                           f" at row {row}")):
+            TimeSeriesFrame(**columns)
+
 
 BAD_RANGES = {
     "constant": (5.0, 5.0), "reversed": (6.0, 5.0), "nan-min": (np.nan, 5.0),
@@ -786,8 +800,29 @@ class TestPrepareDelayed:
         assert ds.T[k] == 20.94
 
     def test_insufficient_data(self, sample_frame):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError,
+                           match=re.escape("frame has 5 rows but max lag 5 needs at least 6")):
             prepare_delayed(sample_frame, d_u=(0,), d_y=(5,))
+
+    def test_dataset_owns_its_splits(self):
+        frame, _ = synthetic_ohlcv_frame(60, seed=3, noise_std=0.02)
+        ds = prepare_delayed(frame, (0, 1), (1, 2))
+        assert ds.splits is ds.splits  # built once
+        for got, want in zip(ds.splits, split_indices(ds.n_samples), strict=True):
+            assert np.array_equal(got, want)
+
+    def test_subset_keeps_the_lags_and_takes_the_rows(self):
+        frame, _ = synthetic_ohlcv_frame(60, seed=3, noise_std=0.02)
+        ds = prepare_delayed(frame, (0, 1), (1, 2))
+        idx = np.array([4, 0, 9])
+        sub = ds.subset(idx)
+        for name in ("X", "Y_hist", "T"):
+            assert np.array_equal(getattr(sub, name), getattr(ds, name)[idx]), name
+        assert (sub.d_u, sub.d_y, sub.first_usable_index) == \
+            (ds.d_u, ds.d_y, ds.first_usable_index)
+        for bad in ([], [-1], [ds.n_samples], [[0, 1]], [0.0]):
+            with pytest.raises(ValidationError, match="a block must be non-empty integer"):
+                ds.subset(bad)
 
     def test_lag_zero_feedback_rejected(self, sample_frame):
         with pytest.raises(ValidationError, match="lag"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,52 @@ def test_prepare_needs_three_samples(rows, d_y, got):
                        match=f"^need at least 3 samples to split, got {got}$"):
         prepare(frame.slice(0, rows), (0, 1), d_y)
     assert prepare(frame.slice(0, rows + 3 - got), (0, 1), d_y).dataset.n_samples == 3
+
+
+@pytest.mark.parametrize("rows, d_y", [(5, (10,)), (10, (10,)), (1, (1,)), (3, (1, 3))])
+def test_prepare_names_the_rows_and_the_lag(rows, d_y):
+    # a frame with no more rows than its largest lag gives no sample at all
+    frame, _ = synthetic_ohlcv_frame(40, seed=1234, noise_std=0.02)
+    lag = d_y[-1]
+    message = f"frame has {rows} rows but max lag {lag} needs at least {lag + 1}"
+    with pytest.raises(InsufficientDataError, match=f"^{re.escape(message)}$"):
+        prepare(frame.slice(0, rows), (0,), d_y)
+
+
+def test_prepared_splits_are_the_datasets():
+    frame, _ = synthetic_ohlcv_frame(60, seed=1234, noise_std=0.02)
+    prep = prepare(frame, (0, 1), (1,))
+    assert prep.splits is prep.dataset.splits
+    # the normalization is fitted on the rows up to the last training target
+    fit_rows = prep.dataset.first_usable_index + len(prep.splits[0])
+    assert prep.norm_spec == fit_normalization(frame, sorted(EXO + ("close",)), fit_rows)
+
+
+BAD_BLOCKS = {
+    "empty": [],
+    "negative": np.arange(-50, 0),
+    "past-the-end": lambda n: np.arange(n - 5, n + 1),
+    "two-dimensional": [[0, 1], [2, 3]],
+    "boolean": lambda n: np.ones(n, dtype=bool),
+    "float": [0.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("kind", BAD_BLOCKS)
+def test_evaluate_open_rejects_a_bad_block(kind):
+    # a negative index scored the right rows' MSE but read the cross-
+    # correlations' exogenous rows before the first usable one
+    frame, _ = synthetic_ohlcv_frame(120, seed=29, noise_std=0.01)
+    prep = prepare(frame, (0, 1), (1,))
+    net = init_weights(NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=4), 3)
+    n = prep.dataset.n_samples
+    idx = BAD_BLOCKS[kind](n) if callable(BAD_BLOCKS[kind]) else BAD_BLOCKS[kind]
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"a block must be non-empty integer sample indices"
+                                       f" in [0, {n})")):
+        evaluate_open(net, prep, idx=idx)
+    # the first and the last sample alone are blocks
+    assert evaluate_open(net, prep, idx=[0, n - 1]).mse >= 0.0
 
 
 @pytest.mark.parametrize("d_u, d_y, message", [

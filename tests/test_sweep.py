@@ -68,7 +68,7 @@ class TestRunSweep:
         norm = apply_normalization(frame, spec)
         ds = prepare_delayed(norm, (0, 1), (1,), EXO, "close")
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=4)
-        report = train_with_restarts(config, ds, splits, FAST, 5)
+        report = train_with_restarts(config, ds, FAST, 5)
         pred = forward_open(report.network, ds)
         exo = {ch: norm.channel(ch)[ds.first_usable_index:] for ch in EXO}
         diag = diagnose(spec.invert_values(pred, "close"),

@@ -186,28 +186,24 @@ def linear_ar_dataset(n=200, seed=0, noise=0.0):
 class TestTrain:
     def test_goal_met_on_noise_free_system(self):
         ds = linear_ar_dataset()
-        splits = split_indices(ds.n_samples)
         config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=2, n_exo=1)
         params = TrainParams(xi=1.0, goal=1e-5)
-        report = train(config, ds, splits, params, seed=1)
+        report = train(config, ds, params, seed=1)
         assert report.stop_reason == "goal-met"
         assert report.records[-1].train_objective <= 1e-5
 
     def test_accepted_objectives_decrease(self):
         _, _, _, ds = teacher_dataset(150, seed=5, noise_std=0.05)
-        splits = split_indices(ds.n_samples)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
-        report = train(config, ds, splits, TrainParams(xi=0.9, epochs=60),
-                       seed=2)
+        report = train(config, ds, TrainParams(xi=0.9, epochs=60), seed=2)
         objs = [r.train_objective for r in report.records]
         assert all(b < a + 1e-15 for a, b in zip(objs, objs[1:]))
 
     def test_max_fail_stops_training(self):
         _, _, _, ds = teacher_dataset(120, seed=6, noise_std=0.2)
-        splits = split_indices(ds.n_samples)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=8, n_exo=2)
         params = TrainParams(xi=1.0, goal=1e-12, min_grad=1e-12, max_fail=6)
-        report = train(config, ds, splits, params, seed=3)
+        report = train(config, ds, params, seed=3)
         if report.stop_reason == "max-fail":
             # exactly max_fail consecutive validation increases at the end
             vals = [r.val_mse for r in report.records]
@@ -219,25 +215,23 @@ class TestTrain:
 
     def test_best_epoch_restoration(self):
         _, _, _, ds = teacher_dataset(120, seed=7, noise_std=0.2)
-        splits = split_indices(ds.n_samples)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=6, n_exo=2)
         params = TrainParams(xi=1.0, goal=1e-12, min_grad=1e-12)
-        report = train(config, ds, splits, params, seed=4)
+        report = train(config, ds, params, seed=4)
         assert report.best_epoch <= len(report.records) - 1
         vals = [r.val_mse for r in report.records]
         assert report.best_epoch == int(np.argmin(vals))
         # restored network reproduces the recorded best validation MSE
-        val_idx = splits[1]
+        val_idx = ds.splits[1]
         sub_pred = forward_open(report.network, ds)[val_idx]
         got = float(np.mean((sub_pred - ds.T[val_idx]) ** 2))
         assert got == pytest.approx(vals[report.best_epoch], rel=1e-12)
 
     def test_lambda_never_exceeds_cap_silently(self):
         _, _, _, ds = teacher_dataset(80, seed=8)
-        splits = split_indices(ds.n_samples)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         params = TrainParams(xi=1.0, mu_max=10.0, epochs=200)
-        report = train(config, ds, splits, params, seed=5)
+        report = train(config, ds, params, seed=5)
         for r in report.records[:-1]:
             assert r.lam <= params.mu_max * params.mu_inc
 
@@ -251,11 +245,10 @@ class TestTrain:
         y = np.tanh(0.8 * u + 0.1 * rng.normal(size=200))
         ds = make_supervised(np.column_stack([u, u]), y, (0,), (1,))
         assert np.array_equal(ds.X[:, 0], ds.X[:, 1])
-        splits = split_indices(ds.n_samples)
         config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=4, n_exo=2)
         params = TrainParams(xi=1.0, mu0=mu0, epochs=30)
         for seed in range(20):
-            report = train(config, ds, splits, params, seed)
+            report = train(config, ds, params, seed)
             assert report.stop_reason in {"goal-met", "min-grad", "max-fail",
                                           "epochs-exhausted", "mu-max"}
             assert np.all(np.isfinite(report.network.theta))
@@ -266,10 +259,9 @@ class TestTrain:
             X=ds.X, Y_hist=ds.Y_hist, T=ds.T.copy(), d_u=ds.d_u, d_y=ds.d_y,
             first_usable_index=ds.first_usable_index)
         bad.T[0] = np.inf
-        splits = split_indices(ds.n_samples)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=2, n_exo=2)
         with pytest.raises(DivergedError):
-            train(config, bad, splits, TrainParams(xi=1.0), seed=0)
+            train(config, bad, TrainParams(xi=1.0), seed=0)
 
 
 def reference_lm_step(J, F, lam, weights, xi, bias_mask):
@@ -388,9 +380,9 @@ class TestMatchesReferenceLoop:
                              max_fail=60)
         for seed, n_hidden in ((0, 4), (1, 5), (2, 6)):
             config = NarxConfig(d_u=(0, 1), d_y=(1, 2), n_hidden=n_hidden, n_exo=4)
-            report = train(config, prep.dataset, prep.splits, params, seed)
+            report = train(config, prep.dataset, params, seed)
             theta, records, stop_reason, best_epoch = reference_train(
-                config, prep.dataset, prep.splits, params, seed)
+                config, prep.dataset, split_indices(prep.dataset.n_samples), params, seed)
             assert np.array_equal(report.network.theta, theta)
             assert report.records == records
             assert (report.stop_reason, report.best_epoch) == (stop_reason, best_epoch)
@@ -399,33 +391,30 @@ class TestMatchesReferenceLoop:
 class TestRestarts:
     def test_single_restart_equals_train(self):
         _, _, _, ds = teacher_dataset(100, seed=10)
-        splits = split_indices(ds.n_samples)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         params = TrainParams(xi=1.0, restarts=1, epochs=50)
-        a = train_with_restarts(config, ds, splits, params, seed=11)
-        b = train(config, ds, splits, params, seed=11)
+        a = train_with_restarts(config, ds, params, seed=11)
+        b = train(config, ds, params, seed=11)
         assert a.seed == b.seed
         assert np.array_equal(a.network.theta, b.network.theta)
 
     def test_best_not_worse_than_median(self):
         _, _, _, ds = teacher_dataset(120, seed=12, noise_std=0.1)
-        splits = split_indices(ds.n_samples)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=4, n_exo=2)
         params = TrainParams(xi=1.0, restarts=10, epochs=40,
                              goal=1e-12, min_grad=1e-12)
-        best = train_with_restarts(config, ds, splits, params, seed=13)
-        singles = [train(config, ds, splits, params, seed=13 + i).best_val_mse
+        best = train_with_restarts(config, ds, params, seed=13)
+        singles = [train(config, ds, params, seed=13 + i).best_val_mse
                    for i in range(10)]
         assert best.best_val_mse <= np.median(singles)
         assert best.best_val_mse == min(singles)
 
     def test_deterministic(self):
         _, _, _, ds = teacher_dataset(80, seed=14, noise_std=0.05)
-        splits = split_indices(ds.n_samples)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         params = TrainParams(xi=0.9, restarts=3, epochs=30)
-        a = train_with_restarts(config, ds, splits, params, seed=15)
-        b = train_with_restarts(config, ds, splits, params, seed=15)
+        a = train_with_restarts(config, ds, params, seed=15)
+        b = train_with_restarts(config, ds, params, seed=15)
         assert a.seed == b.seed
         assert np.array_equal(a.network.theta, b.network.theta)
 
@@ -496,14 +485,12 @@ def test_training_loads_no_scipy():
     code = textwrap.dedent("""
         import sys
         import narxlm
-        from narxlm.data import split_indices
         from narxlm.network import NarxConfig
         from narxlm.synth import teacher_dataset
         from narxlm.training import TrainParams, train_with_restarts
         _, _, _, ds = teacher_dataset(60, seed=1)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=2, n_exo=2)
-        train_with_restarts(config, ds, split_indices(ds.n_samples),
-                            TrainParams(restarts=2, epochs=5), seed=0)
+        train_with_restarts(config, ds, TrainParams(restarts=2, epochs=5), seed=0)
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         assert not loaded, loaded
     """)
