@@ -11,25 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import (
-    DEFAULT_EXO_CHANNELS,
-    DelayedDataset,
-    TimeSeriesFrame,
-    _delayed,
-    _taps,
-    fit_normalization,
-)
+from .data import DEFAULT_EXO_CHANNELS, TimeSeriesFrame, _taps, fit_normalization
 from .errors import ShapeError, ValidationError
 from .network import ClosedLoopNarx, NarxConfig, NarxNetwork, init_weights
-
-
-def make_supervised(U: np.ndarray, y: np.ndarray, d_u, d_y) -> DelayedDataset:
-    """DelayedDataset straight from raw arrays (U: (n, n_exo) or (n,), y: (n,))."""
-    U = np.column_stack([np.asarray(U, dtype=float)])  # a 1-D U is one column
-    y = np.asarray(y, dtype=float)
-    if U.shape[0] != y.shape[0]:
-        raise ValidationError("U and y must have equal length")
-    return _delayed(U.T, y, d_u, d_y)
 
 
 def drive_teacher(net: NarxNetwork, U: np.ndarray, seed: int | None = None,
@@ -55,24 +39,6 @@ def drive_teacher(net: NarxNetwork, U: np.ndarray, seed: int | None = None,
     y = np.zeros(n)
     y[ks] = ClosedLoopNarx(net).simulate(np.zeros(max(c.d_y)), _taps(U.T, c.d_u, ks), noise[ks])
     return y
-
-
-def teacher_dataset(n_samples: int, seed: int, n_hidden: int = 5,
-                    d_u=(0, 1), d_y=(1,), n_exo: int = 2,
-                    noise_std: float = 0.0):
-    """(teacher, U, y, dataset): a realizable supervised problem.
-
-    U is uniform on [-1, 1]; the returned dataset has exactly n_samples rows.
-    """
-    config = NarxConfig(d_u=tuple(d_u), d_y=tuple(d_y),
-                        n_hidden=n_hidden, n_exo=n_exo)
-    teacher = init_weights(config, seed)
-    max_lag = max(max(config.d_u), max(config.d_y))
-    n = n_samples + max_lag
-    rng = np.random.default_rng(seed + 1)
-    U = rng.uniform(-1.0, 1.0, size=(n, n_exo))
-    y = drive_teacher(teacher, U, seed=seed + 2, noise_std=noise_std)
-    return teacher, U, y, make_supervised(U, y, config.d_u, config.d_y)
 
 
 def synthetic_ohlcv_frame(n_rows: int, seed: int, n_hidden: int = 5,

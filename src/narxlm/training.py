@@ -90,11 +90,9 @@ class TrainReport:
         }
 
 
-def msereg(errors, weights, xi, bias_mask=None):
-    """xi * mean(errors^2) + (1 - xi) * mean(weights^2).
-
-    With a bias mask supplied, bias entries are dropped from the weight mean.
-    """
+def msereg(errors, weights, xi, bias_mask):
+    """xi * mean(errors^2) + (1 - xi) * mean(weights^2), the biases
+    (``bias_mask``) left out of the weight mean."""
     errors = np.asarray(errors, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if errors.size == 0 or weights.size == 0:
@@ -102,8 +100,7 @@ def msereg(errors, weights, xi, bias_mask=None):
     mse = _mse(errors)
     if xi == 1.0:
         return mse
-    if bias_mask is not None:
-        weights = weights[~np.asarray(bias_mask)]
+    weights = weights[~np.asarray(bias_mask)]
     msw = float(np.mean(weights ** 2)) if weights.size else 0.0
     return xi * mse + (1.0 - xi) * msw
 

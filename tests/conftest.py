@@ -1,7 +1,19 @@
+"""Fixtures and helpers shared by the test modules."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from narxlm.data import TimeSeriesFrame
+import narxlm
+from narxlm.data import TimeSeriesFrame, _delayed
+from narxlm.network import NarxConfig, init_weights
+from narxlm.synth import drive_teacher
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # Five days of INTC-like OHLCV rows used across the data tests.
 TABLE_ROWS = {
@@ -48,3 +60,43 @@ def random_frame(rng, n):
         close=base,
         adj_close=base * 0.9,
     )
+
+
+def outputs(directory):
+    """{relative path: bytes} of every file a run wrote under ``directory``
+    but its manifest, whose timestamp differs from run to run."""
+    root = pathlib.Path(directory)
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name != "manifest.json"}
+
+
+def make_supervised(U, y, d_u, d_y):
+    """DelayedDataset straight from raw arrays (U: (n, n_exo), y: (n,))."""
+    return _delayed(np.asarray(U, dtype=float).T, np.asarray(y, dtype=float), d_u, d_y)
+
+
+def teacher_dataset(n_samples, seed, n_hidden=5, d_u=(0, 1), d_y=(1,), n_exo=2,
+                    noise_std=0.0):
+    """A realizable supervised problem of exactly n_samples rows: a random
+    teacher network driven by exogenous inputs uniform on [-1, 1]."""
+    teacher = init_weights(NarxConfig(d_u=tuple(d_u), d_y=tuple(d_y), n_hidden=n_hidden,
+                                      n_exo=n_exo), seed)
+    rng = np.random.default_rng(seed + 1)
+    U = rng.uniform(-1.0, 1.0, size=(n_samples + max(max(d_u), max(d_y)), n_exo))
+    return make_supervised(U, drive_teacher(teacher, U, seed=seed + 2, noise_std=noise_std),
+                           d_u, d_y)
+
+
+def run_child(*args, cwd=None, exits=(0,), **env_vars):
+    """Run ``python *args`` on the package in src, check its exit code and
+    return its stdout.  The child sees no BLAS thread variable but
+    ``env_vars`` (importing narxlm set one here), and a RuntimeWarning is an
+    error there as it is here."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(env_vars, PYTHONPATH=os.path.dirname(os.path.dirname(narxlm.__file__)),
+               PYTHONWARNINGS="error::RuntimeWarning")
+    proc = subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode in exits, proc.stderr
+    return proc.stdout

@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -s` to see the summary lines.
 """
 
-import json
 import os
 import time
 
@@ -16,8 +15,10 @@ from narxlm.diagnostics import confidence_bound
 from narxlm.network import NarxConfig, NarxNetwork, forward_open, init_weights, jacobian
 from narxlm.pipeline import evaluate_open, fit, prepare, simulate, simulate_diagnostics
 from narxlm.sweep import SweepGrid, run_sweep, select_best
-from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame, teacher_dataset
+from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
 from narxlm.training import TrainParams, lm_step, normal_equations, train
+
+from conftest import make_supervised, outputs, teacher_dataset
 
 EXO = ("open", "high", "low", "volume")
 
@@ -38,7 +39,6 @@ def _random_setup(rng):
     config = NarxConfig(d_u=d_u, d_y=d_y, n_hidden=int(rng.integers(1, 8)),
                         n_exo=n_exo)
     net = init_weights(config, int(rng.integers(1 << 30)))
-    from narxlm.synth import make_supervised
     max_lag = max(max(d_u), max(d_y))
     n = int(rng.integers(5, 15)) + max_lag
     U = rng.normal(size=(n, n_exo))
@@ -97,8 +97,7 @@ def test_damped_step_reduction():
 
 def test_teacher_student_recovery():
     t0 = time.perf_counter()
-    _, _, _, ds = teacher_dataset(500, seed=103, n_hidden=5,
-                                  d_u=(0, 1), d_y=(1,))
+    ds = teacher_dataset(500, seed=103, n_hidden=5, d_u=(0, 1), d_y=(1,))
     config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=5, n_exo=2)
     params = TrainParams(xi=1.0, goal=1e-8, min_grad=1e-12, epochs=1000,
                          max_fail=1000)
@@ -175,21 +174,12 @@ def test_sweep_structure():
 
 def test_determinism(tmp_path):
     csv_path = tmp_path / "synthetic.csv"
-    frame = _noisy_analogue(n_rows=220)
-    frame_to_csv(frame, csv_path)
-    outputs = []
+    frame_to_csv(_noisy_analogue(n_rows=220), csv_path)
     for name in ("run_a", "run_b"):
-        out = str(tmp_path / name)
-        rc = cli.main(["train", "--csv", str(csv_path), "--out", out,
-                       "--neurons", "4", "--seed", "9",
-                       "--epochs", "30", "--restarts", "2", "--xi", "1.0"])
-        assert rc == 0
-        outputs.append(out)
-    same = all(
-        open(os.path.join(outputs[0], f), "rb").read()
-        == open(os.path.join(outputs[1], f), "rb").read()
-        for f in (cli.MODEL_FILE, cli.TRAIN_REPORT_FILE, cli.EPOCHS_FILE,
-                  cli.DIAGNOSTICS_FILE))
+        assert cli.main(["train", "--csv", str(csv_path), "--out", str(tmp_path / name),
+                         "--neurons", "4", "--seed", "9",
+                         "--epochs", "30", "--restarts", "2", "--xi", "1.0"]) == 0
+    same = outputs(tmp_path / "run_a") == outputs(tmp_path / "run_b")
     _report("determinism", same, "model/report/epochs/diagnostics byte-identical")
 
 

@@ -1,12 +1,14 @@
 import argparse
 import contextlib
 import dataclasses
+import datetime
 import hashlib
 import io
 import json
 import os
 import platform
 import re
+import stat
 import tempfile
 import warnings
 
@@ -21,6 +23,8 @@ from narxlm.errors import DivergedError
 from narxlm.network import forward_open
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
 from narxlm.training import msereg
+
+from conftest import outputs
 
 FAST_FLAGS = ["--epochs", "40", "--restarts", "2", "--xi", "1.0",
               "--goal", "1e-9", "--min-grad", "1e-10"]
@@ -95,19 +99,38 @@ class TestTrain:
         assert rc == cli.EXIT_IO
 
     def test_determinism_byte_identical(self, data_csv, tmp_path):
-        outs = []
-        for name in ("a", "b"):
-            out = str(tmp_path / name)
-            rc = cli.main(["train", "--csv", data_csv, "--out", out,
-                           "--neurons", "3", "--seed", "3",
-                           "--epochs", "15", "--restarts", "1", "--xi", "1.0"])
-            assert rc == 0
-            outs.append(out)
-        for name in (cli.MODEL_FILE, cli.TRAIN_REPORT_FILE, cli.EPOCHS_FILE,
-                     cli.DIAGNOSTICS_FILE):
-            a = open(os.path.join(outs[0], name), "rb").read()
-            b = open(os.path.join(outs[1], name), "rb").read()
-            assert a == b, name
+        # one seed gives the same files twice, and so do the copy of the CSV
+        # with ISO dates and the copy with quoted cells and two blank rows,
+        # which load_ohlcv reads as the same frame
+        header, *rows = open(data_csv).read().splitlines()
+        cells = [row.split(",") for row in rows]
+        iso = [",".join([datetime.date.fromordinal(int(day)).isoformat(), *values])
+               for day, *values in cells]
+        quoted = [",".join([day] + [f'"{v}"' for v in values]) for day, *values in cells]
+        quoted[100:100] = [",,,"]
+        quoted[10:10] = [""]
+        csvs = {"a": data_csv, "b": data_csv}
+        for form, lines in (("iso", iso), ("quoted", quoted)):
+            csvs[form] = tmp_path / f"{form}.csv"
+            csvs[form].write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        for name, csv_path in csvs.items():
+            out = tmp_path / name
+            csv_path, model = str(csv_path), str(out / "train" / cli.MODEL_FILE)
+            assert cli.main(["train", "--csv", csv_path, "--out", str(out / "train"),
+                             "--neurons", "3", "--seed", "3",
+                             "--epochs", "15", "--restarts", "1", "--xi", "1.0"]) == cli.EXIT_OK
+            assert cli.main(["simulate", "--csv", csv_path, "--model", model,
+                             "--horizon", "50", "--out", str(out / "sim")]) == cli.EXIT_OK
+            assert cli.main(["eval", "--csv", csv_path, "--model", model,
+                             "--out", str(out / "eval")]) in (cli.EXIT_OK, cli.EXIT_REJECTED)
+        first = outputs(tmp_path / "a")
+        assert len(first) == 7
+        for name in ("b", "iso", "quoted"):
+            assert outputs(tmp_path / name) == first, name
+        # the saved model reads back to the text train wrote
+        model = tmp_path / "a" / "train" / cli.MODEL_FILE
+        assert pipeline.model_json(*pipeline.load_model(model, cli.load_ohlcv(data_csv))) == (
+            model.read_text())
 
 
 class TestSimulate:
@@ -193,6 +216,21 @@ class TestSimulate:
                        "--horizon", "219", "--out", str(out)])
         assert rc == 0
         assert len((out / cli.PREDICTIONS_FILE).read_text().splitlines()) == 220
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_outputs_honour_the_umask(self, trained_dir, data_csv, tmp_path, umask, mode):
+        # the mode open(path, "w") gives a new file, not mkstemp's 0600
+        out = tmp_path / "sim"
+        saved = os.umask(umask)
+        try:
+            rc = cli.main(["simulate", "--csv", data_csv, "--horizon", "10", "--out", str(out),
+                           "--model", os.path.join(trained_dir, cli.MODEL_FILE)])
+        finally:
+            os.umask(saved)
+        assert rc == 0
+        assert {name: stat.S_IMODE((out / name).stat().st_mode) for name in os.listdir(out)} == {
+            cli.PREDICTIONS_FILE: mode, cli.DIAGNOSTICS_FILE: mode, cli.MANIFEST_FILE: mode}
 
 
 class TestEval:
@@ -975,7 +1013,9 @@ class TestStrictJson:
         model = os.path.join(trained_dir, cli.MODEL_FILE)
         runs = [trained_dir]
         for command, flags in (("simulate", ["--model", model, "--horizon", "40"]),
-                               ("eval", ["--model", model])):
+                               ("eval", ["--model", model]),
+                               ("sweep", ["--neurons", "2,3", "--epochs", "10",
+                                          "--restarts", "1"])):
             out = str(tmp_path / command)
             assert cli.main([command, "--csv", data_csv, "--out", out, *flags]) in (
                 cli.EXIT_OK, cli.EXIT_REJECTED)
@@ -986,7 +1026,8 @@ class TestStrictJson:
                 if name.endswith(".json"):
                     _strict_json(open(os.path.join(out, name)).read())
                     parsed += 1
-        assert parsed == 8  # train writes four JSON files, simulate and eval two each
+        # train writes four JSON files, simulate and eval two each, sweep three
+        assert parsed == 11
         manifest = _strict_json(open(os.path.join(trained_dir, cli.MANIFEST_FILE)).read())
         assert manifest["parameters"]["mse_max"] == "inf"
         assert float(manifest["parameters"]["mse_max"]) == float("inf")

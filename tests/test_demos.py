@@ -1,11 +1,10 @@
 """Every script in demos/ runs to completion against the package in src/."""
 
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
+
+from conftest import run_child
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -14,7 +13,4 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # TMPDIR too: 01_data_preparation.py writes its CSV under mkdtemp()
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
+    run_child(demo, cwd=tmp_path, TMPDIR=str(tmp_path))

@@ -19,12 +19,9 @@ from narxlm.network import (
     init_weights,
     jacobian,
 )
-from narxlm.synth import (
-    drive_teacher,
-    make_supervised,
-    synthetic_ohlcv_frame,
-    teacher_dataset,
-)
+from narxlm.synth import drive_teacher, synthetic_ohlcv_frame
+
+from conftest import make_supervised
 
 
 def scalar_prediction(net, u_rows, y_hist, k):
@@ -656,8 +653,6 @@ class TestDriveTeacher:
             drive_teacher(teacher, np.zeros((50, 2)), seed=1, noise_std=noise_std)
         with pytest.raises(ValidationError, match=message):
             synthetic_ohlcv_frame(300, seed=1, noise_std=noise_std)
-        with pytest.raises(ValidationError, match=message):
-            teacher_dataset(100, seed=1, noise_std=noise_std)
 
     def test_one_dimensional_U_is_one_channel(self):
         teacher = init_weights(NarxConfig(d_u=(0, 2), d_y=(1,), n_hidden=3, n_exo=1), 4)
@@ -665,10 +660,6 @@ class TestDriveTeacher:
         got = drive_teacher(teacher, u, seed=1, noise_std=0.05)
         assert got.shape == (50,)
         assert np.array_equal(got, drive_teacher(teacher, u[:, None], seed=1, noise_std=0.05))
-        ds = make_supervised(u, got, (0, 2), (1,))
-        want = make_supervised(u[:, None], got, (0, 2), (1,))
-        for name in ("X", "Y_hist", "T"):
-            assert np.array_equal(getattr(ds, name), getattr(want, name)), name
 
     @pytest.mark.parametrize("shape, message", [
         ((50, 3), "U shape (50, 3) != (n, 2)"),

@@ -1,27 +1,16 @@
 """The BLAS thread policy that importing narxlm applies, and its record."""
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import narxlm
-
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+from conftest import THREAD_VARS, run_child
 
 
 def fresh_import(code, **env_vars):
-    """Run ``code`` in a new interpreter whose environment sets no thread
-    variable except ``env_vars``, and return what it prints as JSON."""
-    src = os.path.dirname(os.path.dirname(narxlm.__file__))
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env.update(env_vars, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    """What ``code`` prints, as JSON, in a new interpreter whose environment
+    sets no thread variable except ``env_vars``."""
+    return json.loads(run_child("-c", code, **env_vars))
 
 
 REPORT = ("import json, os, narxlm; print(json.dumps("

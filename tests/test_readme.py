@@ -1,13 +1,12 @@
 """README's library examples run, in order, against the package in src/."""
 
-import os
 import pathlib
 import re
-import subprocess
-import sys
 
 from narxlm import cli
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
+
+from conftest import run_child
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -24,7 +23,4 @@ def test_readme_python_blocks_run(tmp_path):
     # the second block reuses the first one's names, so they run as one script
     script = tmp_path / "readme.py"
     script.write_text("\n".join(blocks))
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
+    run_child(script, cwd=tmp_path)

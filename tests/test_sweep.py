@@ -1,14 +1,17 @@
+import json
+import os
 import re
 import tracemalloc
 
 import pytest
 
+from narxlm import cli
 from narxlm.data import fit_normalization, apply_normalization, prepare_delayed, split_indices
 from narxlm.diagnostics import diagnose
 from narxlm.errors import InsufficientDataError, ValidationError
 from narxlm.network import NarxConfig, forward_open
 from narxlm.sweep import SweepGrid, SweepRow, parse_lag_range, run_sweep, select_best
-from narxlm.synth import synthetic_ohlcv_frame
+from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
 from narxlm.training import TrainParams, msereg, train_with_restarts
 
 EXO = ("open", "high", "low", "volume")
@@ -118,13 +121,25 @@ class TestRunSweep:
             assert ra.performance == rb.performance
             assert ra.r_value == rb.r_value
 
-    def test_parallel_jobs_match_serial(self, frame):
-        grid = SweepGrid(((0, 1),), ((1,),), (2, 3), FAST, seed=7)
-        serial = run_sweep(grid, frame, EXO, "close", jobs=1)
-        parallel = run_sweep(grid, frame, EXO, "close", jobs=2)
-        for rs, rp in zip(serial, parallel):
-            assert rs.performance == rp.performance
-            assert rs.r_value == rp.r_value
+    def test_parallel_jobs_match_serial(self, frame, tmp_path):
+        # inline and from a process pool, sweep writes the same files but
+        # for each row's wall_time
+        frame_to_csv(frame, tmp_path / "series.csv")
+        files = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs_{jobs}"
+            assert cli.main(["sweep", "--csv", str(tmp_path / "series.csv"), "--out", str(out),
+                             "--neurons", "2,3", "--xi", "1.0", "--epochs", "30",
+                             "--restarts", "2", "--goal", "1e-10", "--min-grad", "1e-10",
+                             "--seed", "7", "--jobs", jobs]) == cli.EXIT_OK
+            rows = json.loads((out / cli.SWEEP_JSON_FILE).read_text())
+            table = [line.split(",")
+                     for line in (out / cli.SWEEP_CSV_FILE).read_text().splitlines()]
+            col = table[0].index("wall_time")
+            files.append((sorted(os.listdir(out)), [row | {"wall_time": 0} for row in rows],
+                          [line[:col] + line[col + 1:] for line in table],
+                          (out / cli.CHOSEN_CONFIG_FILE).read_text()))
+        assert files[0] == files[1]
 
     @pytest.mark.parametrize("axes", [
         ((), ((1,),), (3,)), (((0, 1),), (), (3,)), (((0, 1),), ((1,),), ()),

@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import textwrap
 
 import numpy as np
@@ -8,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import narxlm
 from narxlm.data import DelayedDataset, split_indices
 from narxlm.errors import DivergedError, ValidationError
 from narxlm.network import (
@@ -19,7 +15,7 @@ from narxlm.network import (
     jacobian,
 )
 from narxlm.pipeline import evaluate_open, fit, prepare
-from narxlm.synth import make_supervised, synthetic_ohlcv_frame, teacher_dataset
+from narxlm.synth import synthetic_ohlcv_frame
 from narxlm.training import (
     EpochRecord,
     StepFailure,
@@ -31,31 +27,33 @@ from narxlm.training import (
     train_with_restarts,
 )
 
+from conftest import make_supervised, run_child, teacher_dataset
+
 
 class TestMsereg:
     def test_xi_one_is_plain_mse(self):
-        assert msereg([1.0, 2.0], [100.0, 200.0], 1.0) == pytest.approx(2.5)
+        assert msereg([1.0, 2.0], [100.0, 200.0], 1.0, np.zeros(2, bool)) == pytest.approx(2.5)
 
     def test_xi_zero_with_zero_weights(self):
-        assert msereg([3.0, 4.0], [0.0, 0.0], 0.0) == 0.0
+        assert msereg([3.0, 4.0], [0.0, 0.0], 0.0, np.zeros(2, bool)) == 0.0
 
     def test_hand_evaluated_blend(self):
         # 0.5 * mean([1,1]) + 0.5 * mean([4]) = 0.5 + 2 = 2.5
-        assert msereg([1.0, 1.0], [2.0], 0.5) == pytest.approx(2.5)
+        assert msereg([1.0, 1.0], [2.0], 0.5, np.zeros(1, bool)) == pytest.approx(2.5)
 
     def test_bias_exclusion(self):
         weights = np.array([2.0, 3.0])
         mask = np.array([False, True])
         # only the non-bias weight enters MSW
-        assert msereg([0.0], weights, 0.5, bias_mask=mask) == pytest.approx(2.0)
-        # without a mask every weight enters MSW
-        assert msereg([0.0], weights, 0.5) == pytest.approx(0.5 * 6.5)
+        assert msereg([0.0], weights, 0.5, mask) == pytest.approx(2.0)
+        # with no bias marked every weight enters MSW
+        assert msereg([0.0], weights, 0.5, np.zeros(2, bool)) == pytest.approx(0.5 * 6.5)
 
     def test_empty_inputs(self):
         with pytest.raises(ValidationError):
-            msereg([], [1.0], 0.5)
+            msereg([], [1.0], 0.5, np.zeros(1, bool))
         with pytest.raises(ValidationError):
-            msereg([1.0], [], 0.5)
+            msereg([1.0], [], 0.5, np.zeros(0, bool))
 
 
 def _step(J, F, lam, weights=None, xi=1.0, penalized=None):
@@ -132,7 +130,7 @@ class TestLmStep:
         assert np.array_equal(lm_step(A, b, 0.5), first)
 
 
-def _msereg_gradient_fd(config, theta, ds, xi=1.0, bias_mask=None, h=1e-6):
+def _msereg_gradient_fd(config, theta, ds, bias_mask, xi=1.0, h=1e-6):
     def objective(th):
         err = forward_open(NarxNetwork.from_flat(config, th), ds) - ds.T
         return msereg(err, th, xi, bias_mask)
@@ -150,10 +148,10 @@ class TestGradient:
     def test_mse_gradient_matches_finite_differences(self):
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         net = init_weights(config, 77)
-        _, _, _, ds = teacher_dataset(40, seed=9, n_hidden=2)
+        ds = teacher_dataset(40, seed=9, n_hidden=2)
         J, F = jacobian(net, ds)
         analytic = (2.0 / ds.n_samples) * (J.T @ F)
-        fd = _msereg_gradient_fd(config, net.theta, ds)
+        fd = _msereg_gradient_fd(config, net.theta, ds, np.zeros(net.theta.size, bool))
         assert np.max(np.abs(analytic - fd)) / (1 + np.max(np.abs(fd))) < 1e-6
 
     def test_regularized_gradient_matches_finite_differences(self):
@@ -161,13 +159,13 @@ class TestGradient:
         # reads) is that of msereg with the biases left out of MSW
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         net = init_weights(config, 77)
-        _, _, _, ds = teacher_dataset(40, seed=9, n_hidden=2)
+        ds = teacher_dataset(40, seed=9, n_hidden=2)
         theta, bias_mask, xi = net.theta, net.bias_mask(), 0.9
         grad = normal_equations(*jacobian(net, ds), theta, xi, ~bias_mask)[2]
-        fd = _msereg_gradient_fd(config, theta, ds, xi, bias_mask)
+        fd = _msereg_gradient_fd(config, theta, ds, bias_mask, xi)
         assert np.max(np.abs(grad - fd)) / (1 + np.max(np.abs(fd))) < 1e-6
         # the weight penalty is large enough here for a wrong mask to show
-        unmasked = _msereg_gradient_fd(config, theta, ds, xi)
+        unmasked = _msereg_gradient_fd(config, theta, ds, np.zeros(theta.size, bool), xi)
         assert np.max(np.abs(unmasked - fd)) > 1e-4
 
 
@@ -193,14 +191,14 @@ class TestTrain:
         assert report.records[-1].train_objective <= 1e-5
 
     def test_accepted_objectives_decrease(self):
-        _, _, _, ds = teacher_dataset(150, seed=5, noise_std=0.05)
+        ds = teacher_dataset(150, seed=5, noise_std=0.05)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         report = train(config, ds, TrainParams(xi=0.9, epochs=60), seed=2)
         objs = [r.train_objective for r in report.records]
         assert all(b < a + 1e-15 for a, b in zip(objs, objs[1:]))
 
     def test_max_fail_stops_training(self):
-        _, _, _, ds = teacher_dataset(120, seed=6, noise_std=0.2)
+        ds = teacher_dataset(120, seed=6, noise_std=0.2)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=8, n_exo=2)
         params = TrainParams(xi=1.0, goal=1e-12, min_grad=1e-12, max_fail=6)
         report = train(config, ds, params, seed=3)
@@ -214,7 +212,7 @@ class TestTrain:
                                       "min-grad", "mu-max"}
 
     def test_best_epoch_restoration(self):
-        _, _, _, ds = teacher_dataset(120, seed=7, noise_std=0.2)
+        ds = teacher_dataset(120, seed=7, noise_std=0.2)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=6, n_exo=2)
         params = TrainParams(xi=1.0, goal=1e-12, min_grad=1e-12)
         report = train(config, ds, params, seed=4)
@@ -228,7 +226,7 @@ class TestTrain:
         assert got == pytest.approx(vals[report.best_epoch], rel=1e-12)
 
     def test_lambda_never_exceeds_cap_silently(self):
-        _, _, _, ds = teacher_dataset(80, seed=8)
+        ds = teacher_dataset(80, seed=8)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         params = TrainParams(xi=1.0, mu_max=10.0, epochs=200)
         report = train(config, ds, params, seed=5)
@@ -254,7 +252,7 @@ class TestTrain:
             assert np.all(np.isfinite(report.network.theta))
 
     def test_non_finite_target_diverges(self):
-        _, _, _, ds = teacher_dataset(50, seed=9)
+        ds = teacher_dataset(50, seed=9)
         bad = DelayedDataset(
             X=ds.X, Y_hist=ds.Y_hist, T=ds.T.copy(), d_u=ds.d_u, d_y=ds.d_y,
             first_usable_index=ds.first_usable_index)
@@ -390,7 +388,7 @@ class TestMatchesReferenceLoop:
 
 class TestRestarts:
     def test_single_restart_equals_train(self):
-        _, _, _, ds = teacher_dataset(100, seed=10)
+        ds = teacher_dataset(100, seed=10)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         params = TrainParams(xi=1.0, restarts=1, epochs=50)
         a = train_with_restarts(config, ds, params, seed=11)
@@ -399,7 +397,7 @@ class TestRestarts:
         assert np.array_equal(a.network.theta, b.network.theta)
 
     def test_best_not_worse_than_median(self):
-        _, _, _, ds = teacher_dataset(120, seed=12, noise_std=0.1)
+        ds = teacher_dataset(120, seed=12, noise_std=0.1)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=4, n_exo=2)
         params = TrainParams(xi=1.0, restarts=10, epochs=40,
                              goal=1e-12, min_grad=1e-12)
@@ -410,7 +408,7 @@ class TestRestarts:
         assert best.best_val_mse == min(singles)
 
     def test_deterministic(self):
-        _, _, _, ds = teacher_dataset(80, seed=14, noise_std=0.05)
+        ds = teacher_dataset(80, seed=14, noise_std=0.05)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         params = TrainParams(xi=0.9, restarts=3, epochs=30)
         a = train_with_restarts(config, ds, params, seed=15)
@@ -481,20 +479,14 @@ def test_reported_msereg_is_training_objective_property(
 def test_training_loads_no_scipy():
     # the LM step runs on numpy's BLAS alone; a second BLAS from scipy would
     # contend with numpy's for the same cores
-    src = os.path.dirname(os.path.dirname(narxlm.__file__))
     code = textwrap.dedent("""
         import sys
-        import narxlm
-        from narxlm.network import NarxConfig
-        from narxlm.synth import teacher_dataset
-        from narxlm.training import TrainParams, train_with_restarts
-        _, _, _, ds = teacher_dataset(60, seed=1)
-        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=2, n_exo=2)
-        train_with_restarts(config, ds, TrainParams(restarts=2, epochs=5), seed=0)
+        from narxlm.pipeline import fit, prepare
+        from narxlm.synth import synthetic_ohlcv_frame
+        from narxlm.training import TrainParams
+        prep = prepare(synthetic_ohlcv_frame(80, seed=1)[0], d_u=(0, 1), d_y=(1,))
+        fit(prep, n_hidden=2, params=TrainParams(restarts=2, epochs=5), seed=0)
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         assert not loaded, loaded
     """)
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_child("-c", code)
