@@ -20,8 +20,8 @@ import json
 import math
 import os
 import platform
+import secrets
 import sys
-import tempfile
 
 import numpy as np
 
@@ -75,14 +75,13 @@ MANIFEST_FILE = "manifest.json"
 
 
 def _atomic_write(path, text: str):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", text=True)
+    # a new file under a random name, as mkstemp makes one, but with mode 0666
+    # so that the umask gives it the mode open(path, "w") would
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        # mkstemp made it 0600; give it the mode open(path, "w") would give it
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

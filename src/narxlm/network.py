@@ -11,7 +11,7 @@ forecasting.
 A network holds its weights once, as the flat vector ``theta`` that
 Levenberg-Marquardt trains; the weight blocks are read-only views of it.
 ``_blocks`` is the one statement of the layout: the blocks, the Jacobian's
-columns, the bias mask and the init all read their slices from it.
+columns, the penalized mask and the init all read their slices from it.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ class NarxConfig:
         if self.n_exo < 1:
             raise ValidationError("n_exo must be >= 1")
 
+    def __reduce__(self):
+        return type(self), (self.d_u, self.d_y, self.n_hidden, self.n_exo)
+
     @property
     def n_input_taps(self) -> int:
         return len(self.d_u) * self.n_exo
@@ -62,6 +65,19 @@ class NarxConfig:
     @property
     def n_params(self) -> int:
         return _blocks(self)[-1].stop
+
+    @cached_property
+    def penalized(self) -> np.ndarray:
+        """Read-only boolean mask over the flat weights: True on W_ih, W_yh and
+        W_ho, the weights MSEREG's weight mean penalizes, False on the biases
+        b_h and b_o.  Built once per config and cached in its ``__dict__``; a
+        copy or an unpickled config is built through the constructor and
+        builds its own."""
+        W_ih, W_yh, _, W_ho, _ = _blocks(self)
+        mask = np.zeros(self.n_params, dtype=bool)
+        mask[W_ih] = mask[W_yh] = mask[W_ho] = True
+        mask.flags.writeable = False
+        return mask
 
     def to_dict(self) -> dict:
         return {
@@ -153,13 +169,6 @@ class NarxNetwork:
         W_fb[d_y[-1] - d_y] = self.W_yh.T
         W_fb.flags.writeable = False
         return W_fb
-
-    def bias_mask(self) -> np.ndarray:
-        """Boolean vector over the flat parameters, True at bias positions."""
-        _, _, b_h, _, b_o = _blocks(self.config)
-        mask = np.zeros(self.config.n_params, dtype=bool)
-        mask[b_h] = mask[b_o] = True
-        return mask
 
     def to_dict(self) -> dict:
         return {

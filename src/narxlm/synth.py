@@ -41,19 +41,24 @@ def drive_teacher(net: NarxNetwork, U: np.ndarray, seed: int | None = None,
     return y
 
 
-def synthetic_ohlcv_frame(n_rows: int, seed: int, n_hidden: int = 5,
-                          d_u=(0, 1), d_y=(1,),
-                          noise_std: float = 0.0,
-                          price_range=(20.0, 22.0)):
+# the teacher of synthetic_ohlcv_frame and the band its close is mapped into
+TEACHER_HIDDEN = 5
+TEACHER_D_U = (0, 1)
+TEACHER_D_Y = (1,)
+PRICE_RANGE = (20.0, 22.0)
+
+
+def synthetic_ohlcv_frame(n_rows: int, seed: int, noise_std: float = 0.0):
     """OHLCV frame whose close price is a teacher function of O/H/L/V.
 
     Open, high, low wander inside a price band (high >= low enforced), volume
     inside a share band.  The channels are normalized to [-1, 1], fed through
-    a random teacher network, and the resulting series (plus optional noise)
-    is mapped into price_range as the close.  Returns (frame, teacher).
+    a random teacher network (TEACHER_HIDDEN tanh units, lags TEACHER_D_U and
+    TEACHER_D_Y), and the resulting series (plus optional noise) is mapped
+    into PRICE_RANGE as the close.  Returns (frame, teacher).
     """
     rng = np.random.default_rng(seed)
-    lo, hi = price_range
+    lo, hi = PRICE_RANGE
     mid = 0.5 * (lo + hi)
     amp = 0.5 * (hi - lo)
 
@@ -80,8 +85,7 @@ def synthetic_ohlcv_frame(n_rows: int, seed: int, n_hidden: int = 5,
     spec = fit_normalization(frame0, exo)
     U = np.column_stack([spec.apply_values(frame0.channel(ch), ch) for ch in exo])
 
-    config = NarxConfig(d_u=tuple(d_u), d_y=tuple(d_y),
-                        n_hidden=n_hidden, n_exo=len(exo))
+    config = NarxConfig(TEACHER_D_U, TEACHER_D_Y, TEACHER_HIDDEN, n_exo=len(exo))
     teacher = init_weights(config, seed + 7)
     y = drive_teacher(teacher, U, seed=seed + 8, noise_std=noise_std)
     span = np.max(y) - np.min(y)

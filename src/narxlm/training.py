@@ -90,9 +90,10 @@ class TrainReport:
         }
 
 
-def msereg(errors, weights, xi, bias_mask):
-    """xi * mean(errors^2) + (1 - xi) * mean(weights^2), the biases
-    (``bias_mask``) left out of the weight mean."""
+def msereg(errors, weights, xi, *, penalized):
+    """xi * mean(errors^2) + (1 - xi) * mean(weights^2), the weight mean over
+    the boolean mask ``penalized`` alone (``NarxConfig.penalized`` leaves out
+    the biases)."""
     errors = np.asarray(errors, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if errors.size == 0 or weights.size == 0:
@@ -100,7 +101,7 @@ def msereg(errors, weights, xi, bias_mask):
     mse = _mse(errors)
     if xi == 1.0:
         return mse
-    weights = weights[~np.asarray(bias_mask)]
+    weights = weights[penalized]
     msw = float(np.mean(weights ** 2)) if weights.size else 0.0
     return xi * mse + (1.0 - xi) * msw
 
@@ -109,7 +110,7 @@ class StepFailure(Exception):
     """The damped system is singular or gave a non-finite step; raise the damping."""
 
 
-def normal_equations(J, F, weights, xi, penalized):
+def normal_equations(J, F, weights, xi, *, penalized):
     """The undamped LM system (A, b) and the gradient of ``msereg`` at ``weights``.
 
     With S residuals and M the 0/1 diagonal of the boolean mask ``penalized``
@@ -131,8 +132,7 @@ def normal_equations(J, F, weights, xi, penalized):
     if xi < 1.0 and n_pen:
         w = np.where(penalized, np.asarray(weights, dtype=float), 0.0)
         alpha = (1.0 - xi) * J.shape[0] / n_pen
-        on = np.flatnonzero(penalized)
-        A[on, on] += alpha
+        A[penalized, penalized] += alpha  # the penalized diagonal entries
         b -= alpha * w
         grad = grad + (1.0 - xi) * (2.0 / n_pen) * w
     return A, b, grad
@@ -178,19 +178,15 @@ def train(config: NarxConfig, dataset, params: TrainParams, seed: int) -> TrainR
     train_set, val_set, test_set = (dataset.subset(idx) for idx in dataset.splits)
 
     net = init_weights(config, seed)
-    bias_mask = net.bias_mask()
-    lam = params.mu0
-    xi = params.xi
+    lam, xi = params.mu0, params.xi
 
     def objective(th):
         candidate = NarxNetwork.from_flat(config, th)
         err = forward_open(candidate, train_set) - train_set.T
-        return msereg(err, candidate.theta, xi, bias_mask), candidate, err
+        return msereg(err, candidate.theta, xi, penalized=config.penalized), candidate, err
 
     records = []
-    best_epoch = -1
-    best_val = np.inf
-    fails = 0
+    best_epoch, best_val, fails = -1, np.inf, 0
     stop_reason = "epochs-exhausted"
     obj, net, err = objective(net.theta)
 
@@ -198,7 +194,8 @@ def train(config: NarxConfig, dataset, params: TrainParams, seed: int) -> TrainR
         if not np.isfinite(obj):
             raise DivergedError(f"non-finite objective at epoch {epoch}", epoch=epoch)
         # J is not kept: only A (P x P) stays alive through the damping loop
-        A, b, grad = normal_equations(*jacobian(net, train_set), net.theta, xi, ~bias_mask)
+        A, b, grad = normal_equations(*jacobian(net, train_set), net.theta, xi,
+                                      penalized=config.penalized)
         grad_norm = float(np.max(np.abs(grad)))
 
         # propose steps until one lowers the objective or damping tops out

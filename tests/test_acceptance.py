@@ -88,7 +88,8 @@ def test_damped_step_reduction():
         J = rng.normal(size=(m, p))
         F = rng.normal(size=m)
         lam = float(rng.uniform(0.01, 10.0))
-        A, b, _ = normal_equations(J, F, rng.normal(size=p), 1.0, np.ones(p, dtype=bool))
+        A, b, _ = normal_equations(J, F, rng.normal(size=p), 1.0,
+                                   penalized=np.ones(p, dtype=bool))
         d = lm_step(A, b, lam)
         expected = np.linalg.solve(J.T @ J + lam * np.eye(p), -(J.T @ F))
         worst = max(worst, float(np.max(np.abs(d - expected))))

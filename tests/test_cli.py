@@ -53,6 +53,20 @@ class TestTrain:
                      cli.DIAGNOSTICS_FILE, cli.MANIFEST_FILE):
             assert os.path.exists(os.path.join(trained_dir, name))
 
+    def test_outputs_leave_the_umask_alone(self, data_csv, tmp_path, monkeypatch):
+        # reading the umask means setting it, and a file another thread made
+        # in between would take the one set; the writer neither reads nor sets it
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--csv", data_csv, "--out", str(out),
+                         "--neurons", "3", "--seed", "1", *FAST_FLAGS]) == cli.EXIT_OK
+        assert sorted(os.listdir(out)) == sorted([
+            cli.MODEL_FILE, cli.TRAIN_REPORT_FILE, cli.EPOCHS_FILE, cli.DIAGNOSTICS_FILE,
+            cli.MANIFEST_FILE])
+
     def test_manifest_contents(self, trained_dir, data_csv):
         with open(os.path.join(trained_dir, cli.MANIFEST_FILE)) as fh:
             manifest = json.load(fh)
@@ -364,7 +378,7 @@ def test_msereg_is_the_training_objective_or_null(data_csv, tmp_path):
     err = forward_open(net, prep.dataset) - prep.dataset.T
     diag = json.loads((run / cli.DIAGNOSTICS_FILE).read_text())
     assert diag["msereg"] == msereg(err, net.theta, narxlm.TrainParams().xi,
-                                    net.bias_mask())
+                                    penalized=net.config.penalized)
     assert diag["msereg"] != diag["mse"]
     for command, flags in (("eval", []), ("simulate", ["--horizon", "60"])):
         out = tmp_path / command

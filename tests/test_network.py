@@ -143,11 +143,14 @@ class TestWeightLayout:
             assert blocks[-1].stop == c.n_params
             sizes = [b.stop - b.start for b in blocks]
             assert sizes == [np.size(getattr(net, name)) for name in BLOCK_NAMES]
-            mask = net.bias_mask()
-            want = np.zeros(c.n_params, dtype=bool)
-            want[blocks[2]] = want[blocks[4]] = True
-            assert np.array_equal(mask, want)
-            assert np.count_nonzero(mask) == c.n_hidden + 1
+            # MSW penalizes every weight but the b_h and b_o blocks
+            penalized = c.penalized
+            want = np.ones(c.n_params, dtype=bool)
+            want[blocks[2]] = want[blocks[4]] = False
+            assert np.array_equal(penalized, want)
+            assert np.count_nonzero(~penalized) == c.n_hidden + 1
+            assert not penalized.flags.writeable
+            assert c.penalized is penalized  # built once per config
 
     def test_blocks_are_read_only_views_of_theta(self):
         rng = np.random.default_rng(9)
@@ -188,8 +191,11 @@ class TestWeightLayout:
         config = NarxConfig(d_u=(0, 1), d_y=(1, 2), n_hidden=3, n_exo=2)
         net = init_weights(config, 4)
         net.feedback_matrix  # cached in the instance __dict__
+        config.penalized  # and in the config's
         other = copier(net)
         assert "feedback_matrix" not in vars(other)  # rebuilt, not copied
+        assert np.array_equal(other.config.penalized, config.penalized)
+        assert not other.config.penalized.flags.writeable
         assert other.config == config and np.array_equal(other.theta, net.theta)
         assert not other.theta.flags.writeable
         for name in BLOCK_NAMES[:4]:

@@ -78,7 +78,7 @@ class TestRunSweep:
                         spec.invert_values(ds.T, "close"),
                         pred - ds.T, exo,
                         msereg=msereg(pred - ds.T, report.network.theta, FAST.xi,
-                                      report.network.bias_mask()))
+                                      penalized=report.network.config.penalized))
         assert row.performance == report.records[report.best_epoch].train_objective
         assert row.mse == diag.mse
         assert row.r_value == diag.r_value

@@ -32,35 +32,44 @@ from conftest import make_supervised, run_child, teacher_dataset
 
 class TestMsereg:
     def test_xi_one_is_plain_mse(self):
-        assert msereg([1.0, 2.0], [100.0, 200.0], 1.0, np.zeros(2, bool)) == pytest.approx(2.5)
+        assert msereg([1.0, 2.0], [100.0, 200.0], 1.0,
+                      penalized=np.ones(2, bool)) == pytest.approx(2.5)
 
     def test_xi_zero_with_zero_weights(self):
-        assert msereg([3.0, 4.0], [0.0, 0.0], 0.0, np.zeros(2, bool)) == 0.0
+        assert msereg([3.0, 4.0], [0.0, 0.0], 0.0, penalized=np.ones(2, bool)) == 0.0
 
     def test_hand_evaluated_blend(self):
         # 0.5 * mean([1,1]) + 0.5 * mean([4]) = 0.5 + 2 = 2.5
-        assert msereg([1.0, 1.0], [2.0], 0.5, np.zeros(1, bool)) == pytest.approx(2.5)
+        assert msereg([1.0, 1.0], [2.0], 0.5, penalized=np.ones(1, bool)) == pytest.approx(2.5)
 
     def test_bias_exclusion(self):
         weights = np.array([2.0, 3.0])
-        mask = np.array([False, True])
-        # only the non-bias weight enters MSW
-        assert msereg([0.0], weights, 0.5, mask) == pytest.approx(2.0)
-        # with no bias marked every weight enters MSW
-        assert msereg([0.0], weights, 0.5, np.zeros(2, bool)) == pytest.approx(0.5 * 6.5)
+        penalized = np.array([True, False])
+        # only the penalized weight enters MSW
+        assert msereg([0.0], weights, 0.5, penalized=penalized) == pytest.approx(2.0)
+        # with every weight penalized every weight enters MSW
+        assert msereg([0.0], weights, 0.5, penalized=np.ones(2, bool)) == pytest.approx(0.5 * 6.5)
+
+    def test_positional_mask_rejected(self):
+        # a call written for the old positional bias mask, whose True marked
+        # the weights left out, must not run with the meaning turned over
+        with pytest.raises(TypeError):
+            msereg([0.0], [2.0, 3.0], 0.5, np.array([False, True]))
+        with pytest.raises(TypeError):
+            normal_equations(np.eye(2), np.zeros(2), np.ones(2), 0.5, np.array([False, True]))
 
     def test_empty_inputs(self):
         with pytest.raises(ValidationError):
-            msereg([], [1.0], 0.5, np.zeros(1, bool))
+            msereg([], [1.0], 0.5, penalized=np.ones(1, bool))
         with pytest.raises(ValidationError):
-            msereg([1.0], [], 0.5, np.zeros(0, bool))
+            msereg([1.0], [], 0.5, penalized=np.ones(0, bool))
 
 
 def _step(J, F, lam, weights=None, xi=1.0, penalized=None):
     """lm_step on the system normal_equations builds from J, F."""
     if penalized is None:
         penalized = np.ones(np.shape(J)[1], dtype=bool)
-    A, b, _ = normal_equations(J, F, weights, xi, penalized)
+    A, b, _ = normal_equations(J, F, weights, xi, penalized=penalized)
     return lm_step(A, b, lam)
 
 
@@ -122,7 +131,7 @@ class TestLmStep:
         rng = np.random.default_rng(4)
         J = rng.normal(size=(9, 3))
         A, b, _ = normal_equations(J, rng.normal(size=9), rng.normal(size=3),
-                                   0.9, np.array([True, False, True]))
+                                   0.9, penalized=np.array([True, False, True]))
         kept = A.copy()
         first = lm_step(A, b, 0.5)
         lm_step(A, b, 7.0)
@@ -130,10 +139,10 @@ class TestLmStep:
         assert np.array_equal(lm_step(A, b, 0.5), first)
 
 
-def _msereg_gradient_fd(config, theta, ds, bias_mask, xi=1.0, h=1e-6):
+def _msereg_gradient_fd(config, theta, ds, penalized, xi=1.0, h=1e-6):
     def objective(th):
         err = forward_open(NarxNetwork.from_flat(config, th), ds) - ds.T
-        return msereg(err, th, xi, bias_mask)
+        return msereg(err, th, xi, penalized=penalized)
 
     grad = np.empty_like(theta)
     for p in range(theta.size):
@@ -151,7 +160,7 @@ class TestGradient:
         ds = teacher_dataset(40, seed=9, n_hidden=2)
         J, F = jacobian(net, ds)
         analytic = (2.0 / ds.n_samples) * (J.T @ F)
-        fd = _msereg_gradient_fd(config, net.theta, ds, np.zeros(net.theta.size, bool))
+        fd = _msereg_gradient_fd(config, net.theta, ds, np.ones(net.theta.size, bool))
         assert np.max(np.abs(analytic - fd)) / (1 + np.max(np.abs(fd))) < 1e-6
 
     def test_regularized_gradient_matches_finite_differences(self):
@@ -160,12 +169,12 @@ class TestGradient:
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         net = init_weights(config, 77)
         ds = teacher_dataset(40, seed=9, n_hidden=2)
-        theta, bias_mask, xi = net.theta, net.bias_mask(), 0.9
-        grad = normal_equations(*jacobian(net, ds), theta, xi, ~bias_mask)[2]
-        fd = _msereg_gradient_fd(config, theta, ds, bias_mask, xi)
+        theta, penalized, xi = net.theta, config.penalized, 0.9
+        grad = normal_equations(*jacobian(net, ds), theta, xi, penalized=penalized)[2]
+        fd = _msereg_gradient_fd(config, theta, ds, penalized, xi)
         assert np.max(np.abs(grad - fd)) / (1 + np.max(np.abs(fd))) < 1e-6
         # the weight penalty is large enough here for a wrong mask to show
-        unmasked = _msereg_gradient_fd(config, theta, ds, np.zeros(theta.size, bool), xi)
+        unmasked = _msereg_gradient_fd(config, theta, ds, np.ones(theta.size, bool), xi)
         assert np.max(np.abs(unmasked - fd)) > 1e-4
 
 
@@ -306,13 +315,13 @@ def reference_train(config, dataset, splits, params, seed):
     n_train = train_set.n_samples
     net = init_weights(config, seed)
     theta = net.theta
-    bias_mask = net.bias_mask()
+    bias_mask = ~config.penalized
     lam, xi = params.mu0, params.xi
 
     def objective(th):
         candidate = NarxNetwork.from_flat(config, th)
         err = forward_open(candidate, train_set) - train_set.T
-        return msereg(err, th, xi, bias_mask), candidate
+        return msereg(err, th, xi, penalized=~bias_mask), candidate
 
     records = []
     best_epoch, best_val, best_theta = -1, np.inf, theta.copy()
