@@ -181,8 +181,8 @@ def _load_frame(args):
     with open(args.csv, "rb") as fh:
         raw = fh.read()
     frame = load_ohlcv(args.csv, raw)
-    t_from = parse_date(args.date_from) if args.date_from else None
-    t_to = parse_date(args.date_to) if args.date_to else None
+    t_from = None if args.date_from is None else parse_date(args.date_from)
+    t_to = None if args.date_to is None else parse_date(args.date_to)
     if t_from is not None or t_to is not None:
         frame = frame.restrict(t_from, t_to)
     return frame, hashlib.sha256(raw).hexdigest()

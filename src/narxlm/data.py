@@ -13,9 +13,12 @@ training, validation and test blocks.
 from __future__ import annotations
 
 import csv
+import math
+import re
 import string
 import warnings
 from dataclasses import dataclass, replace
+from datetime import date
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +50,9 @@ _COLUMN_ALIASES = {
 
 _REQUIRED = ("date", "open", "high", "low", "close", "volume")
 
-_PARSE_ERRORS = (ValueError, OverflowError, Warning)  # warnings are raised as errors
+_PARSE_ERRORS = (ValueError, Warning)  # warnings are raised as errors
+
+_DATE = re.compile(r"(?P<integer>[+-]?[0-9]+)|[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def parse_date(token: str) -> int:
@@ -59,13 +64,18 @@ def parse_date(token: str) -> int:
     Python (``date.fromisoformat`` takes more from 3.11 on).
     """
     token = token.strip(string.whitespace)
+    match = _DATE.fullmatch(token)
+    if match and match["integer"]:
+        # int() refuses a string of more digits than sys.get_int_max_str_digits()
+        day = int(token) if len(token.lstrip("+-0")) <= 19 else 2**63
+        if not -2**63 <= day < 2**63:
+            raise DataFormatError(f"date {token!r} out of range")
+        return day
     try:
-        if "\0" in token:  # a bytes array drops a NUL that ends a cell
+        if not match:
             raise ValueError
-        return int(_day_numbers(np.array([token.encode("ascii")]))[0])
-    except OverflowError:
-        raise DataFormatError(f"date {token!r} out of range") from None
-    except ValueError:  # UnicodeEncodeError too
+        return date.fromisoformat(token).toordinal()
+    except ValueError:
         raise DataFormatError(f"unparseable date {token!r}") from None
 
 
@@ -194,87 +204,94 @@ def _cells(path, lineno, line) -> list:
 
 
 def _day_numbers(cells) -> np.ndarray:
-    """The int64 day numbers of an array of bytes date cells, as ``parse_date``.
+    """The int64 day numbers of an ``S19`` array of date cells, as ``parse_date``
+    reads them, if every cell is an unsigned ASCII integer of at most 18
+    digits (int64 arithmetic holds it) or every one is ``YYYY-MM-DD``.
 
-    Raises ValueError on a cell of another shape, which numpy's conversions
-    do not check (they read ``1_0`` as 10 and ``2010``, ``2010-01-04T00`` and
-    ``NaT`` as dates), and OverflowError on an integer beyond int64.
+    Raises ValueError on any other column: one that pads, signs or mixes
+    its dates, or holds a cell that ``parse_date`` would reject but numpy's
+    conversions take (``1_0``, ``2010``, ``2010-01-04T00``, ``NaT``).  A
+    cell cut at 19 bytes is longer than 18 digits, so it is refused too.
     """
-    cells = np.char.strip(cells)  # ASCII whitespace
-    length = np.char.str_len(cells)
-    width = max(int(length.max(initial=0)), 10)  # room for YYYY-MM-DD
-    codes = cells.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    width = cells.dtype.itemsize
+    codes = cells.view(np.uint8).reshape(-1, width)
     value = codes - np.uint8(48)  # a digit's value; above 9 (the uint8 wraps) if no digit
+    length = np.char.str_len(cells)
     digits = (value <= 9) @ np.ones(width)  # a row sum, faster than an axis reduction
-    signed = (codes[:, 0] == ord("+")) | (codes[:, 0] == ord("-"))
-    integer = (digits > 0) & (digits + signed == length)
-    iso = (length == 10) & (digits == 8) & (codes[:, 4] == ord("-")) & (codes[:, 7] == ord("-"))
-    days = np.zeros(len(cells), dtype=np.int64)
-    for j in range(int(length[integer].max(initial=0))):  # Horner's rule
-        days = np.where((j >= signed) & (j < length), days * 10 + value[:, j], days)
-    days = np.where(codes[:, 0] == ord("-"), -days, days)
-    big = integer & (digits > 18)  # more digits than int64 arithmetic holds
-    days[big] = cells[big].astype(np.int64)
-    days[iso] = cells[iso].astype("datetime64[D]").astype(np.int64) + 719163  # 1970-01-01
-    if not (integer | iso).all() or (days[iso] < 1).any():  # nor is year 0000 a date
-        raise ValueError("a date cell is neither an integer nor YYYY-MM-DD")
-    return days
+    if (digits == length).all() and 0 < length.min() and length.max() <= 18:
+        days = np.zeros(len(cells), dtype=np.int64)
+        for j in range(int(length.max())):  # Horner's rule
+            days = np.where(j < length, days * 10 + value[:, j], days)
+        return days
+    if ((length == 10) & (digits == 8) & (codes[:, 4] == ord("-"))
+            & (codes[:, 7] == ord("-"))).all():
+        days = cells.astype("datetime64[D]").astype(np.int64) + 719163  # 1970-01-01
+        if (days >= 1).all():  # nor is year 0000 a date
+            return days
+    raise ValueError("the date cells are not all plain integers or all YYYY-MM-DD")
 
 
-def _parse(lines, date_pos, cols, width=24):
-    """(int64 day numbers, (n, len(cols)) float values) of CSV lines.
+def _parse(lines, date_pos, cols):
+    """(int64 day numbers, (n, len(cols)) float values) of a plain file's lines.
 
-    One ``np.loadtxt`` call reads the date cells as ``S<width>`` bytes (a
-    cell that fills the field may be cut, so then all are read again as
-    wide as the longest line) and the ``cols`` cells as floats.  Raises one
-    of ``_PARSE_ERRORS`` on a bad cell, no data row or a skipped empty line.
+    The fast route: one ``np.loadtxt`` call reads the date cells as ``S19``
+    bytes and the ``cols`` cells as floats, and ``_day_numbers`` converts the
+    dates in bulk.  Raises one of ``_PARSE_ERRORS`` on any file that is not
+    plain: a bad cell, a blank row, no data row, a date column that
+    ``_day_numbers`` refuses, or a value that is not finite.
     """
-    dtype = np.dtype([("date", f"S{width}"), ("values", np.float64, len(cols))])
+    dtype = np.dtype([("date", "S19"), ("values", np.float64, len(cols))])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         records = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
                              usecols=[date_pos, *cols], ndmin=1, quotechar='"')
     if len(records) != len(lines):
         raise ValueError(f"np.loadtxt read {len(records)} rows from {len(lines)} lines")
-    cells = np.ascontiguousarray(records["date"])
-    if cells.view(np.uint8)[width - 1::width].any() and width < (longest := max(map(len, lines))):
-        return _parse(lines, date_pos, cols, longest)  # a cell's last byte is set
-    return _day_numbers(cells), records["values"]
+    values = records["values"]
+    if not np.isfinite(values).all():
+        raise ValueError("a value is not finite")
+    return _day_numbers(np.ascontiguousarray(records["date"])), values
 
 
-def _non_finite(path, values, linenos) -> DataFormatError:
-    """The error for the first non-finite cell of parsed rows ``linenos``."""
-    row, col = np.argwhere(~np.isfinite(values))[0]
-    return DataFormatError(
-        f"{path}: non-finite {CHANNELS[col]} {values[row, col]} on row {linenos[row]}")
-
-
-def _bad_cell(path, lines, linenos, date_pos, cols, exc) -> DataFormatError:
-    """The error for the first of the rows ``linenos`` that ``_parse`` rejects
-    or reads as non-finite, found by halving, as every group that holds that
-    row is bad too.  The message is ``parse_date``'s or ``float()``'s, else
-    ``_non_finite``'s, else ``_parse``'s (``1_000``).
-    """
-    while len(linenos) > 1:
-        half = len(linenos) // 2
-        try:
-            _, values = _parse([lines[i - 1] for i in linenos[:half]], date_pos, cols)
-            bad = not np.isfinite(values).all()
-        except _PARSE_ERRORS:
-            bad = True
-        linenos = linenos[:half] if bad else linenos[half:]
-    line = lines[linenos[0] - 1]
-    cells = _cells(path, linenos[0], line)
+def _value(cell: str) -> float:
+    """A value cell as ``np.loadtxt`` reads it: ``float()`` of the cell
+    stripped of whitespace, which must be ASCII and hold no ``_``."""
     try:
-        parse_date(cells[date_pos])
-        for pos in cols:
-            float(cells[pos])
-        _, values = _parse([line], date_pos, cols)
-    except (DataFormatError, IndexError, *_PARSE_ERRORS) as err:
-        return DataFormatError(f"{path}: bad cell on row {linenos[0]}: {err}")
-    if np.isfinite(values).all():
-        return DataFormatError(f"{path}: {exc}")
-    return _non_finite(path, values, linenos)
+        if "_" in cell or not cell.strip().isascii():
+            raise ValueError
+        return float(cell.strip())
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {cell!r}") from None
+
+
+def _rows(path, lines, date_pos, cols):
+    """(day numbers, values, CSV rows) of the data rows of ``lines``, read one
+    at a time in file order; a blank row is skipped.
+
+    The route for every file ``_parse`` does not take.  The first fault met
+    raises ``DataFormatError`` naming its row: a cell ``_cells``,
+    ``parse_date`` or ``_value`` rejects, a missing cell, or a value that
+    is not finite.
+    """
+    dates, values, linenos = [], [], []
+    for lineno in range(2, len(lines) + 1):
+        cells = _cells(path, lineno, lines[lineno - 1])
+        if not "".join(cells).strip():
+            continue
+        try:
+            day = parse_date(cells[date_pos])
+            row = [_value(cells[pos]) for pos in cols]
+        except (DataFormatError, IndexError, ValueError) as err:
+            raise DataFormatError(f"{path}: bad cell on row {lineno}: {err}") from None
+        for channel, v in zip(CHANNELS, row):
+            if not math.isfinite(v):
+                raise DataFormatError(f"{path}: non-finite {channel} {v} on row {lineno}")
+        dates.append(day)
+        values.append(row)
+        linenos.append(lineno)
+    if not linenos:
+        raise DataFormatError(f"{path}: no data rows")
+    return np.array(dates, dtype=np.int64), np.array(values), linenos
 
 
 def load_ohlcv(path, raw: bytes | None = None) -> TimeSeriesFrame:
@@ -292,9 +309,12 @@ def load_ohlcv(path, raw: bytes | None = None) -> TimeSeriesFrame:
     a negative volume or a high below the low, and the one for a repeated
     date names both rows.
 
-    One ``np.loadtxt`` call parses every row, and the date cells, integer
-    and ISO alike, become day numbers in bulk.  Blank rows are dropped only
-    if that fails, and rows are checked one by one only to name a bad one.
+    A file takes one of two routes.  A plain file (every date an unsigned
+    integer of at most 18 digits, or every one ``YYYY-MM-DD``; no blank
+    row; every value finite) is read by one ``np.loadtxt`` call with its
+    dates converted in bulk (``_parse``).  Any other file is read row by
+    row in file order (``_rows``), which names the first fault it meets.
+    Both give the same frame for a file both take.
 
     ``raw`` is the file's content when the caller has read it already (the
     CLI hashes the bytes it parses); ``path`` then only names the file.
@@ -332,29 +352,7 @@ def load_ohlcv(path, raw: bytes | None = None) -> TimeSeriesFrame:
     try:
         dates, values = _parse(lines[1:], date_pos, cols)
     except _PARSE_ERRORS:
-        # drop the blank rows: np.loadtxt rejects ",," and skips an empty
-        # line; the rows end at one whose cells cannot be read, which is the
-        # error unless a row before it is bad
-        rows, unreadable = [], None
-        for i in linenos:
-            try:
-                cells = _cells(path, i, lines[i - 1])
-            except DataFormatError as err:
-                unreadable = err
-                break
-            if "".join(cells).strip():
-                rows.append(i)
-        linenos = rows
-        try:
-            dates, values = _parse([lines[i - 1] for i in linenos], date_pos, cols)
-        except _PARSE_ERRORS as exc:
-            if linenos:
-                raise _bad_cell(path, lines, linenos, date_pos, cols, exc) from exc
-            raise unreadable or DataFormatError(f"{path}: no data rows") from None
-        if unreadable and np.isfinite(values).all():  # else the check below names the row
-            raise unreadable
-    if not np.isfinite(values).all():
-        raise _non_finite(path, values, linenos)
+        dates, values, linenos = _rows(path, lines, date_pos, cols)
     # checked before the sort, so that the error names the CSV row
     broken = _broken_price_invariant(values[:, 1], values[:, 2], values[:, 3])
     if broken:

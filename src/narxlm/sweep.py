@@ -157,11 +157,16 @@ def select_best(rows: list):
 
     Ties break by lower performance, fewer neurons, smaller max delay.  If no
     row passes the bounds filter the best unfiltered row is returned with a
-    warning flag set.
+    warning flag set.  If every row diverged, ``DivergedError`` names each
+    point's lags, neurons and warning; an empty row list is a
+    ``ValidationError``.
     """
+    if not rows:
+        raise ValidationError("no rows to select from")
     live = [r for r in rows if not r.diverged]
     if not live:
-        raise ValidationError("no non-diverged rows to select from")
+        raise DivergedError(f"all {len(rows)} sweep points diverged: " + "; ".join(
+            f"d_u={r.d_u} d_y={r.d_y} N={r.n_hidden}: {r.warning}" for r in rows))
     passing = [r for r in live if r.xcorr_within_bounds]
     pool = passing if passing else live
 

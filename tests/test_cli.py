@@ -820,6 +820,18 @@ class TestInputValidation:
         assert capsys.readouterr().err == f"error: unparseable date '{date}'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--from", "--to"])
+    @pytest.mark.parametrize("date", ["", " "], ids=["empty", "blank"])
+    def test_empty_date_option_is_unparseable(self, data_csv, tmp_path, capsys,
+                                              option, date):
+        # an empty value is a date that does not parse, not an open end
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--csv", data_csv, "--out", str(out), option, date,
+                       *FAST_FLAGS])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: unparseable date ''\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "eval"])
     @pytest.mark.parametrize("key, value", [
         ("n_hidden", float("inf")), ("n_exo", -float("inf")), ("d_u", [0, 1e400]),
@@ -1069,6 +1081,21 @@ class TestStrictJson:
         # the CSV keeps nan for a missing number
         assert (out / cli.SWEEP_CSV_FILE).read_text().splitlines()[1].split(",")[3:6] == [
             "nan", "nan", "nan"]
+
+    def test_sweep_whose_every_point_diverged_exits_5(self, data_csv, tmp_path, monkeypatch,
+                                                       capsys):
+        def fit(prep, n_hidden, params, seed):
+            raise DivergedError(f"all 1 restarts diverged at N={n_hidden}")
+        monkeypatch.setattr(sweep, "fit", fit)
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--csv", data_csv, "--out", str(out), "--neurons", "2,3",
+                       "--epochs", "10", "--restarts", "1"])
+        assert rc == cli.EXIT_DIVERGED
+        assert capsys.readouterr().err == (
+            "error: all 2 sweep points diverged:"
+            " d_u=(0, 1) d_y=(1,) N=2: all 1 restarts diverged at N=2;"
+            " d_u=(0, 1) d_y=(1,) N=3: all 1 restarts diverged at N=3\n")
+        assert not out.exists()
 
 
 def _run_quietly(argv):

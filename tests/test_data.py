@@ -23,7 +23,8 @@ from narxlm.data import (
     prepare_delayed,
     split_indices,
 )
-from narxlm.data import _COLUMN_ALIASES
+from narxlm import data
+from narxlm.data import _COLUMN_ALIASES, _PARSE_ERRORS, _day_numbers, _parse, _rows
 from narxlm.errors import DataFormatError, InsufficientDataError, ValidationError
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
 
@@ -504,7 +505,7 @@ class TestReferenceLoader:
         assert list(frame.timesteps) == [3, 6, 9]
         _assert_same_frame(frame, reference_load_ohlcv(path))
 
-    def test_signed_zero_and_tab_padded_dates_take_one_pass(self, tmp_path):
+    def test_signed_zero_and_tab_padded_dates_match_reference_loader(self, tmp_path):
         path = tmp_path / "prices.csv"
         path.write_text("Date,Open,High,Low,Close,Volume\n"
                         "+7,1,2,0.5,1.5,100\n008,1,2,0.5,1.5,100\n\t6\t,1,2,0.5,1.5,100\n")
@@ -512,7 +513,7 @@ class TestReferenceLoader:
         assert list(frame.timesteps) == [6, 7, 8]
         _assert_same_frame(frame, reference_load_ohlcv(path))
 
-    def test_quoted_header_keeps_one_pass(self, tmp_path):
+    def test_quoted_header_matches_reference_loader(self, tmp_path):
         path = tmp_path / "prices.csv"
         frame_to_csv(synthetic_ohlcv_frame(300, seed=16, noise_std=0.01)[0], path)
         header, body = path.read_text().split("\n", 1)
@@ -526,7 +527,7 @@ class TestReferenceLoader:
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("empty_lines", [1, 2])
-    def test_trailing_empty_lines_keep_one_pass(self, tmp_path, newline, empty_lines):
+    def test_trailing_empty_lines_match_reference_loader(self, tmp_path, newline, empty_lines):
         path = tmp_path / "prices.csv"
         frame_to_csv(synthetic_ohlcv_frame(300, seed=16, noise_std=0.01)[0], path)
         lines = path.read_text().splitlines() + [""] * (empty_lines + 1)
@@ -565,6 +566,157 @@ class TestReferenceLoader:
                 datetime.date.fromordinal(int(day)).isoformat() + "," + rest
                 for day, rest in rows[1:]]) + "\n")
         _assert_same_frame(load_ohlcv(path), reference_load_ohlcv(path))
+
+
+def _with_dates(text, form):
+    """``text``, a ``frame_to_csv`` file, with each integer date rewritten by
+    ``form(i, day)``, where i counts the data rows from 0."""
+    header, *rows = text.splitlines()
+    rows = [form(i, int(row.split(",", 1)[0])) + "," + row.split(",", 1)[1]
+            for i, row in enumerate(rows)]
+    return "\n".join([header] + rows) + "\n"
+
+
+def _iso(i, day):
+    return datetime.date.fromordinal(day).isoformat()
+
+
+def _quote_cells(text):
+    return "\n".join(",".join(f'"{cell}"' for cell in line.split(","))
+                     for line in text.splitlines()) + "\n"
+
+
+def _extra_columns(text):
+    header, *rows = text.splitlines()
+    return "\n".join([header + ",Ticker,Note"]
+                     + [row + ',INTC,"a, b"' for row in rows]) + "\n"
+
+
+def _blank_row(text, blank):
+    lines = text.splitlines()
+    return "\n".join(lines[:150] + [blank] + lines[150:]) + "\n"
+
+
+# the layouts the benchmark and frame_to_csv write, or that exporters add
+PLAIN_LAYOUTS = {
+    "integer-dates": lambda text: text,
+    "iso-dates": lambda text: _with_dates(text, _iso),
+    "quoted-header": lambda text: text.replace("Date,Open,High,Low,Close,Volume,Adj Close",
+                                               '"Date","Open","High","Low","Close","Volume",'
+                                               '"Adj Close"', 1),
+    "quoted-cells": _quote_cells,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "lone-cr": lambda text: text.replace("\n", "\r"),
+    "trailing-empty-lines": lambda text: text + "\n\n",
+    "byte-order-mark": lambda text: "\ufeff" + text,
+    "extra-columns": _extra_columns,
+}
+# the layouts only the row-by-row route reads
+ROW_LAYOUTS = {
+    "internal-empty-line": lambda text: _blank_row(text, ""),
+    "internal-blank-cells-row": lambda text: _blank_row(text, ",,,,,,"),
+    "space-padded-dates": lambda text: _with_dates(text, lambda i, day: f" {day} "),
+    "signed-dates": lambda text: _with_dates(text, lambda i, day: f"+{day}"),
+    "mixed-integer-and-iso-dates": lambda text: _with_dates(
+        text, lambda i, day: _iso(i, day) if i % 3 else str(day)),
+}
+
+
+class TestLoaderRoutes:
+    """load_ohlcv has two routes: ``_parse``, one np.loadtxt call for a plain
+    file, and ``_rows``, row by row, for every other file."""
+
+    @pytest.fixture(scope="class")
+    def plain_text(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("routes") / "prices.csv"
+        frame_to_csv(synthetic_ohlcv_frame(300, seed=16, noise_std=0.01)[0], path)
+        return path.read_text()
+
+    @pytest.mark.parametrize("layout", PLAIN_LAYOUTS)
+    def test_plain_layout_takes_the_fast_route(self, plain_text, tmp_path, monkeypatch, layout):
+        text = PLAIN_LAYOUTS[layout](plain_text)
+        path, ref = tmp_path / "prices.csv", tmp_path / "reference.csv"
+        path.write_bytes(text.encode("utf-8"))
+        ref.write_bytes(text.removeprefix("\ufeff").encode("utf-8"))  # csv keeps a BOM
+
+        def rows(*args):
+            raise AssertionError("a plain file went row by row")
+        monkeypatch.setattr(data, "_rows", rows)
+        frame = load_ohlcv(path)
+        assert len(frame) == 300
+        _assert_same_frame(frame, reference_load_ohlcv(ref))
+
+    @pytest.mark.parametrize("layout", ROW_LAYOUTS)
+    def test_other_layout_goes_row_by_row(self, plain_text, tmp_path, monkeypatch, layout):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(ROW_LAYOUTS[layout](plain_text).encode("utf-8"))
+        calls = []
+
+        def rows(*args):
+            calls.append(args)
+            return _rows(*args)
+        monkeypatch.setattr(data, "_rows", rows)
+        frame = load_ohlcv(path)
+        assert len(calls) == 1 and len(frame) == 300
+        _assert_same_frame(frame, reference_load_ohlcv(path))
+
+
+def _cell(core):
+    """``core`` as a CSV cell: maybe padded, maybe quoted, maybe with a stray quote."""
+    space = st.sampled_from(["", " ", "\t", "\xa0", "\x1c", "\x0b", "\u2028"])
+    return st.one_of(
+        st.builds("{}{}{}".format, space, core, space),
+        st.builds('"{}{}{}"'.format, space, core, space),
+        st.builds('{}"{}'.format, core, core),
+        st.builds('"{}"{}'.format, core, core))
+
+
+NUMBER_PARTS = ["0", "1", "7", "9", "\u0661", "\uff17", "_", "1_0", ".", "e", "E", "+", "-",
+                "nan", "NaN", "inf", "-Infinity", "infinity", "INF", "1e999"]
+DATE_PARTS = ["0", "1", "2", "5", "9", "2010", "01", "12", "31", "-", "+", "_", "T", "W",
+              "\u0661", "2010-01-04", "0000-01-01", "2010-02-30", "123456789"]
+
+
+def _number(parts):
+    return st.lists(st.sampled_from(parts), min_size=1, max_size=6).map("".join)
+
+
+class TestFastRouteContract:
+    """The fast route takes nothing the row-by-row route rejects, and reads
+    every cell it takes to the same bits."""
+
+    @given(cell=_cell(_number(NUMBER_PARTS)))
+    @settings(max_examples=500, deadline=None)
+    def test_value_cell(self, cell):
+        line = f"5,{cell}"
+        try:
+            want = _rows("one.csv", ["Date,Open", line], 0, [1])[1]
+        except DataFormatError:
+            want = None
+        try:
+            got = _parse([line], 0, [1])[1]
+        except _PARSE_ERRORS:
+            got = None
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+
+    @given(tokens=st.lists(st.one_of(
+        _number(DATE_PARTS),
+        st.integers(0, 10**25).map(str),
+        st.dates().map(datetime.date.isoformat),
+        st.builds("{}{}{}".format, st.sampled_from(["", " ", "+", "-", "\t"]),
+                  st.integers(0, 10**20).map(str), st.sampled_from(["", " "]))),
+        min_size=1, max_size=3))
+    @settings(max_examples=500, deadline=None)
+    def test_date_cells(self, tokens):
+        cells = np.array([token.encode("utf-8") for token in tokens], dtype="S19")
+        try:
+            got = _day_numbers(cells)
+        except ValueError:
+            return  # refused: the file goes row by row
+        assert got.dtype == np.int64
+        assert list(got) == [parse_date(token) for token in tokens]
 
 
 def reference_apply(spec, values, channel):

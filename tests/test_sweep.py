@@ -8,7 +8,7 @@ import pytest
 from narxlm import cli
 from narxlm.data import fit_normalization, apply_normalization, prepare_delayed, split_indices
 from narxlm.diagnostics import diagnose
-from narxlm.errors import InsufficientDataError, ValidationError
+from narxlm.errors import DivergedError, InsufficientDataError, ValidationError
 from narxlm.network import NarxConfig, forward_open
 from narxlm.sweep import SweepGrid, SweepRow, parse_lag_range, run_sweep, select_best
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
@@ -200,8 +200,13 @@ class TestSelectBest:
         dead = self._row(1.0, diverged=True)
         live = self._row(0.9)
         assert select_best([dead, live]) is live
-        with pytest.raises(ValidationError):
+        dead.warning = "all 2 restarts diverged"
+        with pytest.raises(DivergedError, match=re.escape(
+                "all 1 sweep points diverged: d_u=(0, 1) d_y=(1,) N=10:"
+                " all 2 restarts diverged") + "$"):
             select_best([dead])
+        with pytest.raises(ValidationError, match="no rows to select from"):
+            select_best([])
 
     def test_pure_function_of_table(self):
         rows = [self._row(0.95), self._row(0.97), self._row(0.96)]
