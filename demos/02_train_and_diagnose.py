@@ -27,7 +27,7 @@ for rec in report.records[:5]:
           f"val {rec.val_mse:.3e} lambda {rec.lam:.3g}")
 
 # one-step-ahead diagnostics on the held-out test block
-diag = evaluate_open(report.network, prep, idx=prep.splits[2], xi=params.xi)
+diag = evaluate_open(report.network, prep, idx=prep.dataset.splits[2], xi=params.xi)
 print(f"\ntest-block R:     {diag.r_value:.5f}")
 print(f"max divergence:   {diag.max_divergence_pct:.3f}%")
 print(f"MSE (normalized): {diag.mse:.3e}")

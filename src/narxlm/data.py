@@ -19,7 +19,6 @@ import string
 import warnings
 from dataclasses import dataclass, replace
 from datetime import date
-from functools import cached_property
 
 import numpy as np
 
@@ -216,8 +215,11 @@ def _day_numbers(cells) -> np.ndarray:
     width = cells.dtype.itemsize
     codes = cells.view(np.uint8).reshape(-1, width)
     value = codes - np.uint8(48)  # a digit's value; above 9 (the uint8 wraps) if no digit
-    length = np.char.str_len(cells)
-    digits = (value <= 9) @ np.ones(width)  # a row sum, faster than an axis reduction
+    ones = np.ones(width)
+    # row sums, faster than an axis reduction; a cell is NUL-padded and
+    # load_ohlcv refuses a NUL byte, so its non-zero bytes are its length
+    length = (codes != 0) @ ones
+    digits = (value <= 9) @ ones
     if (digits == length).all() and 0 < length.min() and length.max() <= 18:
         days = np.zeros(len(cells), dtype=np.int64)
         for j in range(int(length.max())):  # Horner's rule
@@ -473,10 +475,11 @@ class DelayedDataset:
     def n_samples(self) -> int:
         return len(self.T)
 
-    @cached_property
+    @property
     def splits(self) -> tuple:
         """The (train, validation, test) sample blocks, ``split_indices`` of
-        the samples, built once per dataset and cached in its ``__dict__``."""
+        the samples, built on each read: a value object caches only what a
+        timed op reads on every call, and ``train`` reads this once per run."""
         return split_indices(self.n_samples)
 
     def subset(self, idx) -> "DelayedDataset":

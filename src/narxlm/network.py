@@ -55,9 +55,6 @@ class NarxConfig:
         if self.n_exo < 1:
             raise ValidationError("n_exo must be >= 1")
 
-    def __reduce__(self):
-        return type(self), (self.d_u, self.d_y, self.n_hidden, self.n_exo)
-
     @property
     def n_input_taps(self) -> int:
         return len(self.d_u) * self.n_exo
@@ -66,17 +63,15 @@ class NarxConfig:
     def n_params(self) -> int:
         return _blocks(self)[-1].stop
 
-    @cached_property
+    @property
     def penalized(self) -> np.ndarray:
-        """Read-only boolean mask over the flat weights: True on W_ih, W_yh and
-        W_ho, the weights MSEREG's weight mean penalizes, False on the biases
-        b_h and b_o.  Built once per config and cached in its ``__dict__``; a
-        copy or an unpickled config is built through the constructor and
-        builds its own."""
+        """Boolean mask over the flat weights: True on W_ih, W_yh and W_ho, the
+        weights MSEREG's weight mean penalizes, False on the biases b_h and
+        b_o.  A new array on each read: a value object caches only what a
+        timed op reads on every call, and ``train`` reads this once per run."""
         W_ih, W_yh, _, W_ho, _ = _blocks(self)
         mask = np.zeros(self.n_params, dtype=bool)
         mask[W_ih] = mask[W_yh] = mask[W_ho] = True
-        mask.flags.writeable = False
         return mask
 
     def to_dict(self) -> dict:
@@ -120,7 +115,7 @@ class NarxNetwork:
 
     ``theta`` is a read-only copy, laid out as ``_blocks`` says; the blocks
     are read-only views of it.  A copy or an unpickled network is built
-    through the constructor too, so the same holds for it.  Networks compare
+    through the constructor, so the same holds for it.  Networks compare
     and hash by identity.
 
     W_ih: (n_hidden, n_exo * |d_u|) hidden weights on exogenous taps, column
@@ -162,8 +157,10 @@ class NarxNetwork:
     @cached_property
     def feedback_matrix(self) -> np.ndarray:
         """W_yh.T as a read-only (max(d_y), N) matrix, lag j in row max(d_y) - j:
-        y[t - max(d_y):t] @ it is output t's feedback.  Built once per network
-        and cached in its ``__dict__`` (the frozen dataclass has no slots)."""
+        y[t - max(d_y):t] @ it is output t's feedback.  Cached in the network's
+        ``__dict__`` (the frozen dataclass has no slots), since a value object
+        caches only what a timed op reads on every call, and
+        ``ClosedLoopNarx.simulate`` reads it on each call (each forecast origin)."""
         d_y = np.asarray(self.config.d_y)
         W_fb = np.zeros((d_y[-1], self.config.n_hidden))
         W_fb[d_y[-1] - d_y] = self.W_yh.T

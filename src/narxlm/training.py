@@ -176,6 +176,7 @@ def train(config: NarxConfig, dataset, params: TrainParams, seed: int) -> TrainR
     as it is, with no copy.
     """
     train_set, val_set, test_set = (dataset.subset(idx) for idx in dataset.splits)
+    penalized = config.penalized  # built on each read: read once per run
 
     net = init_weights(config, seed)
     lam, xi = params.mu0, params.xi
@@ -183,7 +184,7 @@ def train(config: NarxConfig, dataset, params: TrainParams, seed: int) -> TrainR
     def objective(th):
         candidate = NarxNetwork.from_flat(config, th)
         err = forward_open(candidate, train_set) - train_set.T
-        return msereg(err, candidate.theta, xi, penalized=config.penalized), candidate, err
+        return msereg(err, candidate.theta, xi, penalized=penalized), candidate, err
 
     records = []
     best_epoch, best_val, fails = -1, np.inf, 0
@@ -195,7 +196,7 @@ def train(config: NarxConfig, dataset, params: TrainParams, seed: int) -> TrainR
             raise DivergedError(f"non-finite objective at epoch {epoch}", epoch=epoch)
         # J is not kept: only A (P x P) stays alive through the damping loop
         A, b, grad = normal_equations(*jacobian(net, train_set), net.theta, xi,
-                                      penalized=config.penalized)
+                                      penalized=penalized)
         grad_norm = float(np.max(np.abs(grad)))
 
         # propose steps until one lowers the objective or damping tops out

@@ -126,7 +126,7 @@ def noisy_run():
 
 def test_noisy_analogue_quality(noisy_run):
     frame, prep, report = noisy_run
-    diag = evaluate_open(report.network, prep, idx=prep.splits[2])
+    diag = evaluate_open(report.network, prep, idx=prep.dataset.splits[2])
     start = len(frame) - 100
     ts, preds, targs = simulate(report.network, prep, start, 100)
     sim_diag = simulate_diagnostics(preds, targs, prep, start)

@@ -28,7 +28,7 @@ from narxlm.data import _COLUMN_ALIASES, _PARSE_ERRORS, _day_numbers, _parse, _r
 from narxlm.errors import DataFormatError, InsufficientDataError, ValidationError
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
 
-from conftest import TABLE_ROWS, random_frame
+from conftest import TABLE_ROWS, random_frame, run_child
 
 
 class TestLoadOhlcv:
@@ -390,7 +390,7 @@ def reference_date(token):
 def reference_load_ohlcv(path):
     """The loader as it was before numpy's reader: csv.reader plus float()
     per cell.  Kept as the reference that load_ohlcv must match."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         colmap = {}
@@ -634,17 +634,26 @@ class TestLoaderRoutes:
 
     @pytest.mark.parametrize("layout", PLAIN_LAYOUTS)
     def test_plain_layout_takes_the_fast_route(self, plain_text, tmp_path, monkeypatch, layout):
-        text = PLAIN_LAYOUTS[layout](plain_text)
-        path, ref = tmp_path / "prices.csv", tmp_path / "reference.csv"
-        path.write_bytes(text.encode("utf-8"))
-        ref.write_bytes(text.removeprefix("\ufeff").encode("utf-8"))  # csv keeps a BOM
+        path = tmp_path / "prices.csv"
+        path.write_bytes(PLAIN_LAYOUTS[layout](plain_text).encode("utf-8"))
 
         def rows(*args):
             raise AssertionError("a plain file went row by row")
         monkeypatch.setattr(data, "_rows", rows)
         frame = load_ohlcv(path)
         assert len(frame) == 300
-        _assert_same_frame(frame, reference_load_ohlcv(ref))
+        _assert_same_frame(frame, reference_load_ohlcv(path))
+
+    def test_plain_load_leaves_numpy_char_unloaded(self, tmp_path):
+        # `import numpy` does not load numpy.char; a fresh process's first
+        # plain load would pay for it inside every command's start-up
+        code = ("import sys\n"
+                "from narxlm.data import load_ohlcv\n"
+                "from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame\n"
+                "frame_to_csv(synthetic_ohlcv_frame(40, seed=2)[0], 'prices.csv')\n"
+                "assert len(load_ohlcv('prices.csv')) == 40\n"
+                "print('numpy.char' in sys.modules)")
+        assert run_child("-c", code, cwd=tmp_path).strip() == "False"
 
     @pytest.mark.parametrize("layout", ROW_LAYOUTS)
     def test_other_layout_goes_row_by_row(self, plain_text, tmp_path, monkeypatch, layout):
@@ -959,7 +968,7 @@ class TestPrepareDelayed:
     def test_dataset_owns_its_splits(self):
         frame, _ = synthetic_ohlcv_frame(60, seed=3, noise_std=0.02)
         ds = prepare_delayed(frame, (0, 1), (1, 2))
-        assert ds.splits is ds.splits  # built once
+        ds.splits[0][:] = -1  # built on each read, so a caller's write stays its own
         for got, want in zip(ds.splits, split_indices(ds.n_samples), strict=True):
             assert np.array_equal(got, want)
 

@@ -129,6 +129,8 @@ def reference_init_weights(config, seed):
 
 
 BLOCK_NAMES = ("W_ih", "W_yh", "b_h", "W_ho", "b_o")
+COPIERS = [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))]
+COPIER_IDS = ["copy", "deepcopy", "pickle"]
 
 
 class TestWeightLayout:
@@ -149,8 +151,6 @@ class TestWeightLayout:
             want[blocks[2]] = want[blocks[4]] = False
             assert np.array_equal(penalized, want)
             assert np.count_nonzero(~penalized) == c.n_hidden + 1
-            assert not penalized.flags.writeable
-            assert c.penalized is penalized  # built once per config
 
     def test_blocks_are_read_only_views_of_theta(self):
         rng = np.random.default_rng(9)
@@ -184,18 +184,31 @@ class TestWeightLayout:
             assert np.array_equal(init_weights(net.config, seed).theta,
                                   reference_init_weights(net.config, seed))
 
-    @pytest.mark.parametrize("copier", [
-        copy.copy, copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
-        ids=["copy", "deepcopy", "pickle"])
+    def test_penalized_is_built_on_each_read(self):
+        config = NarxConfig(d_u=(0, 2), d_y=(1, 3), n_hidden=4, n_exo=3)
+        first = config.penalized
+        want = first.copy()
+        assert np.array_equal(config.penalized, want)
+        first[:] = ~want  # a caller's write stays in its own array
+        assert np.array_equal(config.penalized, want)
+        assert "penalized" not in vars(config)
+
+    @pytest.mark.parametrize("copier", COPIERS, ids=COPIER_IDS)
+    def test_config_copies_by_its_fields(self, copier):
+        config = NarxConfig(d_u=[2, 0], d_y=(3, 1), n_hidden=4, n_exo=3)
+        other = copier(config)
+        assert other == config and vars(other) == vars(config)
+        assert type(other.d_u) is tuple and type(other.d_y) is tuple
+        assert np.array_equal(other.penalized, config.penalized)
+
+    @pytest.mark.parametrize("copier", COPIERS, ids=COPIER_IDS)
     def test_copy_goes_through_the_constructor(self, copier):
         config = NarxConfig(d_u=(0, 1), d_y=(1, 2), n_hidden=3, n_exo=2)
         net = init_weights(config, 4)
         net.feedback_matrix  # cached in the instance __dict__
-        config.penalized  # and in the config's
         other = copier(net)
         assert "feedback_matrix" not in vars(other)  # rebuilt, not copied
         assert np.array_equal(other.config.penalized, config.penalized)
-        assert not other.config.penalized.flags.writeable
         assert other.config == config and np.array_equal(other.theta, net.theta)
         assert not other.theta.flags.writeable
         for name in BLOCK_NAMES[:4]:
@@ -499,7 +512,7 @@ class TestClosedLoop:
         config = NarxConfig(d_u=d_u, d_y=d_y, n_hidden=22, n_exo=4)
         ev = ClosedLoopNarx(init_weights(config, 3))
         first = prep.dataset.first_usable_index
-        origins = [first + int(k) for k in np.concatenate(prep.splits[1:])
+        origins = [first + int(k) for k in np.concatenate(prep.dataset.splits[1:])
                    if first + k + 60 <= len(frame)]
         assert len(origins) > 50
         y = prep.frame.close

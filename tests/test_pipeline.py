@@ -29,7 +29,7 @@ def test_prepare_applies_a_given_spec_without_refitting():
         assert np.array_equal(getattr(prep.dataset, name), getattr(ds, name)), name
     assert (prep.dataset.d_u, prep.dataset.d_y, prep.dataset.first_usable_index) == \
         (ds.d_u, ds.d_y, ds.first_usable_index)
-    for got, want in zip(prep.splits, split_indices(ds.n_samples), strict=True):
+    for got, want in zip(prep.dataset.splits, split_indices(ds.n_samples), strict=True):
         assert np.array_equal(got, want)
 
 
@@ -76,9 +76,10 @@ def test_prepare_names_the_rows_and_the_lag(rows, d_y):
 def test_prepared_splits_are_the_datasets():
     frame, _ = synthetic_ohlcv_frame(60, seed=1234, noise_std=0.02)
     prep = prepare(frame, (0, 1), (1,))
-    assert prep.splits is prep.dataset.splits
+    for got, want in zip(prep.splits, prep.dataset.splits, strict=True):
+        assert np.array_equal(got, want)
     # the normalization is fitted on the rows up to the last training target
-    fit_rows = prep.dataset.first_usable_index + len(prep.splits[0])
+    fit_rows = prep.dataset.first_usable_index + len(prep.dataset.splits[0])
     assert prep.norm_spec == fit_normalization(frame, sorted(EXO + ("close",)), fit_rows)
 
 

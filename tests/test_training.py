@@ -455,13 +455,14 @@ def test_reported_msereg_is_training_objective():
     prep = prepare(frame, d_u=(0, 1), d_y=(1,))
     params = TrainParams(xi=0.9, restarts=2, epochs=25)
     report = fit(prep, n_hidden=4, params=params, seed=8)
-    diag = evaluate_open(report.network, prep, idx=prep.splits[0], xi=params.xi)
+    train_idx, val_idx, test_idx = prep.dataset.splits
+    diag = evaluate_open(report.network, prep, idx=train_idx, xi=params.xi)
     expected = report.records[report.best_epoch].train_objective
     # evaluate_open runs the network on the block alone, as training does
     assert diag.msereg == expected
     assert diag.msereg != pytest.approx(diag.mse, rel=0, abs=1e-12)
-    assert evaluate_open(report.network, prep, idx=prep.splits[1]).mse == report.best_val_mse
-    assert evaluate_open(report.network, prep, idx=prep.splits[2]).mse == report.best_test_mse
+    assert evaluate_open(report.network, prep, idx=val_idx).mse == report.best_val_mse
+    assert evaluate_open(report.network, prep, idx=test_idx).mse == report.best_test_mse
 
 
 @settings(max_examples=40, deadline=None)
@@ -477,12 +478,13 @@ def test_reported_msereg_is_training_objective_property(
     prep = prepare(frame, d_u=d_u, d_y=d_y)
     params = TrainParams(xi=xi, restarts=restarts, epochs=12)
     report = fit(prep, n_hidden=n_hidden, params=params, seed=seed)
-    diag = evaluate_open(report.network, prep, idx=prep.splits[0], xi=xi)
+    train_idx, val_idx, test_idx = prep.dataset.splits
+    diag = evaluate_open(report.network, prep, idx=train_idx, xi=xi)
     expected = report.records[report.best_epoch].train_objective
     assert diag.msereg == expected
     # the val and test MSE that chose the best epoch, bit for bit
-    assert evaluate_open(report.network, prep, idx=prep.splits[1]).mse == report.best_val_mse
-    assert evaluate_open(report.network, prep, idx=prep.splits[2]).mse == report.best_test_mse
+    assert evaluate_open(report.network, prep, idx=val_idx).mse == report.best_val_mse
+    assert evaluate_open(report.network, prep, idx=test_idx).mse == report.best_test_mse
 
 
 def test_training_loads_no_scipy():
