@@ -201,10 +201,18 @@ def init_weights(config: NarxConfig, seed: int) -> NarxNetwork:
         rng.uniform(-r_out, r_out, size=config.n_params - split)]))
 
 
+def _check_dataset_lags(config: NarxConfig, dataset) -> None:
+    """A network runs only on a dataset with its own lags: equal tap counts
+    are not enough, since the taps would hold other lags' values."""
+    if (config.d_u, config.d_y) != (dataset.d_u, dataset.d_y):
+        raise ValidationError(f"network lags {config.d_u}, {config.d_y} differ from the dataset's")
+
+
 def _forward(net: NarxNetwork, dataset):
     """(a, yhat): the open loop's hidden activations (S, N) and outputs (S,),
     with true lagged targets in the feedback taps.  The one open-loop pass:
-    ``forward_open`` returns its outputs and ``jacobian`` differentiates it."""
+    ``forward_open`` returns its outputs and ``jacobian`` differentiates it.
+    A dataset with other lags than the network's raises ``ValidationError``."""
     X, Y_hist, c = dataset.X, dataset.Y_hist, net.config
     if X.ndim != 2 or X.shape[1] != c.n_input_taps:
         raise ShapeError(f"X width {X.shape} != {c.n_input_taps} input taps")
@@ -212,6 +220,7 @@ def _forward(net: NarxNetwork, dataset):
         raise ShapeError(f"Y_hist width {Y_hist.shape} != {len(c.d_y)} feedback taps")
     if X.shape[0] != Y_hist.shape[0]:
         raise ShapeError("X and Y_hist row counts differ")
+    _check_dataset_lags(c, dataset)
     a = np.tanh(X @ net.W_ih.T + Y_hist @ net.W_yh.T + net.b_h)
     return a, a @ net.W_ho + net.b_o
 

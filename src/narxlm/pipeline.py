@@ -37,7 +37,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .network import ClosedLoopNarx, NarxConfig, NarxNetwork, forward_open
+from .network import ClosedLoopNarx, NarxConfig, NarxNetwork, _check_dataset_lags, forward_open
 from .training import TrainParams, TrainReport, msereg, train_with_restarts
 
 MODEL_KEYS = ("config", "weights", "normalization", "exo_channels", "target_channel")
@@ -186,12 +186,10 @@ def simulate(net: NarxNetwork, prep: PreparedData, start_row: int, horizon: int)
     targets), both normalized, the targets a copy of the frame's rows; a
     negative horizon or one past the frame raises.
     """
-    c = net.config
     frame, dataset = prep.frame, prep.dataset
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
-    if (c.d_u, c.d_y) != (dataset.d_u, dataset.d_y):
-        raise ValidationError(f"network lags {c.d_u}, {c.d_y} differ from the dataset's")
+    _check_dataset_lags(net.config, dataset)
     k = start_row - dataset.first_usable_index  # start_row's sample
     if k < 0:
         raise InsufficientDataError("start_row leaves too little priming history")

@@ -68,7 +68,7 @@ class TrainReport:
     stop_reason: str
     best_epoch: int
     network: NarxNetwork
-    seed: int
+    seed: int | None = None  # the init's seed: train_with_restarts sets it
 
     @property
     def best_val_mse(self) -> float:
@@ -164,21 +164,22 @@ def _block_mse(net, block):
     return _mse(forward_open(net, block) - block.T)
 
 
-def train(config: NarxConfig, dataset, params: TrainParams, seed: int) -> TrainReport:
-    """One LM run from a seeded random init, with early stopping.
+def train(net: NarxNetwork, dataset, params: TrainParams) -> TrainReport:
+    """One LM run from the network ``net``, with early stopping.
 
     It fits the dataset's training block, stops early on its validation
     block and scores its test block (``dataset.splits``); the network runs
-    on one block at a time.
+    on one block at a time.  ``net`` may be a seeded init
+    (``train_with_restarts``) or a trained network (a warm start).
 
     The loop's weights are one immutable network, ``net``: a candidate is a
     new network on ``net.theta + d``, and the best epoch's network is kept
     as it is, with no copy.
     """
+    config = net.config
     train_set, val_set, test_set = (dataset.subset(idx) for idx in dataset.splits)
     penalized = config.penalized  # built on each read: read once per run
 
-    net = init_weights(config, seed)
     lam, xi = params.mu0, params.xi
 
     def objective(th):
@@ -250,7 +251,6 @@ def train(config: NarxConfig, dataset, params: TrainParams, seed: int) -> TrainR
         stop_reason=stop_reason,
         best_epoch=best_epoch,
         network=best,
-        seed=seed,
     )
 
 
@@ -258,22 +258,21 @@ def train_with_restarts(config: NarxConfig, dataset, params: TrainParams,
                         seed: int) -> TrainReport:
     """Run ``params.restarts`` trainings with derived seeds; keep the best.
 
-    Restart i uses seed + i.  Selection: minimal validation MSE at the best
+    Restart i trains from ``init_weights(config, seed + i)`` and records
+    seed + i on its report.  Selection: minimal validation MSE at the best
     epoch, ties broken by lower test MSE, then lower seed.
     """
-    best = None
-    failures = []
+    reports, failures = [], []
     for i in range(params.restarts):
         try:
-            report = train(config, dataset, params, seed + i)
+            report = train(init_weights(config, seed + i), dataset, params)
         except DivergedError as exc:
             failures.append((seed + i, exc))
             continue
-        key = (report.best_val_mse, report.best_test_mse, report.seed)
-        if best is None or key < best[0]:
-            best = (key, report)
-    if best is None:
+        report.seed = seed + i
+        reports.append(report)
+    if not reports:
         raise DivergedError(
             f"all {params.restarts} restarts diverged: "
             + "; ".join(f"seed {s}: {e}" for s, e in failures))
-    return best[1]
+    return min(reports, key=lambda r: (r.best_val_mse, r.best_test_mse, r.seed))

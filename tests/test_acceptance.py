@@ -104,7 +104,7 @@ def test_teacher_student_recovery():
                          max_fail=1000)
     recovered = 0
     for i in range(10):
-        report = train(config, ds, params, seed=500 + i)
+        report = train(init_weights(config, 500 + i), ds, params)
         final = report.records[-1]
         if final.train_mse < 1e-6:
             recovered += 1

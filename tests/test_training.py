@@ -14,7 +14,7 @@ from narxlm.network import (
     init_weights,
     jacobian,
 )
-from narxlm.pipeline import evaluate_open, fit, prepare
+from narxlm.pipeline import evaluate_open, fit, prepare, simulate
 from narxlm.synth import synthetic_ohlcv_frame
 from narxlm.training import (
     EpochRecord,
@@ -195,14 +195,14 @@ class TestTrain:
         ds = linear_ar_dataset()
         config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=2, n_exo=1)
         params = TrainParams(xi=1.0, goal=1e-5)
-        report = train(config, ds, params, seed=1)
+        report = train(init_weights(config, 1), ds, params)
         assert report.stop_reason == "goal-met"
         assert report.records[-1].train_objective <= 1e-5
 
     def test_accepted_objectives_decrease(self):
         ds = teacher_dataset(150, seed=5, noise_std=0.05)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
-        report = train(config, ds, TrainParams(xi=0.9, epochs=60), seed=2)
+        report = train(init_weights(config, 2), ds, TrainParams(xi=0.9, epochs=60))
         objs = [r.train_objective for r in report.records]
         assert all(b < a + 1e-15 for a, b in zip(objs, objs[1:]))
 
@@ -210,7 +210,7 @@ class TestTrain:
         ds = teacher_dataset(120, seed=6, noise_std=0.2)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=8, n_exo=2)
         params = TrainParams(xi=1.0, goal=1e-12, min_grad=1e-12, max_fail=6)
-        report = train(config, ds, params, seed=3)
+        report = train(init_weights(config, 3), ds, params)
         if report.stop_reason == "max-fail":
             # exactly max_fail consecutive validation increases at the end
             vals = [r.val_mse for r in report.records]
@@ -224,7 +224,7 @@ class TestTrain:
         ds = teacher_dataset(120, seed=7, noise_std=0.2)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=6, n_exo=2)
         params = TrainParams(xi=1.0, goal=1e-12, min_grad=1e-12)
-        report = train(config, ds, params, seed=4)
+        report = train(init_weights(config, 4), ds, params)
         assert report.best_epoch <= len(report.records) - 1
         vals = [r.val_mse for r in report.records]
         assert report.best_epoch == int(np.argmin(vals))
@@ -238,7 +238,7 @@ class TestTrain:
         ds = teacher_dataset(80, seed=8)
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         params = TrainParams(xi=1.0, mu_max=10.0, epochs=200)
-        report = train(config, ds, params, seed=5)
+        report = train(init_weights(config, 5), ds, params)
         for r in report.records[:-1]:
             assert r.lam <= params.mu_max * params.mu_inc
 
@@ -255,7 +255,7 @@ class TestTrain:
         config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=4, n_exo=2)
         params = TrainParams(xi=1.0, mu0=mu0, epochs=30)
         for seed in range(20):
-            report = train(config, ds, params, seed)
+            report = train(init_weights(config, seed), ds, params)
             assert report.stop_reason in {"goal-met", "min-grad", "max-fail",
                                           "epochs-exhausted", "mu-max"}
             assert np.all(np.isfinite(report.network.theta))
@@ -268,7 +268,7 @@ class TestTrain:
         bad.T[0] = np.inf
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=2, n_exo=2)
         with pytest.raises(DivergedError):
-            train(config, bad, TrainParams(xi=1.0), seed=0)
+            train(init_weights(config, 0), bad, TrainParams(xi=1.0))
 
 
 def reference_lm_step(J, F, lam, weights, xi, bias_mask):
@@ -387,12 +387,39 @@ class TestMatchesReferenceLoop:
                              max_fail=60)
         for seed, n_hidden in ((0, 4), (1, 5), (2, 6)):
             config = NarxConfig(d_u=(0, 1), d_y=(1, 2), n_hidden=n_hidden, n_exo=4)
-            report = train(config, prep.dataset, params, seed)
+            report = train(init_weights(config, seed), prep.dataset, params)
             theta, records, stop_reason, best_epoch = reference_train(
                 config, prep.dataset, split_indices(prep.dataset.n_samples), params, seed)
             assert np.array_equal(report.network.theta, theta)
             assert report.records == records
             assert (report.stop_reason, report.best_epoch) == (stop_reason, best_epoch)
+
+
+class TestStartNetwork:
+    def test_warm_start_begins_at_the_given_network(self):
+        ds = teacher_dataset(120, seed=16, noise_std=0.05)
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
+        params = TrainParams(xi=0.9, epochs=20)
+        first = train(init_weights(config, 17), ds, params)
+        warm = train(first.network, ds, params)
+        train_set = ds.subset(ds.splits[0])
+        start = msereg(forward_open(first.network, train_set) - train_set.T,
+                       first.network.theta, params.xi, penalized=config.penalized)
+        assert warm.records[0].train_objective <= start
+        assert warm.seed is None
+
+    def test_network_with_other_lags_rejected(self):
+        # same tap counts as the dataset ((0, 1) and (1,)), other lags: the
+        # taps would feed lag 2 and 5 weights with lag 0 and 1 values
+        prep = prepare(synthetic_ohlcv_frame(220, seed=99, noise_std=0.02)[0], (0, 1), (1,))
+        net = init_weights(NarxConfig(d_u=(2, 5), d_y=(3,), n_hidden=3, n_exo=4), 0)
+        message = r"network lags \(2, 5\), \(3,\) differ from the dataset's"
+        with pytest.raises(ValidationError, match=message):
+            train(net, prep.dataset, TrainParams(epochs=5))
+        with pytest.raises(ValidationError, match=message):
+            evaluate_open(net, prep)
+        with pytest.raises(ValidationError, match=message):
+            simulate(net, prep, prep.dataset.first_usable_index, 10)
 
 
 class TestRestarts:
@@ -401,9 +428,11 @@ class TestRestarts:
         config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
         params = TrainParams(xi=1.0, restarts=1, epochs=50)
         a = train_with_restarts(config, ds, params, seed=11)
-        b = train(config, ds, params, seed=11)
-        assert a.seed == b.seed
+        b = train(init_weights(config, 11), ds, params)
+        # the restart loop owns the seed; a lone run from a given network has none
+        assert (a.seed, b.seed) == (11, None)
         assert np.array_equal(a.network.theta, b.network.theta)
+        assert a.records == b.records
 
     def test_best_not_worse_than_median(self):
         ds = teacher_dataset(120, seed=12, noise_std=0.1)
@@ -411,7 +440,7 @@ class TestRestarts:
         params = TrainParams(xi=1.0, restarts=10, epochs=40,
                              goal=1e-12, min_grad=1e-12)
         best = train_with_restarts(config, ds, params, seed=13)
-        singles = [train(config, ds, params, seed=13 + i).best_val_mse
+        singles = [train(init_weights(config, 13 + i), ds, params).best_val_mse
                    for i in range(10)]
         assert best.best_val_mse <= np.median(singles)
         assert best.best_val_mse == min(singles)
