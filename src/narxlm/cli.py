@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import BLAS_THREADS_DEFAULTED, __version__
-from .data import DEFAULT_EXO_CHANNELS, load_ohlcv, parse_date
+from .data import DEFAULT_EXO_CHANNELS, DEFAULT_TARGET_CHANNEL, load_ohlcv, parse_date
 from .diagnostics import VerdictThresholds
 from .errors import (
     ConfigMismatchError,
@@ -140,6 +140,14 @@ def _add_common(p):
     p.add_argument("--seed", type=_int_at_least(0), default=42)
 
 
+def _add_channel_options(p):
+    """--exo-channels and --target-channel, whose defaults are ``data``'s;
+    ``prepare`` and ``run_sweep`` check the names."""
+    p.add_argument("--exo-channels", default=",".join(DEFAULT_EXO_CHANNELS),
+                   help="comma-separated channel names (default %(default)s)")
+    p.add_argument("--target-channel", default=DEFAULT_TARGET_CHANNEL)
+
+
 # the flag of a training or verdict option is "--" and its dataclass field's
 # name with "-" for "_", except for these fields
 FLAG_NAMES = {"mu0": "--mu", "divergence_max_pct": "--divergence-max"}
@@ -188,21 +196,12 @@ def _load_frame(args):
     return frame, hashlib.sha256(raw).hexdigest()
 
 
-def _exo_channels(args):
-    """The --exo-channels names; ``prepare`` checks them and the target's."""
-    if args.exo_channels is None:
-        return DEFAULT_EXO_CHANNELS
-    return tuple(args.exo_channels.split(","))
-
-
 def _add_train_options(p):
     _add_common(p)
     p.add_argument("--input-delays", default="0:1", help='lag set, e.g. "0:1"')
     p.add_argument("--feedback-delays", default="1", help='lag set, e.g. "1" or "1:2"')
     p.add_argument("--neurons", type=int, default=22)
-    p.add_argument("--exo-channels", default=None,
-                   help="comma-separated channel names (default open,high,low,volume)")
-    p.add_argument("--target-channel", default="close")
+    _add_channel_options(p)
     _add_fields(p, TrainParams)
     _add_fields(p, VerdictThresholds)
 
@@ -221,8 +220,7 @@ def _add_sweep_options(p):
     p.add_argument("--feedback-delays", default="1")
     p.add_argument("--neurons", default="10,22",
                    help="comma-separated neuron counts")
-    p.add_argument("--exo-channels", default=None)
-    p.add_argument("--target-channel", default="close")
+    _add_channel_options(p)
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes (>= 1)")
     _add_fields(p, TrainParams)
@@ -237,11 +235,10 @@ def _add_eval_options(p):
 def cmd_train(args) -> int:
     params = _from_fields(args, TrainParams)
     thresholds = _from_fields(args, VerdictThresholds)
-    exo = _exo_channels(args)
     frame, digest = _load_frame(args)
     d_u = parse_lag_range(args.input_delays, len(frame))
     d_y = parse_lag_range(args.feedback_delays, len(frame))
-    prep = prepare(frame, d_u, d_y, exo, args.target_channel)
+    prep = prepare(frame, d_u, d_y, args.exo_channels.split(","), args.target_channel)
     report = fit(prep, args.neurons, params, args.seed)
     diag = evaluate_open(report.network, prep, xi=params.xi, thresholds=thresholds)
 
@@ -293,9 +290,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    exo = _exo_channels(args)
     frame, digest = _load_frame(args)
-    target = args.target_channel
 
     def parse_axis(text):
         return tuple(parse_lag_range(t, len(frame)) for t in text.split(",") if t.strip())
@@ -309,7 +304,8 @@ def cmd_sweep(args) -> int:
 
     grid = SweepGrid(d_u_axis, d_y_axis, neurons,
                      _from_fields(args, TrainParams), args.seed)
-    rows = run_sweep(grid, frame, exo, target, jobs=args.jobs)
+    rows = run_sweep(grid, frame, args.exo_channels.split(","), args.target_channel,
+                     jobs=args.jobs)
     best = select_best(rows)
 
     header = ("input_delays,feedback_delays,neurons,performance,mse,r_value,"

@@ -300,9 +300,10 @@ def load_ohlcv(path, raw: bytes | None = None) -> TimeSeriesFrame:
     """Read an OHLCV CSV into a frame sorted by ascending date.
 
     The header must name Date, Open, High, Low, Close, Volume
-    (case-insensitive); Adj Close is optional and defaults to Close.  The
-    file is UTF-8 text with an optional byte-order mark and no NUL byte.
-    Cells may be quoted with ``"``, but a quoted cell may not span lines.
+    (case-insensitive); Adj Close is optional, and a missing one is the
+    frame's copy of Close (``TimeSeriesFrame``).  The file is UTF-8 text
+    with an optional byte-order mark and no NUL byte.  Cells may be quoted
+    with ``"``, but a quoted cell may not span lines.
     Rows whose cells are all blank are skipped.  A date is ``YYYY-MM-DD``
     or a signed ASCII integer (``parse_date``).  Every ``DataFormatError``
     names the file, and one in a row (a bad or non-finite cell, a byte that
@@ -347,8 +348,8 @@ def load_ohlcv(path, raw: bytes | None = None) -> TimeSeriesFrame:
         if required not in colmap:
             raise DataFormatError(f"{path}: missing column {required!r}")
 
-    # TimeSeriesFrame's argument order; adj_close falls back to close
-    cols = [colmap.get(ch, colmap["close"]) for ch in CHANNELS]
+    # TimeSeriesFrame's argument order; the frame copies close for a missing adj_close
+    cols = [colmap[ch] for ch in CHANNELS if ch in colmap]
     date_pos = colmap["date"]
     linenos = range(2, len(lines) + 1)
     try:

@@ -75,6 +75,9 @@ class TestTrain:
         assert len(manifest["input_sha256"]) == 64
         assert cli.MODEL_FILE in manifest["outputs"]
         assert manifest["parameters"]["seed"] == 7
+        # the resolved channels, as --exo-channels and --target-channel take them
+        assert manifest["parameters"]["exo_channels"] == "open,high,low,volume"
+        assert manifest["parameters"]["target_channel"] == "close"
 
     def test_stop_reason_recorded(self, trained_dir):
         with open(os.path.join(trained_dir, cli.TRAIN_REPORT_FILE)) as fh:
@@ -145,6 +148,67 @@ class TestTrain:
         model = tmp_path / "a" / "train" / cli.MODEL_FILE
         assert pipeline.model_json(*pipeline.load_model(model, cli.load_ohlcv(data_csv))) == (
             model.read_text())
+
+
+class TestDateRange:
+    # the CI series' rows run from day 734506 (2012-01-04) to 734725
+    FLAGS = ["--neurons", "3", "--seed", "3", "--epochs", "15", "--restarts", "1",
+             "--xi", "1.0"]
+
+    @pytest.fixture(scope="class")
+    def cut_dir(self, data_csv, tmp_path_factory):
+        """A train run on the CSV cut to days 734535 .. 734704."""
+        header, *rows = open(data_csv).read().splitlines()
+        tmp = tmp_path_factory.mktemp("cut")
+        cut = tmp / "cut.csv"
+        cut.write_text("\n".join([header] + [r for r in rows
+                                             if 734535 <= int(r.split(",")[0]) <= 734704]) + "\n")
+        assert cli.main(["train", "--csv", str(cut), "--out", str(tmp / "out"),
+                         *self.FLAGS]) == cli.EXIT_OK
+        return tmp / "out"
+
+    @pytest.mark.parametrize("ends", [
+        ["--from", "734535", "--to", "734704"], ["--from", "2012-02-02", "--to", "734704"],
+    ], ids=["day-numbers", "iso-start"])
+    def test_range_trains_as_the_cut_file(self, data_csv, cut_dir, tmp_path, ends):
+        out = tmp_path / "out"
+        assert cli.main(["train", "--csv", data_csv, "--out", str(out), *ends,
+                         *self.FLAGS]) == cli.EXIT_OK
+        got = outputs(out)
+        assert sorted(got) == [cli.DIAGNOSTICS_FILE, cli.EPOCHS_FILE, cli.MODEL_FILE,
+                               cli.TRAIN_REPORT_FILE]
+        assert got == outputs(cut_dir)
+
+    def test_reversed_ends_exit_4(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--csv", data_csv, "--out", str(out),
+                       "--from", "734704", "--to", "734535", *self.FLAGS])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: date range selects no rows\n"
+        assert not out.exists()
+
+
+class TestAtomicWrite:
+    @staticmethod
+    def _replace_fails(monkeypatch):
+        def replace(src, dst):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(os, "replace", replace)
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        self._replace_fails(monkeypatch)
+        with pytest.raises(OSError, match="No space left on device"):
+            cli._atomic_write(str(tmp_path / "a.json"), "{}")
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_exits_3(self, trained_dir, data_csv, tmp_path, monkeypatch, capsys):
+        self._replace_fails(monkeypatch)
+        out = tmp_path / "out"
+        rc = cli.main(["eval", "--csv", data_csv, "--out", str(out),
+                       "--model", os.path.join(trained_dir, cli.MODEL_FILE)])
+        assert rc == cli.EXIT_IO
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert os.listdir(out) == []
 
 
 class TestSimulate:
@@ -543,6 +607,16 @@ class TestOptionDefaults:
             assert cli._from_fields(args, narxlm.TrainParams) == narxlm.TrainParams()
         if command != "sweep":
             assert cli._from_fields(args, narxlm.VerdictThresholds) == narxlm.VerdictThresholds()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_channel_defaults_are_datas(self, command, capsys):
+        argv = [command, "--csv", "p.csv", "--out", "o"]
+        args = cli._build_parser(argv).parse_args(argv)
+        assert args.exo_channels.split(",") == list(narxlm.data.DEFAULT_EXO_CHANNELS)
+        assert args.target_channel == narxlm.data.DEFAULT_TARGET_CHANNEL
+        assert cli.main([command, "--help"]) == cli.EXIT_OK
+        # argparse wraps the help at spaces, and the list has none
+        assert "(default open,high,low,volume)" in " ".join(capsys.readouterr().out.split())
 
     def test_every_field_has_its_flag(self):
         # a field renamed without its FLAG_NAMES entry gets another flag,

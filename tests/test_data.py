@@ -745,6 +745,45 @@ def _assert_maps_match_reference(spec, channel, values):
         assert np.array_equal(got, want)
 
 
+class TestMissingAdjClose:
+    """A file without Adj Close gives five value columns; the frame makes
+    its adj_close a copy of close."""
+
+    @pytest.fixture(scope="class")
+    def text(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("no-adj") / "prices.csv"
+        frame_to_csv(synthetic_ohlcv_frame(300, seed=16, noise_std=0.01)[0], path)
+        return "".join(",".join(line.split(",")[:6]) + "\n"
+                       for line in path.read_text().splitlines())
+
+    @pytest.mark.parametrize("route", ["plain", "row-by-row"])
+    def test_adj_close_is_a_copy_of_close(self, text, tmp_path, monkeypatch, route):
+        path = tmp_path / "prices.csv"
+        path.write_text(text if route == "plain" else _blank_row(text, ""))
+        calls = []
+
+        def rows(*args):
+            calls.append(args)
+            return _rows(*args)
+        monkeypatch.setattr(data, "_rows", rows)
+        frame = load_ohlcv(path)
+        assert len(calls) == (route == "row-by-row") and len(frame) == 300
+        assert np.array_equal(frame.adj_close, frame.close)
+        assert not np.shares_memory(frame.adj_close, frame.close)
+        _assert_same_frame(frame, reference_load_ohlcv(path))
+
+    @pytest.mark.parametrize("cell, message", [
+        ("oops", "bad cell on row 3: could not convert string to float: 'oops'"),
+        ("inf", "non-finite close inf on row 3"),
+    ], ids=["bad", "non-finite"])
+    def test_bad_close_cell_names_row(self, tmp_path, cell, message):
+        path = tmp_path / "prices.csv"
+        path.write_text("Date,Open,High,Low,Close,Volume\n"
+                        f"1,1,2,0.5,1.5,100\n2,1,2,0.5,{cell},100\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: {message}")):
+            load_ohlcv(path)
+
+
 class TestFrameConstructor:
     def test_sequences_become_int64_and_float64_columns(self):
         frame = TimeSeriesFrame(**TABLE_ROWS)
@@ -789,6 +828,63 @@ class TestFrameConstructor:
                            match=re.escape(f"channel {name!r} has non-finite value {value}"
                                            f" at row {row}")):
             TimeSeriesFrame(**columns)
+
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValidationError, match="frame must contain at least one row"):
+            TimeSeriesFrame([], [], [], [], [], [])
+
+    def test_channel_of_another_length_rejected(self):
+        columns = {**TABLE_ROWS, "high": TABLE_ROWS["high"][:4]}
+        with pytest.raises(ValidationError, match="channel 'high' length mismatch"):
+            TimeSeriesFrame(**columns)
+
+    @pytest.mark.parametrize("days", [[1, 2, 2, 3, 4], [1, 2, 4, 3, 5]],
+                             ids=["repeated", "decreasing"])
+    def test_timesteps_that_do_not_increase_rejected(self, days):
+        with pytest.raises(ValidationError, match="timesteps must be strictly increasing"):
+            TimeSeriesFrame(**{**TABLE_ROWS, "timesteps": days})
+
+    def test_unknown_channel(self, sample_frame):
+        with pytest.raises(KeyError, match="unknown channel 'bogus'"):
+            sample_frame.channel("bogus")
+
+    @pytest.mark.parametrize("column, row, value, message", [
+        ("low", 1, 30.0, "high < low at row 1"),
+        ("volume", 3, -1.0, "negative volume at row 3"),
+    ])
+    def test_validate_prices(self, sample_frame, column, row, value, message):
+        assert sample_frame.validate_prices() is sample_frame
+        values = np.array(TABLE_ROWS[column], dtype=float)
+        values[row] = value
+        frame = TimeSeriesFrame(**{**TABLE_ROWS, column: values})
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            frame.validate_prices()
+
+
+class TestRestrict:
+    # TABLE_ROWS' days are 734506 .. 734510
+    @pytest.mark.parametrize("t_from, t_to, days", [
+        (734507, 734509, [734507, 734508, 734509]),
+        (734508, 734508, [734508]),
+        (None, 734507, [734506, 734507]),
+        (734509, None, [734509, 734510]),
+        (None, None, list(range(734506, 734511))),
+        (0, 10**9, list(range(734506, 734511))),
+    ], ids=["inclusive", "one-day", "open-start", "open-end", "open", "wider"])
+    def test_rows_within_the_ends(self, sample_frame, t_from, t_to, days):
+        frame = sample_frame.restrict(t_from, t_to)
+        assert frame.timesteps.tolist() == days
+        rows = [TABLE_ROWS["timesteps"].index(day) for day in days]
+        for name in CHANNELS:
+            assert frame.channel(name).tolist() == [TABLE_ROWS[name][r] for r in rows], name
+
+    @pytest.mark.parametrize("t_from, t_to", [
+        (734509, 734507), (734511, None), (None, 734505),
+    ], ids=["reversed", "after", "before"])
+    def test_no_rows_selected(self, sample_frame, t_from, t_to):
+        with pytest.raises(InsufficientDataError, match="^date range selects no rows$"):
+            sample_frame.restrict(t_from, t_to)
 
 
 BAD_RANGES = {

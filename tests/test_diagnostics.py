@@ -93,6 +93,14 @@ class TestMaxDivergence:
         with pytest.raises(UndefinedStatisticError):
             max_divergence([1.0, 2.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("outputs, targets", [
+        ([1.0, 2.0], [1.0, 2.0, 3.0]), ([[1.0, 2.0]], [1.0, 2.0]), ([], []),
+    ], ids=["lengths", "shapes", "empty"])
+    def test_unequal_or_empty_rejected(self, outputs, targets):
+        with pytest.raises(ValidationError,
+                           match="^outputs and targets must be equal-length, non-empty$"):
+            max_divergence(outputs, targets)
+
 
 class TestAutocorrelation:
     def test_lag_zero_is_one(self):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import pickle
 import re
@@ -335,6 +336,21 @@ class TestForwardOpen:
                              (0,), (1,))
         with pytest.raises(ShapeError):
             forward_open(net, ds)
+
+    @pytest.mark.parametrize("Y_hist, message", [
+        (lambda Y: np.hstack([Y, Y]), "Y_hist width (9, 2) != 1 feedback taps"),
+        (lambda Y: Y[:, 0], "Y_hist width (9,) != 1 feedback taps"),
+        (lambda Y: Y[:-1], "X and Y_hist row counts differ"),
+    ], ids=["wide", "1-D", "short"])
+    def test_feedback_taps_of_wrong_shape(self, Y_hist, message):
+        config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=2, n_exo=2)
+        net = init_weights(config, 1)
+        rng = np.random.default_rng(0)
+        ds = make_supervised(rng.normal(size=(10, 2)), rng.normal(size=10), (0,), (1,))
+        bad = dataclasses.replace(ds, Y_hist=Y_hist(ds.Y_hist))
+        for run in (forward_open, jacobian):
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                run(net, bad)
 
 
 class TestJacobian:

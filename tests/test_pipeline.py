@@ -205,3 +205,18 @@ def test_sweep_checks_the_channels_before_any_point(exo, target, message, monkey
     with pytest.raises(ValidationError) as err:
         sweep.run_sweep(grid, frame, exo, target)
     assert message in str(err.value)
+
+
+def test_simulate_rejects_a_start_or_horizon_outside_the_frame():
+    frame, _ = synthetic_ohlcv_frame(100, seed=29, noise_std=0.01)
+    prep = prepare(frame, (0, 1), (1, 3))  # first usable row 3
+    net = init_weights(NarxConfig(d_u=(0, 1), d_y=(1, 3), n_hidden=2, n_exo=4), 3)
+    with pytest.raises(InsufficientDataError,
+                       match="^start_row leaves too little priming history$"):
+        simulate(net, prep, 2, 10)
+    with pytest.raises(InsufficientDataError,
+                       match="^horizon 11 from row 90 exceeds frame length 100$"):
+        simulate(net, prep, 90, 11)
+    # the ends themselves are allowed
+    assert len(simulate(net, prep, 3, 97)[0]) == 97
+    assert len(simulate(net, prep, 90, 10)[0]) == 10

@@ -1,3 +1,4 @@
+import re
 import textwrap
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from narxlm import training
 from narxlm.data import DelayedDataset, split_indices
 from narxlm.errors import DivergedError, ValidationError
 from narxlm.network import (
@@ -138,6 +140,11 @@ class TestLmStep:
         assert np.array_equal(A, kept)
         assert np.array_equal(lm_step(A, b, 0.5), first)
 
+    def test_non_finite_step_signals_failure(self):
+        # the solve succeeds, but its step overflows to inf
+        with pytest.raises(StepFailure, match="non-finite step"):
+            lm_step(1e-300 * np.eye(3), np.full(3, 1e300), 1e-300)
+
 
 def _msereg_gradient_fd(config, theta, ds, penalized, xi=1.0, h=1e-6):
     def objective(th):
@@ -233,6 +240,27 @@ class TestTrain:
         sub_pred = forward_open(report.network, ds)[val_idx]
         got = float(np.mean((sub_pred - ds.T[val_idx]) ** 2))
         assert got == pytest.approx(vals[report.best_epoch], rel=1e-12)
+
+    def test_min_grad_stops_training(self):
+        ds = teacher_dataset(80, seed=8)
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
+        report = train(init_weights(config, 1), ds, TrainParams(min_grad=1e9, goal=0.0))
+        assert report.stop_reason == "min-grad"
+        assert len(report.records) == 1
+        assert report.records[0].grad_norm <= 1e9
+
+    def test_mu_max_stops_training(self):
+        # each failed try multiplies the damping by 1e12, so one rejected
+        # step takes it past the cap and ends the run
+        ds = teacher_dataset(80, seed=8)
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
+        params = TrainParams(mu_inc=1e12, mu_max=1e6, goal=0.0, min_grad=0.0,
+                             max_fail=1000)
+        report = train(init_weights(config, 1), ds, params)
+        assert report.stop_reason == "mu-max"
+        assert len(report.records) == 27
+        assert report.records[-1].lam > params.mu_max
+        assert all(r.lam <= params.mu_max for r in report.records[:-1])
 
     def test_lambda_never_exceeds_cap_silently(self):
         ds = teacher_dataset(80, seed=8)
@@ -453,6 +481,49 @@ class TestRestarts:
         b = train_with_restarts(config, ds, params, seed=15)
         assert a.seed == b.seed
         assert np.array_equal(a.network.theta, b.network.theta)
+
+
+    @staticmethod
+    def _diverging(monkeypatch, config, seeds, diverged):
+        """Make ``training.train`` raise DivergedError for the restarts whose
+        seed is in ``diverged``; a restart's seed is the init it starts from."""
+        real = training.train
+
+        def fake(net, dataset, params):
+            seed = next(s for s in seeds
+                        if np.array_equal(net.theta, init_weights(config, s).theta))
+            if seed in diverged:
+                raise DivergedError(f"non-finite objective in run {seed}")
+            return real(net, dataset, params)
+        monkeypatch.setattr(training, "train", fake)
+
+    def test_diverged_restart_is_skipped(self, monkeypatch):
+        ds = teacher_dataset(100, seed=18, noise_std=0.05)
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
+        params = TrainParams(xi=1.0, restarts=4, epochs=20)
+        seeds = range(20, 24)
+        alone = {s: train(init_weights(config, s), ds, params) for s in seeds}
+
+        def key(s):
+            return alone[s].best_val_mse, alone[s].best_test_mse, s
+        winner = min(seeds, key=key)
+        diverged = {winner, max(seeds, key=key)}
+        self._diverging(monkeypatch, config, seeds, diverged)
+        best = train_with_restarts(config, ds, params, seed=20)
+        expected = min(set(seeds) - diverged, key=key)
+        assert best.seed == expected
+        assert np.array_equal(best.network.theta, alone[expected].network.theta)
+        assert best.records == alone[expected].records
+
+    def test_every_restart_diverged(self, monkeypatch):
+        ds = teacher_dataset(60, seed=19)
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=2, n_exo=2)
+        self._diverging(monkeypatch, config, range(30, 33), {30, 31, 32})
+        message = ("all 3 restarts diverged: seed 30: non-finite objective in run 30; "
+                   "seed 31: non-finite objective in run 31; "
+                   "seed 32: non-finite objective in run 32")
+        with pytest.raises(DivergedError, match=f"^{re.escape(message)}$"):
+            train_with_restarts(config, ds, TrainParams(restarts=3, epochs=5), seed=30)
 
 
 class TestParams:
