@@ -209,7 +209,7 @@ def _add_train_options(p):
 def _add_simulate_options(p):
     _add_common(p)
     p.add_argument("--model", required=True, help="model.json from a train run")
-    p.add_argument("--horizon", type=_int_at_least(0), default=100)
+    p.add_argument("--horizon", type=_int_at_least(1), default=100, help="steps (>= 1)")
     _add_fields(p, VerdictThresholds)
 
 
@@ -270,21 +270,16 @@ def cmd_simulate(args) -> int:
             f"horizon {H} exceeds the {len(frame) - priming} rows after "
             f"{priming} priming row{'s' if priming > 1 else ''}")
     start_row = len(frame) - H
+    ts, preds, targs = simulate(net, prep, start_row, H)
+    preds_price, targs_price = (prep.norm_spec.invert_values(v, prep.target_channel)
+                                for v in (preds, targs))
     lines = ["timestep,target,prediction,error"]
-    if H > 0:
-        ts, preds, targs = simulate(net, prep, start_row, H)
-        preds_price, targs_price = (prep.norm_spec.invert_values(v, prep.target_channel)
-                                    for v in (preds, targs))
-        # Python floats: numpy 2 writes np.float64(...) for a numpy scalar's repr
-        for t, p, y in zip(ts.tolist(), preds_price.tolist(), targs_price.tolist()):
-            lines.append(f"{t},{y!r},{p!r},{p - y!r}")
-        diag = simulate_diagnostics(preds, targs, prep, start_row,
-                                    thresholds=thresholds)
-        diag_doc = diag.to_dict()
-    else:
-        diag_doc = {"note": "empty horizon", "accepted": True}
+    # Python floats: numpy 2 writes np.float64(...) for a numpy scalar's repr
+    for t, p, y in zip(ts.tolist(), preds_price.tolist(), targs_price.tolist()):
+        lines.append(f"{t},{y!r},{p!r},{p - y!r}")
+    diag = simulate_diagnostics(preds, targs, prep, start_row, thresholds=thresholds)
     _write_outputs(args, digest, {PREDICTIONS_FILE: "\n".join(lines) + "\n",
-                          DIAGNOSTICS_FILE: json.dumps(diag_doc, indent=2)})
+                                  DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2)})
     print(f"simulated {H} steps -> {os.path.join(args.out, PREDICTIONS_FILE)}")
     return EXIT_OK
 

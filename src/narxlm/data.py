@@ -545,30 +545,24 @@ def _sample_count(n_rows: int, max_lag: int) -> int:
     return n_rows - max_lag
 
 
-def _delayed(exo_cols, y, d_u, d_y) -> DelayedDataset:
-    """Tapped delay lines over the exogenous columns and the target ``y``.
-
-    X columns are ordered (channel, lag), with lags in sorted d_u order.
-    """
-    d_u, d_y = _check_lags(d_u, d_y)
-    max_lag = max(max(d_u), max(d_y))
-    ks = max_lag + np.arange(_sample_count(len(y), max_lag))
-    return DelayedDataset(X=_taps(exo_cols, d_u, ks), Y_hist=_taps([y], d_y, ks),
-                          T=y[ks].copy(), d_u=d_u, d_y=d_y, first_usable_index=max_lag)
-
-
 def prepare_delayed(frame: TimeSeriesFrame, d_u, d_y,
                     exo_channels=DEFAULT_EXO_CHANNELS,
                     target_channel=DEFAULT_TARGET_CHANNEL) -> DelayedDataset:
     """Shift the series by the lag sets to produce supervised samples.
 
     Sample k (k >= first_usable_index) has regressors u_c(k-i) for i in d_u,
-    c in exo_channels and y(k-j) for j in d_y, with target y(k).  The
-    channels must be known, distinct and not the target (``_check_channels``).
+    c in exo_channels and y(k-j) for j in d_y, with target y(k).  X columns
+    are ordered (channel, lag), with lags in sorted d_u order.  The channels
+    must be known, distinct and not the target (``_check_channels``).
     """
     exo_channels = _check_channels(exo_channels, target_channel)
-    return _delayed([frame.channel(ch) for ch in exo_channels],
-                    frame.channel(target_channel), d_u, d_y)
+    d_u, d_y = _check_lags(d_u, d_y)
+    y = frame.channel(target_channel)
+    max_lag = max(max(d_u), max(d_y))
+    ks = max_lag + np.arange(_sample_count(len(y), max_lag))
+    return DelayedDataset(X=_taps([frame.channel(ch) for ch in exo_channels], d_u, ks),
+                          Y_hist=_taps([y], d_y, ks), T=y[ks].copy(),
+                          d_u=d_u, d_y=d_y, first_usable_index=max_lag)
 
 
 def split_indices(n_samples: int):

@@ -22,11 +22,9 @@ class ShapeError(NarxError):
 
 
 class DivergedError(NarxError):
-    """Training produced a non-finite objective."""
-
-    def __init__(self, message, epoch=None):
-        super().__init__(message)
-        self.epoch = epoch
+    """Training diverged: ``train`` met a non-finite objective, every restart
+    of ``train_with_restarts`` diverged, or every point of ``select_best``'s
+    sweep diverged."""
 
 
 class ConfigMismatchError(NarxError):

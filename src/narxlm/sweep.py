@@ -66,7 +66,7 @@ class SweepRow:
     d_u: tuple
     d_y: tuple
     n_hidden: int
-    performance: float = np.nan      # training MSEREG objective at stop
+    performance: float = np.nan      # training MSEREG objective at the best epoch
     mse: float = np.nan
     r_value: float = np.nan
     xcorr_within_bounds: bool = False

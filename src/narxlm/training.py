@@ -194,7 +194,7 @@ def train(net: NarxNetwork, dataset, params: TrainParams) -> TrainReport:
 
     for epoch in range(params.epochs):
         if not np.isfinite(obj):
-            raise DivergedError(f"non-finite objective at epoch {epoch}", epoch=epoch)
+            raise DivergedError(f"non-finite objective at epoch {epoch}")
         # J is not kept: only A (P x P) stays alive through the damping loop
         A, b, grad = normal_equations(*jacobian(net, train_set), net.theta, xi,
                                       penalized=penalized)

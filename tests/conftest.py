@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import narxlm
-from narxlm.data import TimeSeriesFrame, _delayed
+from narxlm.data import CHANNELS, TimeSeriesFrame, prepare_delayed
 from narxlm.network import NarxConfig, init_weights
 from narxlm.synth import drive_teacher
 
@@ -72,8 +72,15 @@ def outputs(directory):
 
 
 def make_supervised(U, y, d_u, d_y):
-    """DelayedDataset straight from raw arrays (U: (n, n_exo), y: (n,))."""
-    return _delayed(np.asarray(U, dtype=float).T, np.asarray(y, dtype=float), d_u, d_y)
+    """DelayedDataset straight from raw arrays (U: (n, n_exo <= 5), y: (n,)): U's
+    columns fill the first n_exo channels but the close, in CHANNELS order,
+    y is the close and every other channel is zero."""
+    U = np.asarray(U, dtype=float)
+    exo = [ch for ch in CHANNELS if ch != "close"][:U.shape[1]]
+    columns = {ch: np.zeros(len(y)) for ch in CHANNELS}
+    columns.update(zip(exo, U.T), close=y)
+    frame = TimeSeriesFrame(timesteps=np.arange(len(y)), **columns)
+    return prepare_delayed(frame, d_u, d_y, exo, "close")
 
 
 def teacher_dataset(n_samples, seed, n_hidden=5, d_u=(0, 1), d_y=(1,), n_exo=2,

@@ -245,14 +245,16 @@ class TestSimulate:
         for col, want in ((1, targs), (2, preds), (3, preds - targs)):
             assert cells[:, col].tobytes() == want.tobytes()
 
-    def test_empty_horizon(self, trained_dir, data_csv, tmp_path):
-        out = str(tmp_path / "sim0")
+    def test_empty_horizon(self, trained_dir, data_csv, tmp_path, capsys):
+        # a forecast of no step has no verdict to write
+        out = tmp_path / "sim0"
         rc = cli.main(["simulate", "--csv", data_csv,
                        "--model", os.path.join(trained_dir, cli.MODEL_FILE),
-                       "--horizon", "0", "--out", out])
-        assert rc == 0
-        lines = open(os.path.join(out, cli.PREDICTIONS_FILE)).read().splitlines()
-        assert len(lines) == 1  # header only
+                       "--horizon", "0", "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --horizon: must be >= 1, got 0" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_channel_mismatch(self, trained_dir, data_csv, tmp_path):
         with open(os.path.join(trained_dir, cli.MODEL_FILE)) as fh:
@@ -669,7 +671,7 @@ class TestUsage:
         ("train", ["--seed", "-1"], cli.EXIT_USAGE, "--seed: must be >= 0, got -1"),
         ("sweep", ["--seed=-3"], cli.EXIT_USAGE, "--seed: must be >= 0, got -3"),
         ("simulate", ["--model", "m.json", "--horizon", "-1"], cli.EXIT_USAGE,
-         "--horizon: must be >= 0, got -1"),
+         "--horizon: must be >= 1, got -1"),
         ("train", ["--input-delays", "0:100000000"], cli.EXIT_VALIDATION,
          "lag 100000000 in '0:100000000' needs more than the 220 rows"),
         ("sweep", ["--feedback-delays", "1,1:220"], cli.EXIT_VALIDATION,

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import textwrap
 
@@ -240,6 +241,25 @@ class TestTrain:
         sub_pred = forward_open(report.network, ds)[val_idx]
         got = float(np.mean((sub_pred - ds.T[val_idx]) ** 2))
         assert got == pytest.approx(vals[report.best_epoch], rel=1e-12)
+
+    def test_no_finite_validation_error_keeps_final_network(self):
+        # a NaN validation error never beats the best so far, so no epoch is
+        # best: the report falls back to the last epoch and the final network
+        ds = teacher_dataset(80, seed=8)
+        T = ds.T.copy()
+        T[ds.splits[1]] = np.nan
+        ds = dataclasses.replace(ds, T=T)
+        config = NarxConfig(d_u=(0, 1), d_y=(1,), n_hidden=3, n_exo=2)
+        report = train(init_weights(config, 1), ds, TrainParams())
+        assert report.stop_reason == "max-fail"
+        assert len(report.records) == 6
+        assert report.best_epoch == 5
+        assert all(np.isnan(r.val_mse) for r in report.records)
+        # the train-block error of the returned network is the last epoch's
+        train_idx = ds.splits[0]
+        got = float(np.mean((forward_open(report.network, ds)[train_idx] - T[train_idx]) ** 2))
+        assert got == pytest.approx(report.records[-1].train_mse, rel=1e-12)
+        assert got != pytest.approx(report.records[-2].train_mse, rel=1e-12)
 
     def test_min_grad_stops_training(self):
         ds = teacher_dataset(80, seed=8)
