@@ -24,7 +24,7 @@ print(f"validation MSE:   {report.best_val_mse:.3e}")
 
 for rec in report.records[:5]:
     print(f"  epoch {rec.epoch}: objective {rec.train_objective:.3e} "
-          f"val {rec.val_mse:.3e} lambda {rec.lam:.3g}")
+          f"val {rec.val_mse:.3e} mu {rec.mu:.3g}")
 
 # one-step-ahead diagnostics on the held-out test block
 diag = evaluate_open(report.network, prep, idx=prep.dataset.splits[2], xi=params.xi)

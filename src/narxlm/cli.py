@@ -45,7 +45,7 @@ from .pipeline import (
     simulate_diagnostics,
 )
 from .sweep import SweepGrid, parse_lag_range, run_sweep, select_best
-from .training import TrainParams
+from .training import EpochRecord, TrainParams
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -148,29 +148,20 @@ def _add_channel_options(p):
     p.add_argument("--target-channel", default=DEFAULT_TARGET_CHANNEL)
 
 
-# the flag of a training or verdict option is "--" and its dataclass field's
-# name with "-" for "_", except for these fields
-FLAG_NAMES = {"mu0": "--mu", "divergence_max_pct": "--divergence-max"}
-
-
-def _flag(name: str) -> str:
-    return FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
-
-
 def _add_fields(p, cls):
     """Add one option per field of the dataclass ``cls``, in field order.
 
-    ``_flag`` names it, its dest is the flag's name (``--mu-dec`` ->
-    ``mu_dec``), and its type and default are the field's.
+    Its flag is the field's name with "-" for "_" (``mu_dec`` ->
+    ``--mu-dec``), so its dest is the field's name, and its type and default
+    are the field's.
     """
     for f in dataclasses.fields(cls):
-        p.add_argument(_flag(f.name), type=type(f.default), default=f.default)
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
 def _from_fields(args, cls):
     """``cls`` built from the options ``_add_fields`` added for it."""
-    return cls(**{f.name: getattr(args, _flag(f.name)[2:].replace("-", "_"))
-                  for f in dataclasses.fields(cls)})
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _int_at_least(low):
@@ -242,7 +233,7 @@ def cmd_train(args) -> int:
     report = fit(prep, args.neurons, params, args.seed)
     diag = evaluate_open(report.network, prep, xi=params.xi, thresholds=thresholds)
 
-    lines = ["epoch,train_objective,train_mse,val_mse,test_mse,grad_norm,lambda"]
+    lines = [",".join(f.name for f in dataclasses.fields(EpochRecord))]
     lines += [",".join(map(repr, dataclasses.astuple(r))) for r in report.records]
     splits = {name: [int(idx[0]), int(idx[-1]) + 1]
               for name, idx in zip(("train", "val", "test"), prep.dataset.splits)}

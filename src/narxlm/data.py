@@ -86,6 +86,14 @@ def _not_bool(value):
     return value
 
 
+def _list(value) -> list:
+    """``value`` of a model document where a JSON array belongs; a string or
+    an object would be read one character or one key at a time."""
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list")
+    return value
+
+
 def _check_fixed(key: str, value, fixed):
     """Reject a saved model whose ``key`` differs from the value the design fixes."""
     if value != fixed:
@@ -342,8 +350,12 @@ def load_ohlcv(path, raw: bytes | None = None) -> TimeSeriesFrame:
     colmap = {}
     for pos, name in enumerate(_cells(path, 1, lines[0])):
         key = name.strip().lower().replace(" ", "").replace("_", "").replace("-", "")
-        if key in _COLUMN_ALIASES:
-            colmap[_COLUMN_ALIASES[key]] = pos
+        channel = _COLUMN_ALIASES.get(key)
+        if channel in colmap:
+            raise DataFormatError(f"{path}: columns {colmap[channel] + 1} and {pos + 1}"
+                                  f" both name {channel!r}")
+        if channel:
+            colmap[channel] = pos
     for required in _REQUIRED:
         if required not in colmap:
             raise DataFormatError(f"{path}: missing column {required!r}")
@@ -423,8 +435,9 @@ class NormalizationSpec:
     def from_dict(cls, d: dict) -> "NormalizationSpec":
         _check_fixed("lo", float(_not_bool(d["lo"])), NORM_LO)
         _check_fixed("hi", float(_not_bool(d["hi"])), NORM_HI)
+        ranges = {c: _list(r) for c, r in d["ranges"].items()}
         return cls(ranges={c: (float(_not_bool(mn)), float(_not_bool(mx)))
-                           for c, (mn, mx) in d["ranges"].items()})
+                           for c, (mn, mx) in ranges.items()})
 
 
 def fit_normalization(frame: TimeSeriesFrame, channels,

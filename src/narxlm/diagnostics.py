@@ -146,12 +146,12 @@ def input_error_crosscorrelation(exo_channel, errors, max_lag: int):
 @dataclass(frozen=True)
 class VerdictThresholds:
     r_min: float = 0.99
-    divergence_max_pct: float = 10.0
+    divergence_max: float = 10.0
     mse_max: float = np.inf
 
     def __post_init__(self):
         # a NaN bound compares False both ways, so it would accept anything
-        if np.isnan(self.r_min) or not (self.divergence_max_pct >= 0 and self.mse_max >= 0):
+        if np.isnan(self.r_min) or not (self.divergence_max >= 0 and self.mse_max >= 0):
             raise ValidationError(f"need a number r_min and bounds >= 0, got {self}")
 
 
@@ -164,9 +164,9 @@ def acceptance_verdict(r_value: float, max_divergence_pct: float, mse: float,
     reasons = []
     if not r_value >= thresholds.r_min:
         reasons.append(f"R {r_value:.6g} < {thresholds.r_min}")
-    if not max_divergence_pct <= thresholds.divergence_max_pct:
+    if not max_divergence_pct <= thresholds.divergence_max:
         reasons.append(
-            f"max divergence {max_divergence_pct:.4g}% > {thresholds.divergence_max_pct}%")
+            f"max divergence {max_divergence_pct:.4g}% > {thresholds.divergence_max}%")
     if not mse <= thresholds.mse_max:
         reasons.append(f"MSE {mse:.6g} > {thresholds.mse_max}")
     return (not reasons), reasons

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import _check_fixed, _check_lags, _not_bool
+from .data import _check_fixed, _check_lags, _list, _not_bool
 from .errors import InsufficientDataError, ShapeError, ValidationError
 
 FORMAT_VERSION = 1
@@ -179,7 +179,7 @@ class NarxNetwork:
         if _not_bool(d.get("format_version")) != FORMAT_VERSION:
             raise ValidationError(f"unsupported model format version {d.get('format_version')}")
         config = NarxConfig.from_dict(d["config"])
-        theta = np.array([float(_not_bool(w)) for w in d["weights"]])
+        theta = np.array([float(_not_bool(w)) for w in _list(d["weights"])])
         return cls.from_flat(config, theta)
 
     def to_json(self, extra: dict | None = None) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -75,20 +75,13 @@ class SweepRow:
     warning: str = ""
 
     def to_dict(self) -> dict:
-        """The row for ``sweep.json``, strict JSON: a missing (NaN) or
-        non-finite number is None, which ``json`` writes as null."""
-        return {
-            "d_u": list(self.d_u), "d_y": list(self.d_y), "n_hidden": self.n_hidden,
-            "performance": _number(self.performance), "mse": _number(self.mse),
-            "r_value": _number(self.r_value),
-            "xcorr_within_bounds": self.xcorr_within_bounds,
-            "wall_time": self.wall_time, "diverged": self.diverged,
-            "warning": self.warning,
-        }
-
-
-def _number(value):
-    return value if math.isfinite(value) else None
+        """The row for ``sweep.json``: one key per field, in field order, a
+        tuple as a list.  It is strict JSON: a missing (NaN) or non-finite
+        number is None, which ``json`` writes as null."""
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: list(value) if isinstance(value, tuple)
+                else None if isinstance(value, float) and not math.isfinite(value)
+                else value for key, value in row.items()}
 
 
 def parse_lag_range(token: str, n_rows: int) -> tuple:

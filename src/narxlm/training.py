@@ -21,7 +21,7 @@ from .network import NarxConfig, NarxNetwork, forward_open, init_weights, jacobi
 
 @dataclass(frozen=True)
 class TrainParams:
-    mu0: float = 1.0
+    mu: float = 1.0  # the first damping
     mu_dec: float = 0.8
     mu_inc: float = 1.5
     mu_max: float = 1e10
@@ -35,8 +35,8 @@ class TrainParams:
     def __post_init__(self):
         if not (0.0 < self.mu_dec < 1.0 < self.mu_inc):
             raise ValidationError("need 0 < mu_dec < 1 < mu_inc")
-        if not (0.0 < self.mu0 < self.mu_max < np.inf):
-            raise ValidationError("need 0 < mu0 < mu_max < inf")
+        if not (0.0 < self.mu < self.mu_max < np.inf):
+            raise ValidationError("need 0 < mu < mu_max < inf")
         if not (0.0 <= self.xi <= 1.0):
             raise ValidationError("xi must lie in [0, 1]")
         if self.restarts < 1:
@@ -59,7 +59,7 @@ class EpochRecord:
     val_mse: float
     test_mse: float
     grad_norm: float
-    lam: float
+    mu: float  # the damping after the epoch
 
 
 @dataclass
@@ -138,8 +138,8 @@ def normal_equations(J, F, weights, xi, *, penalized):
     return A, b, grad
 
 
-def lm_step(A, b, lam):
-    """Solve the damped system (A + lam*I) d = b for the step d.
+def lm_step(A, b, mu):
+    """Solve the damped system (A + mu*I) d = b for the step d.
 
     A and b come from ``normal_equations``; A is not changed.
     ``numpy.linalg.solve`` (LU on numpy's own BLAS) is the one factorization.
@@ -148,9 +148,9 @@ def lm_step(A, b, lam):
     singular system is left to the caller's objective-decrease test.
     """
     A = np.array(A, dtype=float)
-    A[np.diag_indices_from(A)] += lam
+    A[np.diag_indices_from(A)] += mu
     try:
-        # A is SPD in exact arithmetic (lam > 0), but no definiteness test is
+        # A is SPD in exact arithmetic (mu > 0), but no definiteness test is
         # made: a Cholesky factor would cost as much as the solve and go unused
         d = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -180,7 +180,7 @@ def train(net: NarxNetwork, dataset, params: TrainParams) -> TrainReport:
     train_set, val_set, test_set = (dataset.subset(idx) for idx in dataset.splits)
     penalized = config.penalized  # built on each read: read once per run
 
-    lam, xi = params.mu0, params.xi
+    mu, xi = params.mu, params.xi
 
     def objective(th):
         candidate = NarxNetwork.from_flat(config, th)
@@ -202,24 +202,24 @@ def train(net: NarxNetwork, dataset, params: TrainParams) -> TrainReport:
 
         # propose steps until one lowers the objective or damping tops out
         accepted = False
-        while lam <= params.mu_max:
+        while mu <= params.mu_max:
             try:
-                d = lm_step(A, b, lam)
+                d = lm_step(A, b, mu)
             except StepFailure:
-                lam *= params.mu_inc
+                mu *= params.mu_inc
                 continue
             cand_obj, cand_net, cand_err = objective(net.theta + d)
             if np.isfinite(cand_obj) and cand_obj < obj:
                 obj, net, err = cand_obj, cand_net, cand_err
-                lam *= params.mu_dec
+                mu *= params.mu_dec
                 accepted = True
                 break
-            lam *= params.mu_inc
+            mu *= params.mu_inc
 
         train_mse = _mse(err)  # err: net's train-block residual
         val_mse = _block_mse(net, val_set)
         test_mse = _block_mse(net, test_set)
-        records.append(EpochRecord(epoch, obj, train_mse, val_mse, test_mse, grad_norm, lam))
+        records.append(EpochRecord(epoch, obj, train_mse, val_mse, test_mse, grad_norm, mu))
 
         if val_mse < best_val:
             best_val = val_mse

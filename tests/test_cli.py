@@ -22,7 +22,7 @@ from narxlm import cli, pipeline, sweep
 from narxlm.errors import DivergedError
 from narxlm.network import forward_open
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
-from narxlm.training import msereg
+from narxlm.training import EpochRecord, msereg
 
 from conftest import outputs
 
@@ -100,6 +100,13 @@ class TestTrain:
         lines = open(os.path.join(trained_dir, cli.EPOCHS_FILE)).read().splitlines()
         assert lines[0].startswith("epoch,train_objective")
         assert len(lines) >= 2
+
+    def test_epochs_csv_header_is_the_record_fields(self, trained_dir):
+        lines = open(os.path.join(trained_dir, cli.EPOCHS_FILE)).read().splitlines()
+        names = [f.name for f in dataclasses.fields(EpochRecord)]
+        assert lines[0] == "epoch,train_objective,train_mse,val_mse,test_mse,grad_norm,mu"
+        assert lines[0].split(",") == names
+        assert all(len(line.split(",")) == len(names) for line in lines[1:])
 
     def test_malformed_csv_no_partial_model(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -417,6 +424,31 @@ class TestFixedModelSettings:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "eval"])
+    @pytest.mark.parametrize("path, value", [
+        (("weights",), "123456"),
+        (("normalization", "ranges", "open"), "12"),
+        (("normalization", "ranges", "open"), {"1": 0, "2": 0}),
+    ], ids=["weights-string", "range-string", "range-object"])
+    def test_string_or_object_is_not_a_list(self, data_csv, tmp_path, capsys, command, path,
+                                            value):
+        # read one character or one key at a time, each would pass for a
+        # number: six weights for this network, or the range (1, 2)
+        doc = json.loads(json.dumps(PRIOR_MODEL))
+        *parents, key = path
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main([command, "--csv", data_csv, "--model", str(model), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"error: malformed model document: TypeError {value!r} is not a list\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
     @pytest.mark.parametrize("key,lags,message", [
         ("d_u", [0, 0], "input lags repeat a lag: 0,0"),
         ("d_y", [1, 1], "feedback lags repeat a lag: 1,1"),
@@ -621,24 +653,26 @@ class TestOptionDefaults:
         assert "(default open,high,low,volume)" in " ".join(capsys.readouterr().out.split())
 
     def test_every_field_has_its_flag(self):
-        # a field renamed without its FLAG_NAMES entry gets another flag,
-        # which this argv would not set
-        params = narxlm.TrainParams(mu0=0.01, mu_dec=0.5, mu_inc=3.0, mu_max=1e8, epochs=7,
+        # each field's flag is its name with "-" for "_" and its dest is its
+        # name; this argv sets every field to a value other than its default
+        params = narxlm.TrainParams(mu=0.01, mu_dec=0.5, mu_inc=3.0, mu_max=1e8, epochs=7,
                                     goal=1e-3, min_grad=1e-4, max_fail=2, xi=0.99,
                                     restarts=3)
-        thresholds = narxlm.VerdictThresholds(r_min=0.5, divergence_max_pct=1.0,
-                                              mse_max=2.0)
+        thresholds = narxlm.VerdictThresholds(r_min=0.5, divergence_max=1.0, mse_max=2.0)
         argv = ["train", "--csv", "p.csv", "--out", "o",
                 "--mu", "0.01", "--mu-dec", "0.5", "--mu-inc", "3", "--mu-max", "1e8",
                 "--epochs", "7", "--goal", "1e-3", "--min-grad", "1e-4", "--max-fail", "2",
                 "--xi", "0.99", "--restarts", "3",
                 "--r-min", "0.5", "--divergence-max", "1", "--mse-max", "2"]
-        args = cli._build_parser(argv).parse_args(argv)
+        parser = cli._build_parser(argv)
+        args = parser.parse_args(argv)
         assert cli._from_fields(args, narxlm.TrainParams) == params
         assert cli._from_fields(args, narxlm.VerdictThresholds) == thresholds
+        flags = {a.dest: a.option_strings for a in _subparser(parser, "train")._actions}
         for cls, obj in ((narxlm.TrainParams, params), (narxlm.VerdictThresholds, thresholds)):
             for f in dataclasses.fields(cls):
                 assert getattr(obj, f.name) != f.default, f.name
+                assert flags[f.name] == ["--" + f.name.replace("_", "-")]
 
 
 class TestUsage:
@@ -676,12 +710,15 @@ class TestUsage:
          "lag 100000000 in '0:100000000' needs more than the 220 rows"),
         ("sweep", ["--feedback-delays", "1,1:220"], cli.EXIT_VALIDATION,
          "lag 220 in '1:220' needs more than the 220 rows"),
-        # an infinite cap would let the damping loop run forever at lam=inf
+        # an infinite cap would let the damping loop run forever at mu=inf
         ("train", ["--mu-max", "inf"], cli.EXIT_VALIDATION,
-         "need 0 < mu0 < mu_max < inf"),
+         "need 0 < mu < mu_max < inf"),
         # a repeated candidate would train one configuration twice
         ("sweep", ["--neurons", "2,2", "--input-delays", "0:1,0:1"], cli.EXIT_VALIDATION,
          "input-delay axis repeats the candidate (0, 1)"),
+        # a message names the field, which is the flag with "_" for "-"
+        ("train", ["--mu", "0"], cli.EXIT_VALIDATION, "need 0 < mu < mu_max < inf"),
+        ("train", ["--divergence-max", "-1"], cli.EXIT_VALIDATION, "divergence_max=-1.0"),
     ])
     def test_malformed_argument_message(self, data_csv, tmp_path, capsys,
                                         command, flags, code, message):
@@ -751,6 +788,17 @@ class TestInputValidation:
         assert not caught
         assert rc == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {bad}: no data rows\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_channel_named_twice_exits_4(self, trained_dir, tmp_path, capsys, command):
+        bad = tmp_path / "twice.csv"
+        bad.write_text("Date,Open,High,Low,Close,Volume,Close\n1,1,2,0.5,1.5,100,1.6\n")
+        out = tmp_path / "out"
+        model = ["--model", os.path.join(trained_dir, cli.MODEL_FILE)] if command == "eval" else []
+        rc = cli.main([command, "--csv", str(bad), "--out", str(out), *model])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {bad}: columns 5 and 7 both name 'close'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flags", [
         ("train", ["--exo-channels", "open,foo"]),

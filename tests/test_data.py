@@ -72,6 +72,19 @@ class TestLoadOhlcv:
         with pytest.raises(DataFormatError, match="volume"):
             load_ohlcv(p)
 
+    @pytest.mark.parametrize("header, message", [
+        ("Date,Open,High,Low,Close,Volume,Close", "columns 5 and 7 both name 'close'"),
+        ("Date,Timestep,Open,High,Low,Close,Volume", "columns 1 and 2 both name 'date'"),
+        ("Date,Open,High,Low,Close,Volume,Adj Close,Adjusted Close",
+         "columns 7 and 8 both name 'adj_close'"),
+    ], ids=["close", "date", "adj-close"])
+    def test_channel_named_twice(self, tmp_path, header, message):
+        # the loader would read one of the two columns and drop the other
+        p = tmp_path / "twice.csv"
+        p.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}: {message}")):
+            load_ohlcv(p)
+
     def test_non_numeric_cell_names_row(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text(

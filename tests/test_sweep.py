@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import os
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from narxlm import cli
@@ -166,6 +168,21 @@ class TestRunSweep:
     def test_repeated_candidate_rejected(self, axes, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             SweepGrid(*axes, FAST)
+
+
+class TestSweepRow:
+    def test_to_dict_follows_the_fields(self):
+        # a diverged row keeps its NaN numbers and an infinite one is no
+        # number either: sweep.json writes each as null
+        row = SweepRow(d_u=(0, 1), d_y=(1,), n_hidden=3, performance=np.inf, wall_time=0.5,
+                       diverged=True, warning="all 1 restarts diverged")
+        doc = row.to_dict()
+        assert list(doc) == [f.name for f in dataclasses.fields(SweepRow)]
+        assert doc == {"d_u": [0, 1], "d_y": [1], "n_hidden": 3, "performance": None,
+                       "mse": None, "r_value": None, "xcorr_within_bounds": False,
+                       "wall_time": 0.5, "diverged": True,
+                       "warning": "all 1 restarts diverged"}
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
 
 
 class TestSelectBest:

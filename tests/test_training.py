@@ -279,8 +279,8 @@ class TestTrain:
         report = train(init_weights(config, 1), ds, params)
         assert report.stop_reason == "mu-max"
         assert len(report.records) == 27
-        assert report.records[-1].lam > params.mu_max
-        assert all(r.lam <= params.mu_max for r in report.records[:-1])
+        assert report.records[-1].mu > params.mu_max
+        assert all(r.mu <= params.mu_max for r in report.records[:-1])
 
     def test_lambda_never_exceeds_cap_silently(self):
         ds = teacher_dataset(80, seed=8)
@@ -288,12 +288,12 @@ class TestTrain:
         params = TrainParams(xi=1.0, mu_max=10.0, epochs=200)
         report = train(init_weights(config, 5), ds, params)
         for r in report.records[:-1]:
-            assert r.lam <= params.mu_max * params.mu_inc
+            assert r.mu <= params.mu_max * params.mu_inc
 
-    @pytest.mark.parametrize("mu0", [1e-300, 1e-100])
-    def test_rank_deficient_tiny_damping_never_raises(self, mu0):
+    @pytest.mark.parametrize("mu", [1e-300, 1e-100])
+    def test_rank_deficient_tiny_damping_never_raises(self, mu):
         # two equal exogenous columns make J'J singular, and at this damping
-        # lam*I does not lift it: a singular solve, a non-finite step or a
+        # mu*I does not lift it: a singular solve, a non-finite step or a
         # step that does not lower the objective must each raise the damping
         rng = np.random.default_rng(0)
         u = rng.normal(size=200)
@@ -301,7 +301,7 @@ class TestTrain:
         ds = make_supervised(np.column_stack([u, u]), y, (0,), (1,))
         assert np.array_equal(ds.X[:, 0], ds.X[:, 1])
         config = NarxConfig(d_u=(0,), d_y=(1,), n_hidden=4, n_exo=2)
-        params = TrainParams(xi=1.0, mu0=mu0, epochs=30)
+        params = TrainParams(xi=1.0, mu=mu, epochs=30)
         for seed in range(20):
             report = train(init_weights(config, seed), ds, params)
             assert report.stop_reason in {"goal-met", "min-grad", "max-fail",
@@ -364,7 +364,7 @@ def reference_train(config, dataset, splits, params, seed):
     net = init_weights(config, seed)
     theta = net.theta
     bias_mask = ~config.penalized
-    lam, xi = params.mu0, params.xi
+    lam, xi = params.mu, params.xi
 
     def objective(th):
         candidate = NarxNetwork.from_flat(config, th)
