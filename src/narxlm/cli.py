@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import BLAS_THREADS_DEFAULTED, __version__
-from .data import DEFAULT_EXO_CHANNELS, DEFAULT_TARGET_CHANNEL, load_ohlcv, parse_date
+from .data import DEFAULT_EXO_CHANNELS, DEFAULT_TARGET_CHANNEL, _csv_text, load_ohlcv, parse_date
 from .diagnostics import VerdictThresholds
 from .errors import (
     ConfigMismatchError,
@@ -44,7 +44,7 @@ from .pipeline import (
     simulate,
     simulate_diagnostics,
 )
-from .sweep import SweepGrid, parse_lag_range, run_sweep, select_best
+from .sweep import SweepGrid, SweepRow, parse_lag_range, run_sweep, select_best
 from .training import EpochRecord, TrainParams
 
 EXIT_OK = 0
@@ -233,14 +233,13 @@ def cmd_train(args) -> int:
     report = fit(prep, args.neurons, params, args.seed)
     diag = evaluate_open(report.network, prep, xi=params.xi, thresholds=thresholds)
 
-    lines = [",".join(f.name for f in dataclasses.fields(EpochRecord))]
-    lines += [",".join(map(repr, dataclasses.astuple(r))) for r in report.records]
     splits = {name: [int(idx[0]), int(idx[-1]) + 1]
               for name, idx in zip(("train", "val", "test"), prep.dataset.splits)}
     _write_outputs(args, digest, {
         MODEL_FILE: model_json(report.network, prep),
         TRAIN_REPORT_FILE: json.dumps({**report.to_dict(), "splits": splits}, indent=2),
-        EPOCHS_FILE: "\n".join(lines) + "\n",
+        EPOCHS_FILE: _csv_text([f.name for f in dataclasses.fields(EpochRecord)],
+                               map(dataclasses.astuple, report.records)),
         DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2),
     })
     print(f"trained: stop={report.stop_reason} best_epoch={report.best_epoch} "
@@ -264,13 +263,13 @@ def cmd_simulate(args) -> int:
     ts, preds, targs = simulate(net, prep, start_row, H)
     preds_price, targs_price = (prep.norm_spec.invert_values(v, prep.target_channel)
                                 for v in (preds, targs))
-    lines = ["timestep,target,prediction,error"]
-    # Python floats: numpy 2 writes np.float64(...) for a numpy scalar's repr
-    for t, p, y in zip(ts.tolist(), preds_price.tolist(), targs_price.tolist()):
-        lines.append(f"{t},{y!r},{p!r},{p - y!r}")
+    rows = [(t, y, p, p - y) for t, p, y in
+            zip(ts.tolist(), preds_price.tolist(), targs_price.tolist())]
     diag = simulate_diagnostics(preds, targs, prep, start_row, thresholds=thresholds)
-    _write_outputs(args, digest, {PREDICTIONS_FILE: "\n".join(lines) + "\n",
-                                  DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2)})
+    _write_outputs(args, digest, {
+        PREDICTIONS_FILE: _csv_text(["timestep", "target", "prediction", "error"], rows),
+        DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2),
+    })
     print(f"simulated {H} steps -> {os.path.join(args.out, PREDICTIONS_FILE)}")
     return EXIT_OK
 
@@ -294,16 +293,6 @@ def cmd_sweep(args) -> int:
                      jobs=args.jobs)
     best = select_best(rows)
 
-    header = ("input_delays,feedback_delays,neurons,performance,mse,r_value,"
-              "xcorr_within_bounds,wall_time,diverged,warning")
-    lines = [header]
-    for r in rows:
-        lines.append(",".join([
-            "|".join(map(str, r.d_u)), "|".join(map(str, r.d_y)),
-            str(r.n_hidden), repr(r.performance), repr(r.mse), repr(r.r_value),
-            str(r.xcorr_within_bounds), f"{r.wall_time:.3f}",
-            str(r.diverged), json.dumps(r.warning),
-        ]))
     chosen = {
         "input_delays": list(best.d_u),
         "feedback_delays": list(best.d_y),
@@ -314,7 +303,8 @@ def cmd_sweep(args) -> int:
         "warning": best.warning,
     }
     _write_outputs(args, digest, {
-        SWEEP_CSV_FILE: "\n".join(lines) + "\n",
+        SWEEP_CSV_FILE: _csv_text([f.name for f in dataclasses.fields(SweepRow)],
+                                  map(dataclasses.astuple, rows)),
         SWEEP_JSON_FILE: json.dumps([r.to_dict() for r in rows], indent=2),
         CHOSEN_CONFIG_FILE: json.dumps(chosen, indent=2),
     })

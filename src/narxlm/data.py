@@ -13,6 +13,7 @@ training, validation and test blocks.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import re
 import string
@@ -383,6 +384,24 @@ def load_ohlcv(path, raw: bytes | None = None) -> TimeSeriesFrame:
                               f" repeats row {linenos[order[k]]}")
     columns = np.ascontiguousarray(values[order].T)
     return TimeSeriesFrame(dates, *columns)
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text of a header and rows of Python values, one line each.
+
+    A float cell is its ``repr``, which reads back to the same value (a
+    numpy scalar's repr names its type under numpy 2, so pass ``tolist()``
+    values); a lag tuple is joined with ``|``; a string is JSON-quoted, so
+    a comma stays inside its cell; any other cell is its ``repr``.
+    """
+    def cell(value):
+        if isinstance(value, float):
+            return repr(value)
+        if isinstance(value, tuple):
+            return "|".join(map(str, value))
+        return json.dumps(value) if isinstance(value, str) else repr(value)
+
+    return "\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows]) + "\n"
 
 
 @dataclass(frozen=True)

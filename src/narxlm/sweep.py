@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import product
 
 import numpy as np
@@ -149,8 +149,9 @@ def select_best(rows: list):
     """Pick the winner: bounds filter, then max R, then tie-breaks.
 
     Ties break by lower performance, fewer neurons, smaller max delay.  If no
-    row passes the bounds filter the best unfiltered row is returned with a
-    warning flag set.  If every row diverged, ``DivergedError`` names each
+    row passes the bounds filter, a copy of the best unfiltered row is
+    returned with the fallback added to its warning; ``rows`` are never
+    changed.  If every row diverged, ``DivergedError`` names each
     point's lags, neurons and warning; an empty row list is a
     ``ValidationError``.
     """
@@ -169,6 +170,6 @@ def select_best(rows: list):
 
     best = min(pool, key=key)
     if not passing:
-        best.warning = (best.warning + "; " if best.warning else "") + \
-            "no configuration passed the cross-correlation bounds filter"
+        best = replace(best, warning=(best.warning + "; " if best.warning else "")
+                       + "no configuration passed the cross-correlation bounds filter")
     return best

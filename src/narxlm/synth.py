@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DEFAULT_EXO_CHANNELS, TimeSeriesFrame, _taps, fit_normalization
+from .data import DEFAULT_EXO_CHANNELS, TimeSeriesFrame, _csv_text, _taps, fit_normalization
 from .errors import ShapeError, ValidationError
 from .network import ClosedLoopNarx, NarxConfig, NarxNetwork, init_weights
 
@@ -102,13 +102,9 @@ def synthetic_ohlcv_frame(n_rows: int, seed: int, noise_std: float = 0.0):
 
 def frame_to_csv(frame: TimeSeriesFrame, path):
     """Write a frame as a loader-compatible OHLCV CSV."""
-    lines = ["Date,Open,High,Low,Close,Volume,Adj Close"]
-    for i in range(len(frame)):
-        lines.append(",".join([
-            str(int(frame.timesteps[i])),
-            repr(float(frame.open[i])), repr(float(frame.high[i])),
-            repr(float(frame.low[i])), repr(float(frame.close[i])),
-            repr(float(frame.volume[i])), repr(float(frame.adj_close[i])),
-        ]))
+    # one row at a time: a list per column would hold every cell as an object
+    rows = ((int(t), *map(float, cells)) for t, *cells in zip(
+        frame.timesteps, frame.open, frame.high, frame.low, frame.close, frame.volume,
+        frame.adj_close))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_csv_text(["Date", "Open", "High", "Low", "Close", "Volume", "Adj Close"], rows))

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import dataclasses
 import datetime
 import hashlib
@@ -21,6 +22,7 @@ import narxlm
 from narxlm import cli, pipeline, sweep
 from narxlm.errors import DivergedError
 from narxlm.network import forward_open
+from narxlm.sweep import SweepRow
 from narxlm.synth import frame_to_csv, synthetic_ohlcv_frame
 from narxlm.training import EpochRecord, msereg
 
@@ -581,6 +583,50 @@ class TestSweep:
             chosen = json.load(fh)
         assert chosen["input_delays"] == [0, 1]
         assert chosen["neurons"] == 3
+
+    def test_sweep_csv_follows_sweep_row(self, data_csv, tmp_path, monkeypatch):
+        # sweep.csv's header is SweepRow's fields and each row reads back as
+        # its sweep.json row.  The diverged point's warning holds a comma, and
+        # the live point fails the bounds filter, so the fallback is chosen:
+        # its warning is in chosen_config.json and in neither table
+        real_fit, real_point = sweep.fit, sweep._sweep_point
+
+        def fit(prep, n_hidden, params, seed):
+            if n_hidden == 2:
+                raise DivergedError("all 1 restarts diverged, the last at epoch 3")
+            return real_fit(prep, n_hidden, params, seed)
+
+        def point(packed):
+            row = real_point(packed)
+            row.xcorr_within_bounds = False
+            return row
+        monkeypatch.setattr(sweep, "fit", fit)
+        monkeypatch.setattr(sweep, "_sweep_point", point)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--csv", data_csv, "--out", str(out), "--neurons", "2,3",
+                         "--epochs", "10", "--restarts", "1"]) == cli.EXIT_OK
+        with open(out / cli.SWEEP_CSV_FILE, newline="") as fh:
+            header, *table = csv.reader(fh)
+        assert header == [f.name for f in dataclasses.fields(SweepRow)]
+        rows = json.loads((out / cli.SWEEP_JSON_FILE).read_text())
+        assert len(table) == len(rows) == 2
+        for cells, row in zip(table, rows):
+            assert len(cells) == len(row)
+            for cell, (key, value) in zip(cells, row.items()):
+                if isinstance(value, list):
+                    assert cell == "|".join(map(str, value)), key
+                elif value is None:
+                    assert cell == "nan", key
+                elif isinstance(value, (bool, str)):
+                    assert cell == str(value), key
+                else:
+                    assert float(cell) == value, key
+        assert [cells[0] for cells in table] == ["0|1", "0|1"]
+        assert [row["warning"] for row in rows] == [
+            "all 1 restarts diverged, the last at epoch 3", ""]
+        chosen = json.loads((out / cli.CHOSEN_CONFIG_FILE).read_text())
+        assert chosen["neurons"] == 3
+        assert chosen["warning"] == "no configuration passed the cross-correlation bounds filter"
 
     def test_grid_syntax(self, data_csv, tmp_path):
         out = str(tmp_path / "sweep2")

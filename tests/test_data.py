@@ -581,6 +581,31 @@ class TestReferenceLoader:
         _assert_same_frame(load_ohlcv(path), reference_load_ohlcv(path))
 
 
+def reference_frame_to_csv(frame) -> str:
+    """``frame_to_csv``'s text, written cell by cell: the date as an integer
+    and each channel as the repr of a Python float."""
+    lines = ["Date,Open,High,Low,Close,Volume,Adj Close"]
+    for i in range(len(frame)):
+        lines.append(",".join([
+            str(int(frame.timesteps[i])),
+            repr(float(frame.open[i])), repr(float(frame.high[i])),
+            repr(float(frame.low[i])), repr(float(frame.close[i])),
+            repr(float(frame.volume[i])), repr(float(frame.adj_close[i])),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+class TestFrameToCsv:
+    # perfbench writes its input series with frame_to_csv, so these are the
+    # benchmark's bytes
+    @pytest.mark.parametrize("frame", [
+        synthetic_ohlcv_frame(300, seed=16, noise_std=0.01)[0], TimeSeriesFrame(**TABLE_ROWS),
+    ], ids=["synthetic", "integral-volumes"])
+    def test_matches_reference_row_loop(self, tmp_path, frame):
+        frame_to_csv(frame, tmp_path / "prices.csv")
+        assert (tmp_path / "prices.csv").read_bytes() == reference_frame_to_csv(frame).encode()
+
+
 def _with_dates(text, form):
     """``text``, a ``frame_to_csv`` file, with each integer date rewritten by
     ``form(i, day)``, where i counts the data rows from 0."""

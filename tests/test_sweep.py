@@ -210,8 +210,18 @@ class TestSelectBest:
         a = self._row(0.98, bounds=False)
         b = self._row(0.99, bounds=False)
         best = select_best([a, b])
-        assert best is b
+        assert dataclasses.replace(best, warning="") == b
         assert "bounds" in best.warning
+
+    def test_fallback_leaves_the_rows_unchanged(self):
+        # the fallback warning is a fact about the selection, so it goes on
+        # the returned copy, and a second call on the same rows reads the same
+        rows = [self._row(0.98, bounds=False), self._row(0.99, bounds=False)]
+        before = [dataclasses.replace(r) for r in rows]
+        first = select_best(rows)
+        assert select_best(rows) == first
+        assert first.warning == "no configuration passed the cross-correlation bounds filter"
+        assert rows == before
 
     def test_diverged_rows_excluded(self):
         dead = self._row(1.0, diverged=True)
