@@ -137,15 +137,17 @@ def _add_common(p):
     p.add_argument("--to", dest="date_to", default=None,
                    help="last date, inclusive")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=_int_at_least(0), default=42)
 
 
-def _add_channel_options(p):
-    """--exo-channels and --target-channel, whose defaults are ``data``'s;
-    ``prepare`` and ``run_sweep`` check the names."""
+def _add_fit_options(p):
+    """What ``train`` and ``sweep`` fit with: --exo-channels and
+    --target-channel, whose defaults are ``data``'s (``prepare`` checks the
+    names), --seed and the ``TrainParams`` fields."""
     p.add_argument("--exo-channels", default=",".join(DEFAULT_EXO_CHANNELS),
                    help="comma-separated channel names (default %(default)s)")
     p.add_argument("--target-channel", default=DEFAULT_TARGET_CHANNEL)
+    p.add_argument("--seed", type=_int_at_least(0), default=42)
+    _add_fields(p, TrainParams)
 
 
 def _add_fields(p, cls):
@@ -192,16 +194,19 @@ def _add_train_options(p):
     p.add_argument("--input-delays", default="0:1", help='lag set, e.g. "0:1"')
     p.add_argument("--feedback-delays", default="1", help='lag set, e.g. "1" or "1:2"')
     p.add_argument("--neurons", type=int, default=22)
-    _add_channel_options(p)
-    _add_fields(p, TrainParams)
+    _add_fit_options(p)
+    _add_fields(p, VerdictThresholds)
+
+
+def _add_eval_options(p):
+    _add_common(p)
+    p.add_argument("--model", required=True, help="model.json from a train run")
     _add_fields(p, VerdictThresholds)
 
 
 def _add_simulate_options(p):
-    _add_common(p)
-    p.add_argument("--model", required=True, help="model.json from a train run")
+    _add_eval_options(p)
     p.add_argument("--horizon", type=_int_at_least(1), default=100, help="steps (>= 1)")
-    _add_fields(p, VerdictThresholds)
 
 
 def _add_sweep_options(p):
@@ -211,16 +216,9 @@ def _add_sweep_options(p):
     p.add_argument("--feedback-delays", default="1")
     p.add_argument("--neurons", default="10,22",
                    help="comma-separated neuron counts")
-    _add_channel_options(p)
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes (>= 1)")
-    _add_fields(p, TrainParams)
-
-
-def _add_eval_options(p):
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    _add_fields(p, VerdictThresholds)
+    _add_fit_options(p)
 
 
 def cmd_train(args) -> int:

@@ -182,11 +182,8 @@ class NarxNetwork:
         theta = np.array([float(_not_bool(w)) for w in _list(d["weights"])])
         return cls.from_flat(config, theta)
 
-    def to_json(self, extra: dict | None = None) -> str:
-        doc = self.to_dict()
-        if extra:
-            doc.update(extra)
-        return json.dumps(doc, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def init_weights(config: NarxConfig, seed: int) -> NarxNetwork:

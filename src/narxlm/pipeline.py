@@ -90,10 +90,10 @@ def prepare(raw_frame: TimeSeriesFrame, d_u, d_y,
 def model_json(net: NarxNetwork, prep: PreparedData) -> str:
     """The ``model.json`` text of ``net`` trained on ``prep``: the network, the
     normalization and the channel names, which ``load_model`` reads back."""
-    return net.to_json({
-        "normalization": prep.norm_spec.to_dict(),
-        "exo_channels": list(prep.exo_channels),
-        "target_channel": prep.target_channel})
+    return json.dumps({**net.to_dict(),
+                       "normalization": prep.norm_spec.to_dict(),
+                       "exo_channels": list(prep.exo_channels),
+                       "target_channel": prep.target_channel}, indent=2)
 
 
 def load_model(path, raw_frame: TimeSeriesFrame):

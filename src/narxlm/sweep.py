@@ -15,7 +15,6 @@ from itertools import product
 
 import numpy as np
 
-from .data import _check_channels
 from .errors import DivergedError, InsufficientDataError, ValidationError
 from .network import NarxConfig
 from .pipeline import evaluate_open, fit, prepare
@@ -111,11 +110,12 @@ def run_sweep(grid: SweepGrid, frame, exo_channels, target_channel, jobs=1) -> l
     so its mse and R are the ones ``train`` reports.  Diverged runs are kept
     as flagged rows so the table stays rectangular.  ``jobs`` caps the
     worker processes, which never outnumber the points; one runs inline.
-    The channels are checked once, before any point starts.
+    Each lag pair is prepared once, before any point starts, so bad
+    channels or a pair the data cannot serve fail before a fit.
     """
-    exo_channels = _check_channels(exo_channels, target_channel)
-    args = [(point, grid.params, grid.seed, frame, exo_channels, target_channel)
-            for point in grid.points()]
+    preps = {lags: prepare(frame, *lags, exo_channels, target_channel)
+             for lags in product(grid.d_u_candidates, grid.d_y_candidates)}
+    args = [(point, grid.params, grid.seed, preps[point[:2]]) for point in grid.points()]
     # a forked pool starts all its workers at once, so never more than points
     workers = min(jobs, len(args))
     if workers > 1:
@@ -126,12 +126,10 @@ def run_sweep(grid: SweepGrid, frame, exo_channels, target_channel, jobs=1) -> l
 
 
 def _sweep_point(packed) -> SweepRow:
-    point, params, seed, frame, exo_channels, target_channel = packed
-    d_u, d_y, n = point
+    (d_u, d_y, n), params, seed, prep = packed
     t0 = time.perf_counter()
     row = SweepRow(d_u=d_u, d_y=d_y, n_hidden=n)
     try:
-        prep = prepare(frame, d_u, d_y, exo_channels, target_channel)
         report = fit(prep, n, params, seed)
         diag = evaluate_open(report.network, prep, xi=params.xi)
         row.performance = report.records[report.best_epoch].train_objective

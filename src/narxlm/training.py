@@ -191,10 +191,11 @@ def train(net: NarxNetwork, dataset, params: TrainParams) -> TrainReport:
     best_epoch, best_val, fails = -1, np.inf, 0
     stop_reason = "epochs-exhausted"
     obj, net, err = objective(net.theta)
+    # a step is taken only to a finite objective, so only the start can fail
+    if not np.isfinite(obj):
+        raise DivergedError("non-finite objective at epoch 0")
 
     for epoch in range(params.epochs):
-        if not np.isfinite(obj):
-            raise DivergedError(f"non-finite objective at epoch {epoch}")
         # J is not kept: only A (P x P) stays alive through the damping loop
         A, b, grad = normal_equations(*jacobian(net, train_set), net.theta, xi,
                                       penalized=penalized)

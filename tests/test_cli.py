@@ -520,6 +520,7 @@ class TestManifestDigest:
         assert csv.read_bytes() != original
         manifest = json.loads((out / cli.MANIFEST_FILE).read_text())
         assert manifest["input_sha256"] == hashlib.sha256(original).hexdigest()
+        assert ("seed" in manifest["parameters"]) == (command in ("train", "sweep"))
 
 
 class TestVerdictThresholds:
@@ -674,6 +675,19 @@ class TestSweep:
         assert rc == cli.EXIT_VALIDATION and err.startswith(f"error: {message}")
         assert fits == [] and not out.exists()
 
+    def test_lag_pair_without_samples_fails_before_any_fit(self, data_csv, tmp_path,
+                                                           monkeypatch):
+        # 218 < 220 rows passes the axis parse, yet leaves only 2 samples
+        fits = []
+        monkeypatch.setattr(sweep, "fit", lambda *a: fits.append(a))
+        out = tmp_path / "sweep5"
+        rc, err = _run_quietly(["sweep", "--csv", data_csv, "--out", str(out),
+                                "--input-delays", "0:1,218:218",
+                                "--epochs", "5", "--restarts", "1"])
+        assert rc == cli.EXIT_VALIDATION
+        assert err == "error: need at least 3 samples to split, got 2\n"
+        assert fits == [] and not out.exists()
+
 
 class TestOptionDefaults:
     @pytest.mark.parametrize("command,model", [
@@ -685,6 +699,7 @@ class TestOptionDefaults:
         args = cli._build_parser(argv).parse_args(argv)
         if command in ("train", "sweep"):
             assert cli._from_fields(args, narxlm.TrainParams) == narxlm.TrainParams()
+            assert args.seed == 42
         if command != "sweep":
             assert cli._from_fields(args, narxlm.VerdictThresholds) == narxlm.VerdictThresholds()
 
@@ -750,6 +765,11 @@ class TestUsage:
         ("sweep", ["--neurons", "x"], cli.EXIT_VALIDATION, "bad neuron axis 'x'"),
         ("train", ["--seed", "-1"], cli.EXIT_USAGE, "--seed: must be >= 0, got -1"),
         ("sweep", ["--seed=-3"], cli.EXIT_USAGE, "--seed: must be >= 0, got -3"),
+        # neither scoring command draws weights, so neither takes a seed
+        ("eval", ["--model", "m.json", "--seed", "1"], cli.EXIT_USAGE,
+         "unrecognized arguments: --seed 1"),
+        ("simulate", ["--model", "m.json", "--seed", "1"], cli.EXIT_USAGE,
+         "unrecognized arguments: --seed 1"),
         ("simulate", ["--model", "m.json", "--horizon", "-1"], cli.EXIT_USAGE,
          "--horizon: must be >= 1, got -1"),
         ("train", ["--input-delays", "0:100000000"], cli.EXIT_VALIDATION,
@@ -787,15 +807,16 @@ def _subparser(parser, name):
 
 class TestParser:
     ARGV = {
-        "train": ["--neurons", "5", "--exo-channels", "open,high", "--mu", "0.5"],
+        "train": ["--neurons", "5", "--exo-channels", "open,high", "--mu", "0.5",
+                  "--seed", "3"],
         "simulate": ["--model", "m.json", "--horizon", "7", "--r-min", "0.9"],
-        "sweep": ["--neurons", "4,8", "--jobs", "2", "--restarts", "3"],
+        "sweep": ["--neurons", "4,8", "--jobs", "2", "--restarts", "3", "--seed", "3"],
         "eval": ["--model", "m.json", "--mse-max", "2"],
     }
 
     @pytest.mark.parametrize("name", ["train", "simulate", "sweep", "eval"])
     def test_command_parser_matches_full_parser(self, name):
-        argv = [name, "--csv", "p.csv", "--out", "o", "--seed", "3", *self.ARGV[name]]
+        argv = [name, "--csv", "p.csv", "--out", "o", *self.ARGV[name]]
         full, only = cli._build_parser(), cli._build_parser(argv)
         assert only.format_help() == full.format_help()
         assert _subparser(only, name).format_help() == _subparser(full, name).format_help()
@@ -1321,7 +1342,7 @@ LETTERED = st.builds(lambda a, c, b: a + c + b, st.text("0123456789:,-", max_siz
 NEGATIVE_INT = st.integers(max_value=-1).map(str)
 NAN = st.sampled_from(["nan", "NaN", "-nan"])
 NAN_OR_NEGATIVE = st.one_of(NAN, st.floats(max_value=-1e-9).map(repr))
-THRESHOLD_ARGUMENTS = [("--seed", NEGATIVE_INT), ("--r-min", NAN),
+THRESHOLD_ARGUMENTS = [("--r-min", NAN),
                        ("--divergence-max", NAN_OR_NEGATIVE),
                        ("--mse-max", NAN_OR_NEGATIVE)]
 FIT_ARGUMENTS = [("--seed", NEGATIVE_INT), ("--input-delays", LETTERED),

@@ -1,6 +1,8 @@
-"""The BLAS thread policy that importing narxlm applies, and its record."""
+"""What importing narxlm does: the BLAS thread policy it applies, its record,
+and the modules it loads."""
 
 import json
+import sys
 
 import pytest
 
@@ -39,3 +41,15 @@ def test_manifest_records_default():
     env = fresh_import(code)
     assert env["openblas_num_threads"] == "1"
     assert env["blas_threads_set_by_narxlm"] is True
+
+
+def test_no_runtime_dependency_beyond_numpy():
+    # every top-level module that importing narxlm adds on top of numpy's is
+    # narxlm's own or the standard library's
+    code = ("import json, sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import narxlm, narxlm.cli, narxlm.synth\n"
+            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    added = fresh_import(code)
+    assert "narxlm" in added
+    assert [m for m in added if m != "narxlm" and m not in sys.stdlib_module_names] == []
