@@ -1,9 +1,14 @@
 """Command-line front end: train, simulate, sweep, eval.
 
-Every run writes a manifest recording the resolved parameters, input digest,
-output files and environment (Python, numpy, BLAS and its thread setting);
-all output files are written atomically (temp + rename) so a failed run
-leaves no partial artifacts.
+``main`` owns every run.  It reads ``--csv``; the command computes its
+files, summary line and exit code from that frame, and writes and prints
+nothing; ``main`` commits the files and a manifest (resolved parameters,
+input digest, output files and environment: Python, numpy, BLAS and its
+thread setting) to ``--out``, and only then prints the line.  The commit
+writes every file before it renames any into place.  An output name that is
+a directory exits 3 before any write.  A failed write replaces no output and
+leaves no temporary file, though a ``--out`` the run created may remain,
+empty.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 validation/format (and a network
 too large for memory), 5 divergence, 6 model/data mismatch, 7 verdict
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import errno
 import hashlib
 import json
 import math
@@ -74,21 +80,6 @@ CHOSEN_CONFIG_FILE = "chosen_config.json"
 MANIFEST_FILE = "manifest.json"
 
 
-def _atomic_write(path, text: str):
-    # a new file under a random name, as mkstemp makes one, but with mode 0666
-    # so that the umask gives it the mode open(path, "w") would
-    tmp = os.path.join(os.path.dirname(path), f".tmp-{secrets.token_hex(8)}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _environment() -> dict:
     """The Python, numpy and BLAS of this run, and its BLAS thread setting."""
     env = {"python": platform.python_version(), "numpy": np.__version__}
@@ -104,17 +95,20 @@ def _environment() -> dict:
 
 
 def _write_outputs(args, input_sha256: str, files: dict):
-    """Create ``--out``, write each {name: text} file, then the manifest of them.
+    """Commit each {name: text} file and then the manifest of them to ``--out``.
 
-    Commands call this once, after every result is computed, so a failed run
-    leaves no directory behind.  ``input_sha256`` is ``_load_frame``'s digest
-    of the bytes the run parsed.  The manifest is strict JSON: a non-finite
-    parameter (``--mse-max`` defaults to inf) is the string ``float()`` reads
-    back, such as ``"inf"``.
+    ``main`` calls this once, after the command has computed every result,
+    so a command that fails leaves no directory behind.  An output name
+    that is a directory in ``--out`` raises ``IsADirectoryError`` before
+    anything is written.  Every file is written under a ``.tmp-<hex>`` name
+    first, with mode 0666 so that the umask gives it the mode
+    ``open(path, "w")`` would, and renamed into place only once all are
+    written; if any step fails, the temporary files are removed.
+    ``input_sha256`` is ``_load_frame``'s digest of the bytes the run
+    parsed.  The manifest is strict JSON: a non-finite parameter
+    (``--mse-max`` defaults to inf) is the string ``float()`` reads back,
+    such as ``"inf"``.
     """
-    os.makedirs(args.out, exist_ok=True)
-    for name, text in files.items():
-        _atomic_write(os.path.join(args.out, name), text)
     manifest = {
         "command": args.command,
         "parameters": {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
@@ -127,7 +121,25 @@ def _write_outputs(args, input_sha256: str, files: dict):
         "outputs": sorted(files),
         "environment": _environment(),
     }
-    _atomic_write(os.path.join(args.out, MANIFEST_FILE), json.dumps(manifest, indent=2))
+    paths = {os.path.join(args.out, name): text
+             for name, text in {**files, MANIFEST_FILE: json.dumps(manifest, indent=2)}.items()}
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    os.makedirs(args.out, exist_ok=True)
+    tmps = []
+    try:
+        for text in paths.values():
+            tmps.append(os.path.join(args.out, f".tmp-{secrets.token_hex(8)}"))
+            fd = os.open(tmps[-1], os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in filter(os.path.exists, tmps):
+            os.unlink(tmp)
+        raise
 
 
 def _add_common(p):
@@ -221,10 +233,9 @@ def _add_sweep_options(p):
     _add_fit_options(p)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, frame):
     params = _from_fields(args, TrainParams)
     thresholds = _from_fields(args, VerdictThresholds)
-    frame, digest = _load_frame(args)
     d_u = parse_lag_range(args.input_delays, len(frame))
     d_y = parse_lag_range(args.feedback_delays, len(frame))
     prep = prepare(frame, d_u, d_y, args.exo_channels.split(","), args.target_channel)
@@ -233,23 +244,20 @@ def cmd_train(args) -> int:
 
     splits = {name: [int(idx[0]), int(idx[-1]) + 1]
               for name, idx in zip(("train", "val", "test"), prep.dataset.splits)}
-    _write_outputs(args, digest, {
+    return {
         MODEL_FILE: model_json(report.network, prep),
         TRAIN_REPORT_FILE: json.dumps({**report.to_dict(), "splits": splits}, indent=2),
         EPOCHS_FILE: _csv_text([f.name for f in dataclasses.fields(EpochRecord)],
                                map(dataclasses.astuple, report.records)),
         DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2),
-    })
-    print(f"trained: stop={report.stop_reason} best_epoch={report.best_epoch} "
-          f"val_mse={report.best_val_mse:.3e} R={diag.r_value:.5f} "
-          f"divergence={diag.max_divergence_pct:.3f}% "
-          f"verdict={'accept' if diag.accepted else 'reject'}")
-    return EXIT_OK
+    }, (f"trained: stop={report.stop_reason} best_epoch={report.best_epoch} "
+        f"val_mse={report.best_val_mse:.3e} R={diag.r_value:.5f} "
+        f"divergence={diag.max_divergence_pct:.3f}% "
+        f"verdict={'accept' if diag.accepted else 'reject'}"), EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, frame):
     thresholds = _from_fields(args, VerdictThresholds)
-    frame, digest = _load_frame(args)
     net, prep = load_model(args.model, frame)
     H = args.horizon
     priming = prep.dataset.first_usable_index
@@ -264,17 +272,13 @@ def cmd_simulate(args) -> int:
     rows = [(t, y, p, p - y) for t, p, y in
             zip(ts.tolist(), preds_price.tolist(), targs_price.tolist())]
     diag = simulate_diagnostics(preds, targs, prep, start_row, thresholds=thresholds)
-    _write_outputs(args, digest, {
+    return {
         PREDICTIONS_FILE: _csv_text(["timestep", "target", "prediction", "error"], rows),
         DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2),
-    })
-    print(f"simulated {H} steps -> {os.path.join(args.out, PREDICTIONS_FILE)}")
-    return EXIT_OK
+    }, f"simulated {H} steps -> {os.path.join(args.out, PREDICTIONS_FILE)}", EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    frame, digest = _load_frame(args)
-
+def cmd_sweep(args, frame):
     def parse_axis(text):
         return tuple(parse_lag_range(t, len(frame)) for t in text.split(",") if t.strip())
 
@@ -300,29 +304,27 @@ def cmd_sweep(args) -> int:
         "xcorr_within_bounds": best.xcorr_within_bounds,
         "warning": best.warning,
     }
-    _write_outputs(args, digest, {
+    return {
         SWEEP_CSV_FILE: _csv_text([f.name for f in dataclasses.fields(SweepRow)],
                                   map(dataclasses.astuple, rows)),
         SWEEP_JSON_FILE: json.dumps([r.to_dict() for r in rows], indent=2),
         CHOSEN_CONFIG_FILE: json.dumps(chosen, indent=2),
-    })
-    print(f"swept {len(rows)} configurations; best: d_u={best.d_u} "
-          f"d_y={best.d_y} N={best.n_hidden} R={best.r_value:.5f}")
-    return EXIT_OK
+    }, (f"swept {len(rows)} configurations; best: d_u={best.d_u} "
+        f"d_y={best.d_y} N={best.n_hidden} R={best.r_value:.5f}"), EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    frame, digest = _load_frame(args)
+def cmd_eval(args, frame):
     net, prep = load_model(args.model, frame)
     diag = evaluate_open(net, prep, thresholds=_from_fields(args, VerdictThresholds))
-    _write_outputs(args, digest, {DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2)})
     verdict = "accept" if diag.accepted else "reject"
-    print(f"eval: R={diag.r_value:.5f} divergence={diag.max_divergence_pct:.3f}% "
-          f"mse={diag.mse:.3e} verdict={verdict}")
-    return EXIT_OK if diag.accepted else EXIT_REJECTED
+    return ({DIAGNOSTICS_FILE: json.dumps(diag.to_dict(), indent=2)},
+            f"eval: R={diag.r_value:.5f} divergence={diag.max_divergence_pct:.3f}% "
+            f"mse={diag.mse:.3e} verdict={verdict}",
+            EXIT_OK if diag.accepted else EXIT_REJECTED)
 
 
-# (name, help, add-options function, handler) of every subcommand
+# (name, help, add-options function, handler) of every subcommand; a handler
+# takes (args, frame) and returns ({name: text} files, summary line, exit code)
 COMMANDS = (
     ("train", "train a model on an OHLCV CSV", _add_train_options, cmd_train),
     ("simulate", "closed-loop multi-step simulation", _add_simulate_options, cmd_simulate),
@@ -361,7 +363,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        frame, digest = _load_frame(args)
+        files, summary, code = args.func(args, frame)
+        _write_outputs(args, digest, files)
+        print(summary)
+        return code
     except tuple(kind for kind, _ in ERROR_EXITS) as exc:
         # a bare MemoryError has no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -424,11 +424,14 @@ class NormalizationSpec:
             if not 0.0 < float(mx) - float(mn) < np.inf:  # a numpy scalar would warn
                 raise ValidationError(f"channel {ch!r} has no usable range [{mn}, {mx}]")
 
-    def apply_values(self, values, channel: str) -> np.ndarray:
+    def _lookup(self, values, channel: str):
+        """(values as a float array, min, max) of ``channel``'s map."""
         if channel not in self.ranges:
             raise KeyError(f"channel {channel!r} not in normalization spec")
-        mn, mx = self.ranges[channel]
-        values = np.asarray(values, dtype=float)
+        return (np.asarray(values, dtype=float), *self.ranges[channel])
+
+    def apply_values(self, values, channel: str) -> np.ndarray:
+        values, mn, mx = self._lookup(values, channel)
         with np.errstate(over="ignore"):
             mapped = NORM_LO + (values - mn) / (mx - mn) * (NORM_HI - NORM_LO)
         if not np.isfinite(mapped).all():
@@ -437,10 +440,7 @@ class NormalizationSpec:
         return mapped
 
     def invert_values(self, values, channel: str) -> np.ndarray:
-        if channel not in self.ranges:
-            raise KeyError(f"channel {channel!r} not in normalization spec")
-        mn, mx = self.ranges[channel]
-        values = np.asarray(values, dtype=float)
+        values, mn, mx = self._lookup(values, channel)
         return mn + (values - NORM_LO) / (NORM_HI - NORM_LO) * (mx - mn)
 
     def to_dict(self) -> dict:

@@ -35,7 +35,7 @@ class SweepGrid:
     d_y_candidates: tuple       # tuple of lag tuples
     neuron_candidates: tuple    # tuple of ints
     params: TrainParams
-    seed: int = 0
+    seed: int
 
     def __post_init__(self):
         if not (self.d_u_candidates and self.d_y_candidates and self.neuron_candidates):

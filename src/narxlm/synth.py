@@ -9,6 +9,8 @@ exercised without market data.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .data import DEFAULT_EXO_CHANNELS, TimeSeriesFrame, _csv_text, _taps, fit_normalization
@@ -77,6 +79,7 @@ def synthetic_ohlcv_frame(n_rows: int, seed: int, noise_std: float = 0.0):
     low = np.minimum(open_, base) - spread
     volume = rng.uniform(2e7, 1e8, size=n_rows)
 
+    # close, and so adj_close, is a placeholder until the teacher's output replaces it
     frame0 = TimeSeriesFrame(
         timesteps=734506 + np.arange(n_rows),
         open=open_, high=high, low=low, volume=volume, close=base,
@@ -92,12 +95,7 @@ def synthetic_ohlcv_frame(n_rows: int, seed: int, noise_std: float = 0.0):
     if span <= 0:
         raise ValidationError("degenerate teacher output")
     close = lo + (y - np.min(y)) * (hi - lo) / span
-
-    frame = TimeSeriesFrame(
-        timesteps=734506 + np.arange(n_rows),
-        open=open_, high=high, low=low, volume=volume, close=close,
-    ).validate_prices()
-    return frame, teacher
+    return dataclasses.replace(frame0, close=close, adj_close=None).validate_prices(), teacher
 
 
 def frame_to_csv(frame: TimeSeriesFrame, path):

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import platform
 import re
 import stat
@@ -99,12 +100,12 @@ class TestTrain:
         assert report["splits"] == {"train": [0, a], "val": [a, a + b], "test": [a + b, n]}
 
     def test_epochs_csv_shape(self, trained_dir):
-        lines = open(os.path.join(trained_dir, cli.EPOCHS_FILE)).read().splitlines()
+        lines = pathlib.Path(trained_dir, cli.EPOCHS_FILE).read_text().splitlines()
         assert lines[0].startswith("epoch,train_objective")
         assert len(lines) >= 2
 
     def test_epochs_csv_header_is_the_record_fields(self, trained_dir):
-        lines = open(os.path.join(trained_dir, cli.EPOCHS_FILE)).read().splitlines()
+        lines = pathlib.Path(trained_dir, cli.EPOCHS_FILE).read_text().splitlines()
         names = [f.name for f in dataclasses.fields(EpochRecord)]
         assert lines[0] == "epoch,train_objective,train_mse,val_mse,test_mse,grad_norm,mu"
         assert lines[0].split(",") == names
@@ -128,7 +129,7 @@ class TestTrain:
         # one seed gives the same files twice, and so do the copy of the CSV
         # with ISO dates and the copy with quoted cells and two blank rows,
         # which load_ohlcv reads as the same frame
-        header, *rows = open(data_csv).read().splitlines()
+        header, *rows = pathlib.Path(data_csv).read_text().splitlines()
         cells = [row.split(",") for row in rows]
         iso = [",".join([datetime.date.fromordinal(int(day)).isoformat(), *values])
                for day, *values in cells]
@@ -167,7 +168,7 @@ class TestDateRange:
     @pytest.fixture(scope="class")
     def cut_dir(self, data_csv, tmp_path_factory):
         """A train run on the CSV cut to days 734535 .. 734704."""
-        header, *rows = open(data_csv).read().splitlines()
+        header, *rows = pathlib.Path(data_csv).read_text().splitlines()
         tmp = tmp_path_factory.mktemp("cut")
         cut = tmp / "cut.csv"
         cut.write_text("\n".join([header] + [r for r in rows
@@ -206,9 +207,66 @@ class TestAtomicWrite:
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         self._replace_fails(monkeypatch)
+        args = argparse.Namespace(command="eval", csv="in.csv", out=str(tmp_path))
         with pytest.raises(OSError, match="No space left on device"):
-            cli._atomic_write(str(tmp_path / "a.json"), "{}")
+            cli._write_outputs(args, "0" * 64, {"a.json": "{}"})
         assert os.listdir(tmp_path) == []
+
+    def test_failed_second_write_leaves_no_file(self, data_csv, tmp_path, monkeypatch,
+                                                capsys):
+        # the disk fills on the second file: the first must not stay behind
+        fdopen, calls = os.fdopen, []
+
+        def fail_second(fd, *args, **kwargs):
+            calls.append(fd)
+            if len(calls) == 2:
+                os.close(fd)
+                raise OSError(28, "No space left on device")
+            return fdopen(fd, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fdopen", fail_second)
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--csv", data_csv, "--out", str(out),
+                       "--neurons", "3", "--seed", "1", *FAST_FLAGS])
+        assert rc == cli.EXIT_IO
+        assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+        assert os.listdir(out) == []
+
+    def test_output_name_that_is_a_directory_writes_nothing(self, data_csv, tmp_path,
+                                                            capsys):
+        out = tmp_path / "out"
+        (out / cli.TRAIN_REPORT_FILE).mkdir(parents=True)
+        rc = cli.main(["train", "--csv", data_csv, "--out", str(out),
+                       "--neurons", "3", "--seed", "1", *FAST_FLAGS])
+        assert rc == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert repr(str(out / cli.TRAIN_REPORT_FILE)) in captured.err
+        assert os.listdir(out) == [cli.TRAIN_REPORT_FILE]
+
+    @pytest.mark.parametrize("command", ["train", "simulate", "sweep", "eval"])
+    def test_commands_only_compute(self, trained_dir, data_csv, tmp_path, capsys, command):
+        # a command returns its files, line and exit code; main alone writes and prints
+        out = tmp_path / "out"
+        argv = {
+            "train": ["--neurons", "3", "--seed", "1", *FAST_FLAGS],
+            "simulate": ["--model", os.path.join(trained_dir, cli.MODEL_FILE),
+                         "--horizon", "20"],
+            "sweep": ["--neurons", "2", "--seed", "1", *FAST_FLAGS],
+            "eval": ["--model", os.path.join(trained_dir, cli.MODEL_FILE)],
+        }[command]
+        argv = [command, "--csv", data_csv, "--out", str(out), *argv]
+        args = cli._build_parser(argv).parse_args(argv)
+        frame, _ = cli._load_frame(args)
+        files, summary, code = args.func(args, frame)
+        assert capsys.readouterr() == ("", "")
+        assert not out.exists()
+        assert cli.main(argv) == code
+        assert capsys.readouterr().out == summary + "\n"
+        assert sorted(outputs(out)) == sorted(files)
+        if command != "sweep":  # a sweep's wall_time differs from run to run
+            assert outputs(out) == {name: text.encode() for name, text in files.items()}
 
     def test_failed_write_exits_3(self, trained_dir, data_csv, tmp_path, monkeypatch, capsys):
         self._replace_fails(monkeypatch)
@@ -227,7 +285,7 @@ class TestSimulate:
                        "--model", os.path.join(trained_dir, cli.MODEL_FILE),
                        "--horizon", "100", "--out", out])
         assert rc == 0
-        lines = open(os.path.join(out, cli.PREDICTIONS_FILE)).read().splitlines()
+        lines = pathlib.Path(out, cli.PREDICTIONS_FILE).read_text().splitlines()
         assert lines[0] == "timestep,target,prediction,error"
         assert len(lines) == 101
         with open(os.path.join(out, cli.DIAGNOSTICS_FILE)) as fh:
@@ -578,7 +636,7 @@ class TestSweep:
                        "--neurons", "3", "--seed", "2",
                        "--epochs", "20", "--restarts", "1", "--xi", "1.0"])
         assert rc == 0
-        lines = open(os.path.join(out, cli.SWEEP_CSV_FILE)).read().splitlines()
+        lines = pathlib.Path(out, cli.SWEEP_CSV_FILE).read_text().splitlines()
         assert len(lines) == 2
         with open(os.path.join(out, cli.CHOSEN_CONFIG_FILE)) as fh:
             chosen = json.load(fh)
@@ -1152,7 +1210,7 @@ class TestInputValidation:
     ], ids=["open-overflowing-range", "volume-extreme-range"])
     def test_extreme_finite_values(self, data_csv, tmp_path, capsys, column, cells, code,
                                    message):
-        header, *rows = open(data_csv).read().splitlines()
+        header, *rows = pathlib.Path(data_csv).read_text().splitlines()
         j = header.split(",").index(column)
         for i, cell in zip((10, 20), cells):
             row = rows[i].split(",")
@@ -1185,7 +1243,7 @@ class TestInputValidation:
                                            command, flags, n_errors):
         # a last close far outside the fitted range: its normalized error is
         # finite, its square is not
-        header, *rows = open(data_csv).read().splitlines()
+        header, *rows = pathlib.Path(data_csv).read_text().splitlines()
         row = rows[-1].split(",")
         row[header.split(",").index("Close")] = "1e200"
         rows[-1] = ",".join(row)
@@ -1241,11 +1299,11 @@ class TestStrictJson:
         for out in runs:
             for name in os.listdir(out):
                 if name.endswith(".json"):
-                    _strict_json(open(os.path.join(out, name)).read())
+                    _strict_json(pathlib.Path(out, name).read_text())
                     parsed += 1
         # train writes four JSON files, simulate and eval two each, sweep three
         assert parsed == 11
-        manifest = _strict_json(open(os.path.join(trained_dir, cli.MANIFEST_FILE)).read())
+        manifest = _strict_json(pathlib.Path(trained_dir, cli.MANIFEST_FILE).read_text())
         assert manifest["parameters"]["mse_max"] == "inf"
         assert float(manifest["parameters"]["mse_max"]) == float("inf")
 

@@ -201,7 +201,8 @@ def test_sweep_checks_the_channels_before_any_point(exo, target, message, monkey
 
     monkeypatch.setattr(sweep, "_sweep_point", no_point)
     frame, _ = synthetic_ohlcv_frame(40, seed=1234, noise_std=0.02)
-    grid = sweep.SweepGrid(((0, 1),), ((1,),), (2,), TrainParams(epochs=1, restarts=1))
+    grid = sweep.SweepGrid(((0, 1),), ((1,),), (2,), TrainParams(epochs=1, restarts=1),
+                           seed=0)
     with pytest.raises(ValidationError) as err:
         sweep.run_sweep(grid, frame, exo, target)
     assert message in str(err.value)

@@ -108,7 +108,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         params = TrainParams(xi=1.0, epochs=2, restarts=1)
-        grid = SweepGrid(((0, 1),), ((1,),), tuple(range(2, 2 + n_points)), params)
+        grid = SweepGrid(((0, 1),), ((1,),), tuple(range(2, 2 + n_points)), params,
+                         seed=0)
         rows = run_sweep(grid, frame, EXO, "close", jobs=jobs)
         assert [r.n_hidden for r in rows] == list(grid.neuron_candidates)
         assert started == pools
@@ -148,7 +149,7 @@ class TestRunSweep:
     ], ids=["input-delay", "feedback-delay", "neuron"])
     def test_empty_axis_rejected(self, axes):
         with pytest.raises(ValidationError, match="every grid axis must be non-empty"):
-            SweepGrid(*axes, FAST)
+            SweepGrid(*axes, FAST, seed=0)
 
     @pytest.mark.parametrize("axes, message", [
         ((((0, 1),), ((1,),), (3, 0)), "n_hidden must be >= 1"),
@@ -158,7 +159,7 @@ class TestRunSweep:
     ], ids=["neurons", "input-delay", "feedback-delay", "empty-lag-set"])
     def test_bad_candidate_rejected(self, axes, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
-            SweepGrid(*axes, FAST)
+            SweepGrid(*axes, FAST, seed=0)
 
     @pytest.mark.parametrize("axes, message", [
         ((((0, 1), (1, 0)), ((1,),), (3,)), "input-delay axis repeats the candidate (0, 1)"),
@@ -167,7 +168,7 @@ class TestRunSweep:
     ], ids=["input-delay", "feedback-delay", "neuron"])
     def test_repeated_candidate_rejected(self, axes, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
-            SweepGrid(*axes, FAST)
+            SweepGrid(*axes, FAST, seed=0)
 
 
 class TestSweepRow:
